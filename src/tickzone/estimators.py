@@ -103,12 +103,14 @@ def recover_efficient_prices(changes, eta_hat: float, tick_value: float):
 
     Each traded price is pulled back toward the barrier it crossed:
     X = P - sign(move) * (1/2 - eta_hat) * tick. With the true ratio this
-    lands exactly on the crossing barrier.
+    lands exactly on the crossing barrier. The formula holds for any
+    ``eta_hat >= 0``, so days estimating no continuations or a ratio above
+    one still get a variance estimate.
 
     Returns (times, values) arrays.
     """
-    if not (0.0 < eta_hat <= 1.0):
-        raise ParameterError(f"eta_hat must lie in (0, 1], got {eta_hat!r}")
+    if not eta_hat >= 0.0:
+        raise ParameterError(f"eta_hat must be >= 0, got {eta_hat!r}")
     if tick_value <= 0:
         raise ParameterError("tick_value must be > 0")
     t, p, d = _change_arrays(changes)
@@ -266,8 +268,9 @@ class DailyRecord:
 def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:
     """Compose the per-day estimates from one tape.
 
-    Raises InsufficientDataError for days with fewer than two price changes;
-    errors carry the asset and date for pipeline logs.
+    Raises InsufficientDataError for days with fewer than two price changes.
+    Errors are re-raised as they are, with the asset and date put in front of
+    their message for pipeline logs.
     """
     try:
         counts = count_alternations(tape.change_directions)
@@ -276,7 +279,8 @@ def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:
         variance = estimate_integrated_variance(xhat)
         avg_spread, frac_one_tick = spread_stats(tape)
     except TickzoneError as exc:
-        raise type(exc)(f"{tape.asset.asset_id} {date or '(no date)'}: {exc}".strip()) from None
+        exc.args = (f"{tape.asset.asset_id} {date or '(no date)'}: {exc}".strip(),) + exc.args[1:]
+        raise
     return DailyRecord(
         date=date,
         asset_id=tape.asset.asset_id,

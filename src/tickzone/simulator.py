@@ -1,140 +1,87 @@
 """Simulation of large-tick traded prices driven by a latent efficient price.
 
-The efficient price diffuses off-grid. The traded price sits on the tick grid
-and moves by one tick exactly when the efficient price reaches a barrier half
-a tick plus one zone half-width away from the last traded price. Barrier
-crossings between grid points of the discretized path are recovered with the
-standard Brownian bridge correction, so coarse steps do not systematically
-delay price changes.
+The efficient price is a driftless Brownian motion whose volatility is
+constant or piecewise constant. The traded price sits on the tick grid and
+moves by one tick exactly when the efficient price reaches a barrier half a
+tick plus one zone half-width away from the last traded price.
+
+The change sequence is sampled event by event, with no time grid. In
+business time (the integrated variance ``∫ sigma^2 dt``) the efficient price
+is a standard Brownian motion, so each change is its exit from an interval:
+
+- the first change of the day leaves the band around the opening price;
+- every later change leaves ``(-2 eta tick, tick)`` around the barrier just
+  crossed, continuing the last move on the ``tick`` side. These exits are
+  independent and identically distributed.
+
+Exit times and sides are exact: walks on symmetric intervals, whose unit exit
+time comes from inverting its theta-series distribution. Business time maps
+back to clock time through the piecewise-linear integrated variance, so a
+zero-volatility stretch gets no changes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
+from scipy import special
 
 from .domain import SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
 from .errors import ParameterError
 
 Schedule = Union[float, Sequence[Tuple[float, float]]]
 
-_BLOCK_START = 256
-_BLOCK_MIN = 64
-_BLOCK_MAX = 8192
 
-
-def _schedule_pieces(sched: Schedule, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a schedule to (start_times, values), first piece at t=0."""
+def _schedule_pieces(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize a volatility schedule to (start_times, values), first piece at t=0."""
     if isinstance(sched, (int, float)):
         return np.array([0.0]), np.array([float(sched)])
     pieces = sorted((float(t), float(v)) for t, v in sched)
     if not pieces:
-        raise ParameterError(f"{what} schedule is empty")
+        raise ParameterError("volatility schedule is empty")
     starts = np.array([t for t, _ in pieces])
     values = np.array([v for _, v in pieces])
     if starts[0] > 0.0:
-        raise ParameterError(f"{what} schedule must start at time 0")
+        raise ParameterError("volatility schedule must start at time 0")
     if len(np.unique(starts)) != len(starts):
-        raise ParameterError(f"{what} schedule has duplicate breakpoints")
+        raise ParameterError("volatility schedule has duplicate breakpoints")
     return starts, values
-
-
-def _schedule_values(sched: Schedule, times: np.ndarray, what: str) -> np.ndarray:
-    starts, values = _schedule_pieces(sched, what)
-    if len(values) == 1:
-        return np.broadcast_to(values[0], times.shape)
-    idx = np.searchsorted(starts, times, side="right") - 1
-    return values[idx]
 
 
 @dataclass(frozen=True)
 class EfficientPathSpec:
-    """Parameters of the latent price: start value, drift and volatility.
+    """Parameters of the latent price: start value, volatility and horizon.
 
-    ``drift`` and ``volatility`` are either constants or piecewise-constant
-    schedules given as (start_time, value) pairs. ``step`` is the Euler grid
-    spacing; leave it None to let ``simulate_day`` pick one small enough that
-    one step's noise is a tenth of the zone half-width.
+    ``volatility`` is either a constant or a piecewise-constant schedule
+    given as (start_time, value) pairs, in price units per square-root
+    second. The latent price has no drift.
     """
 
     x0: float
     volatility: Schedule
-    drift: Schedule = 0.0
     horizon: float = 1.0
-    step: Optional[float] = None
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ParameterError(f"horizon must be > 0, got {self.horizon!r}")
-        if self.step is not None:
-            if self.step <= 0:
-                raise ParameterError(f"step must be > 0, got {self.step!r}")
-            if self.horizon < self.step:
-                raise ParameterError("horizon must be at least one step")
-        _, vols = _schedule_pieces(self.volatility, "volatility")
+        _, vols = _schedule_pieces(self.volatility)
         if np.any(vols < 0):
             raise ParameterError("volatility must be >= 0 everywhere")
-        _schedule_pieces(self.drift, "drift")
-
-    def max_volatility(self) -> float:
-        _, vols = _schedule_pieces(self.volatility, "volatility")
-        return float(np.max(vols))
-
-    def with_step(self, step: float) -> "EfficientPathSpec":
-        return EfficientPathSpec(
-            x0=self.x0, volatility=self.volatility, drift=self.drift,
-            horizon=self.horizon, step=step,
-        )
 
 
-class EfficientPath:
-    """A discretized efficient-price path on a uniform time grid."""
+def _variance_clock(spec: EfficientPathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Knots (times, integrated variance) of the piecewise-linear business clock.
 
-    def __init__(self, values: np.ndarray, step: float, spec: EfficientPathSpec):
-        self.values = values
-        self.step = step
-        self.spec = spec
-        self._times: Optional[np.ndarray] = None
-        self._step_sigma2: Optional[np.ndarray] = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.step
-
-    @property
-    def times(self) -> np.ndarray:
-        if self._times is None:
-            self._times = np.arange(len(self.values)) * self.step
-        return self._times
-
-    @property
-    def step_sigma2(self) -> np.ndarray:
-        """Variance rate sigma^2 (per unit time) on each step."""
-        if self._step_sigma2 is None:
-            left = np.arange(self.n_steps) * self.step
-            self._step_sigma2 = np.asarray(
-                _schedule_values(self.spec.volatility, left, "volatility")
-            ) ** 2
-        return self._step_sigma2
-
-    def integrated_variance(self) -> float:
-        """Ground truth integral of sigma^2 over the horizon, as discretized."""
-        return float(np.sum(self.step_sigma2 * self.step))
-
-
-def suggested_step(asset: AssetSpec, sigma_max: float, horizon: float, safety: float = 10.0) -> float:
-    """Step size keeping one step's noise at most ``1/safety`` of the band half-width."""
-    eta = asset.require_eta()
-    if sigma_max <= 0:
-        return horizon / 100.0
-    dt = (eta * asset.tick_value / (safety * sigma_max)) ** 2
-    return min(horizon, dt)
+    The times run from 0 to the horizon; the last variance is the exact
+    integral of sigma^2 over the day.
+    """
+    starts, vols = _schedule_pieces(spec.volatility)
+    keep = starts < spec.horizon
+    times = np.append(starts[keep], spec.horizon)
+    variance = np.concatenate(([0.0], np.cumsum(vols[keep] ** 2 * np.diff(times))))
+    return times, variance
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -145,29 +92,122 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def simulate_efficient_path(spec: EfficientPathSpec, rng=None) -> EfficientPath:
-    """Draw one path with independent Gaussian increments per step.
+# Odd numbers 2k+1 and signs (-1)^k of the first five theta-series terms. On
+# its own side of t = 1/2 either series below then errs by less than 1e-25.
+_ODD = 2.0 * np.arange(5) + 1.0
+_SIGN = (-1.0) ** np.arange(5)
 
-    The step is adjusted to the nearest exact divisor of the horizon so the
-    grid lands on the endpoint. Increments have mean drift*dt and variance
-    sigma^2*dt evaluated at the left edge of each step.
+
+def _long_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log P(T > t) for the unit exit time T, and its derivative in t."""
+    e = np.exp(-np.outer(t, _ODD**2) * (math.pi**2 / 8.0))
+    survival = (4.0 / math.pi) * (e @ (_SIGN / _ODD))
+    density = (math.pi / 2.0) * (e @ (_SIGN * _ODD))
+    return np.log(survival), -density / survival
+
+
+def _short_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log P(T <= t) for the unit exit time T, and its derivative in t."""
+    z = np.outer(1.0 / np.sqrt(2.0 * t), _ODD)
+    cdf = 2.0 * (special.erfc(z) @ _SIGN)
+    density = 2.0 * (np.exp(-z * z) @ (_SIGN * _ODD)) / np.sqrt(2.0 * math.pi * t**3)
+    return np.log(cdf), density / cdf
+
+
+_SURVIVAL_AT_HALF = float(np.exp(_long_time_tail(np.array([0.5]))[0][0]))
+
+
+def _newton(tail, t: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Solve tail(t) = target by Newton's method, to a relative step of 1e-13.
+
+    Both log tails are monotone and concave in t (the unit exit time is a sum
+    of independent exponentials), so from a start where tail(t) < target
+    every step moves toward the root and, up to rounding, not past it.
     """
-    if spec.step is None:
-        raise ParameterError("spec.step is unset; pass one or use simulate_day")
-    gen = _as_rng(rng)
-    n = max(1, round(spec.horizon / spec.step))
-    dt = spec.horizon / n
-    left = np.arange(n) * dt
-    sig = np.asarray(_schedule_values(spec.volatility, left, "volatility"), dtype=float)
-    drift = np.asarray(_schedule_values(spec.drift, left, "drift"), dtype=float)
-    incr = drift * dt
-    if np.any(sig > 0):
-        incr = incr + sig * math.sqrt(dt) * gen.standard_normal(n)
-    values = np.empty(n + 1)
-    values[0] = spec.x0
-    np.cumsum(incr, out=values[1:])
-    values[1:] += spec.x0
-    return EfficientPath(values=values, step=dt, spec=spec)
+    for _ in range(100):
+        value, slope = tail(t)
+        step = (value - target) / slope
+        t = t - step
+        if np.all(np.abs(step) <= 1e-13 * t):
+            break
+    return t
+
+
+def _unit_exit_times(u: np.ndarray) -> np.ndarray:
+    """Exit times of a standard Brownian motion from (-1, 1) with survival probabilities ``u``.
+
+    ``u`` must lie in the open interval (0, 1). Newton's method inverts the
+    long-time series of log P(T > t) when the root lies beyond 1/2 and the
+    short-time series of log P(T <= t) below it. It starts where the series'
+    first term alone hits the target; the omitted terms lower either tail,
+    so the start lies where tail(t) < target.
+    """
+    t = np.empty_like(u)
+    long = u < _SURVIVAL_AT_HALF
+    s = u[long]
+    t[long] = _newton(_long_time_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
+    q = 1.0 - u[~long]
+    t[~long] = _newton(_short_time_tail, 0.5 / special.erfcinv(q / 2.0) ** 2, np.log(q))
+    return t
+
+
+def _interval_exits(
+    lo: float, hi: float, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and sides of ``n`` exits of a standard Brownian motion from (-lo, hi).
+
+    Returns (exit_times, exited_at_hi). From a point x the motion first
+    leaves the largest interval centred on x inside (-lo, hi) after c^2 T,
+    with c its half-width and T a unit exit time, on either side with equal
+    odds and independently of T. One of the two sides is a boundary, so at
+    least half of the walks finish each round.
+    """
+    x = np.zeros(n)
+    times = np.zeros(n)
+    at_hi = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    while len(live):
+        xl = x[live]
+        c = np.minimum(xl + lo, hi - xl)
+        draws = rng.random((2, len(live)))
+        # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
+        times[live] += c * c * _unit_exit_times(draws[0] + 2.0**-55)
+        up = draws[1] < 0.5
+        hit_hi = up & (hi - xl <= c)
+        done = hit_hi | (~up & (xl + lo <= c))
+        at_hi[live[done]] = hit_hi[done]
+        x[live] = np.where(up, xl + c, xl - c)
+        live = live[~done]
+    return times, at_hi
+
+
+def _change_sequence(
+    start: float, eta: float, budget: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Business times and directions of the price changes of one day, in tick units.
+
+    ``start`` is the latent price's offset from the opening grid point in
+    ticks, and business time is measured in squared ticks up to ``budget``.
+    """
+    first, first_up = _interval_exits(0.5 + eta + start, 0.5 + eta - start, 1, rng)
+    elapsed = [first]
+    turns = [np.where(first_up, 1, -1)]
+    # later exits from (-2 eta, 1) have mean 2 eta and squared coefficient of
+    # variation (1 + 4 eta^2) / (6 eta)
+    mean = 2.0 * eta
+    cv = math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
+    end = float(first[0])
+    while end < budget:
+        # the expected number of exits still needed plus four standard
+        # deviations, so that one batch nearly always covers the day
+        need = (budget - end) / mean
+        gaps, continued = _interval_exits(2.0 * eta, 1.0, int(need + 4.0 * cv * math.sqrt(need)) + 1, rng)
+        elapsed.append(end + np.cumsum(gaps))
+        turns.append(np.where(continued, 1, -1))
+        end = float(elapsed[-1][-1])
+    times = np.concatenate(elapsed)
+    n = int(np.searchsorted(times, budget))
+    return times[:n], np.cumprod(np.concatenate(turns)[:n]).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -219,162 +259,6 @@ class PriceChangeSeries(Sequence):
 
     def __repr__(self):
         return f"PriceChangeSeries(n={len(self)})"
-
-
-def _resolve_step(
-    t0: float,
-    x0: float,
-    t1: float,
-    x1: float,
-    var_rate: float,
-    k: int,
-    alpha: float,
-    offset: float,
-    rng: np.random.Generator,
-    out_t: list,
-    out_k: list,
-    out_d: list,
-    out_e: list,
-    first_up: Optional[bool],
-    first_dn: Optional[bool],
-) -> int:
-    """Emit every crossing inside one step, walking the remainder after each hit.
-
-    The first hit decision may be supplied by the vectorized scan; later
-    sub-segments are re-tested with fresh draws against the updated barriers.
-    A bridged hit (endpoints short of the barrier) is placed at the tent-path
-    time, interpolating up to the barrier and back down to the endpoint.
-    """
-    while t1 > t0:
-        up_lvl = k * alpha + offset
-        dn_lvl = k * alpha - offset
-        if first_up is not None:
-            up, dn = first_up, first_dn
-            first_up = first_dn = None
-        else:
-            up = x1 >= up_lvl
-            dn = x1 <= dn_lvl
-            if not up:
-                span = var_rate * (t1 - t0)
-                if span > 0 and x1 > dn_lvl:
-                    p = math.exp(min(-2.0 * (up_lvl - x0) * (up_lvl - x1) / span, 0.0))
-                    up = rng.random() < p
-            if not dn:
-                span = var_rate * (t1 - t0)
-                if span > 0 and x1 < up_lvl:
-                    p = math.exp(min(-2.0 * (x0 - dn_lvl) * (x1 - dn_lvl) / span, 0.0))
-                    dn = rng.random() < p
-        if not (up or dn):
-            break
-        t_up = math.inf
-        t_dn = math.inf
-        if up:
-            if x1 >= up_lvl:
-                t_up = t0 + (t1 - t0) * (up_lvl - x0) / (x1 - x0)
-            else:
-                t_up = t0 + (t1 - t0) * (up_lvl - x0) / ((up_lvl - x0) + (up_lvl - x1))
-        if dn:
-            if x1 <= dn_lvl:
-                t_dn = t0 + (t1 - t0) * (x0 - dn_lvl) / (x0 - x1)
-            else:
-                t_dn = t0 + (t1 - t0) * (x0 - dn_lvl) / ((x0 - dn_lvl) + (x1 - dn_lvl))
-        if t_up <= t_dn:
-            k += 1
-            out_t.append(t_up)
-            out_k.append(k)
-            out_d.append(1)
-            out_e.append(up_lvl)
-            t0, x0 = t_up, up_lvl
-        else:
-            k -= 1
-            out_t.append(t_dn)
-            out_k.append(k)
-            out_d.append(-1)
-            out_e.append(dn_lvl)
-            t0, x0 = t_dn, dn_lvl
-    return k
-
-
-def apply_uncertainty_zones(
-    path: EfficientPath, asset: AssetSpec, p0: float, rng=None
-) -> PriceChangeSeries:
-    """Turn an efficient-price path into the traded-price change sequence.
-
-    ``p0`` must sit on the asset's tick grid. Excursions between path grid
-    points are recovered by accepting a crossing with the Brownian bridge
-    probability exp(-2(B-x_k)(B-x_{k+1}) / (sigma^2 dt)); randomness comes
-    from ``rng`` (a seed or Generator; default is a fixed seed, so results
-    are reproducible by default).
-
-    The scan is vectorized over blocks of steps. Barriers are constant
-    between price changes, so each block is tested in one shot and rescanned
-    past the first hit with the updated barriers.
-    """
-    eta = asset.require_eta()
-    alpha = asset.tick_value
-    k0 = round(p0 / alpha)
-    if abs(p0 - k0 * alpha) > 1e-9 * alpha:
-        raise ParameterError(f"p0={p0!r} is not on the tick grid of {alpha!r}")
-    gen = _as_rng(rng)
-    x = path.values
-    dt = path.step
-    n = path.n_steps
-    sigma2 = path.step_sigma2  # variance rate per unit time, one entry per step
-    offset = alpha * (0.5 + eta)
-
-    out_t: list = []
-    out_k: list = []
-    out_d: list = []
-    out_e: list = []
-
-    k = k0
-    i = 0
-    block = _BLOCK_START
-    while i < n:
-        j = min(i + block, n)
-        seg0 = x[i:j]
-        seg1 = x[i + 1 : j + 1]
-        v = sigma2[i:j] * dt
-        up_lvl = k * alpha + offset
-        dn_lvl = k * alpha - offset
-        det_up = seg1 >= up_lvl
-        det_dn = seg1 <= dn_lvl
-        dead = v <= 0
-        safe_v = np.where(dead, 1.0, v)
-        pu = np.exp(np.minimum(-2.0 * (up_lvl - seg0) * (up_lvl - seg1) / safe_v, 0.0))
-        pd = np.exp(np.minimum(-2.0 * (seg0 - dn_lvl) * (seg1 - dn_lvl) / safe_v, 0.0))
-        draws = gen.random((2, j - i))
-        hit_up = det_up | ((draws[0] < pu) & ~dead)
-        hit_dn = det_dn | ((draws[1] < pd) & ~dead)
-        hit = hit_up | hit_dn
-        if not hit.any():
-            i = j
-            block = min(block * 2, _BLOCK_MAX)
-            continue
-        h = int(np.argmax(hit))
-        step_idx = i + h
-        k = _resolve_step(
-            t0=step_idx * dt,
-            x0=float(seg0[h]),
-            t1=(step_idx + 1) * dt,
-            x1=float(seg1[h]),
-            var_rate=float(sigma2[step_idx]),
-            k=k,
-            alpha=alpha,
-            offset=offset,
-            rng=gen,
-            out_t=out_t,
-            out_k=out_k,
-            out_d=out_d,
-            out_e=out_e,
-            first_up=bool(hit_up[h]),
-            first_dn=bool(hit_dn[h]),
-        )
-        i = step_idx + 1
-        if h > 0:
-            block = max(_BLOCK_MIN, min(_BLOCK_MAX, 2 * h))
-    prices = np.asarray(out_k, dtype=np.float64) * alpha
-    return PriceChangeSeries(np.asarray(out_t), prices, np.asarray(out_d, dtype=np.int8), np.asarray(out_e))
 
 
 @dataclass(frozen=True)
@@ -522,29 +406,32 @@ def simulate_day(
     path_spec: EfficientPathSpec,
     asset: AssetSpec,
     cfg: TapeConfig,
-    p0: Optional[float] = None,
 ) -> tuple[TradeTape, TrueParams]:
     """Simulate one asset-day end to end, deterministically in ``cfg.seed``.
 
-    The seed is split into independent streams for the path, the bridge
-    draws and the fill trades. ``p0`` defaults to the grid point nearest to
-    the path start (exact halves round down).
+    The seed is split into independent streams for the price changes and
+    the fill trades. The day opens at the grid point nearest to the path
+    start (exact halves round down), which lies strictly inside the band.
     """
     eta = asset.require_eta()
-    spec = path_spec
-    if spec.step is None:
-        spec = spec.with_step(suggested_step(asset, spec.max_volatility(), spec.horizon))
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)]
-    path = simulate_efficient_path(spec, rng=streams[0])
-    grid = TickGrid(asset.tick_value)
-    if p0 is None:
-        p0 = grid.nearest_tick_index(spec.x0) * asset.tick_value
-    changes = apply_uncertainty_zones(path, asset, p0, rng=streams[1])
-    tape = generate_tape(changes, cfg, asset, spec.horizon, p0, rng=streams[2])
+    alpha = asset.tick_value
+    change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    knot_t, knot_v = _variance_clock(path_spec)
+    knot_b = knot_v / alpha**2
+    k0 = TickGrid(alpha).nearest_tick_index(path_spec.x0)
+    business, directions = _change_sequence(path_spec.x0 / alpha - k0, eta, float(knot_b[-1]), change_rng)
+    # invert the business clock; a change never falls in a zero-volatility piece
+    piece = np.searchsorted(knot_b, business, side="right") - 1
+    rate = np.diff(knot_b) / np.diff(knot_t)
+    times = knot_t[piece] + (business - knot_b[piece]) / rate[piece]
+    ticks = k0 + np.cumsum(directions, dtype=np.int64)
+    barriers = (ticks + directions * (eta - 0.5)) * alpha
+    changes = PriceChangeSeries(times, ticks * alpha, directions, barriers)
+    tape = generate_tape(changes, cfg, asset, path_spec.horizon, k0 * alpha, rng=fill_rng)
     truth = TrueParams(
         eta=eta,
-        tick_value=asset.tick_value,
-        integrated_variance=path.integrated_variance(),
+        tick_value=alpha,
+        integrated_variance=float(knot_v[-1]),
         n_price_changes=len(changes),
         price_changes=changes,
     )

@@ -30,6 +30,7 @@ from tickzone.estimators import (
     spread_stats,
     volatility_per_trade,
 )
+from tickzone.regression import fit_spread_vol
 from tickzone.simulator import PriceChangeSeries
 
 
@@ -123,8 +124,11 @@ class TestRecoverEfficientPrices:
         assert np.array_equal(x, p)
 
     def test_ratio_bounds(self):
+        # the formula holds for any eta_hat >= 0; only negatives are rejected
         args = (np.array([0.0]), np.array([100.0]), np.array([1]))
-        for bad in (0.0, -0.1, 1.2):
+        assert recover_efficient_prices(args, 0.0, 1.0)[1][0] == pytest.approx(99.5)
+        assert recover_efficient_prices(args, 1.2, 1.0)[1][0] == pytest.approx(100.7)
+        for bad in (-0.1, float("nan")):
             with pytest.raises(ParameterError):
                 recover_efficient_prices(args, bad, 1.0)
 
@@ -344,6 +348,43 @@ class TestBuildDailyRecord:
     def test_deterministic(self, sim_days):
         tape, _ = sim_days.days[0.40]
         assert build_daily_record(tape, date="d") == build_daily_record(tape, date="d")
+
+    def test_error_keeps_its_data(self):
+        a = _asset(tick=0.5)
+        events = [
+            TradeEvent(1.0, 100.5, 100.0, 100.5, True, 1),
+            TradeEvent(2.0, 100.0, None, None, True, -1),
+            TradeEvent(3.0, 100.5, 100.0, 100.5, True, 1),
+        ]
+        tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
+        with pytest.raises(PartialDataError, match=r"^TST 2009-06-03: missing quotes on rows 1$") as err:
+            build_daily_record(tape, date="2009-06-03")
+        assert err.value.rows == [1]
+
+    def test_out_of_range_ratios_are_kept(self):
+        # five continuations against one alternation: eta_hat = 5 / 2
+        high = build_daily_record(_tape_from_moves([1, 1, 1, 1, -1, -1, -1]), date="d")
+        assert high.eta_hat == 2.5
+        assert high.eta_flagged
+        # no continuations at all
+        assert build_daily_record(_tape_from_moves([1, -1, 1, -1]), date="d").eta_hat == 0.0
+
+    def test_flagged_day_left_out_of_the_fit(self):
+        high = build_daily_record(_tape_from_moves([1, 1, 1, 1, -1, -1, -1]), date="d")
+        normal = [
+            DailyRecord(
+                date=f"d{i}", asset_id="TST", eta_hat=eta, alpha=0.5, sigma_hat=sigma,
+                m_trades=m, avg_spread=spread, frac_one_tick=90.0,
+            )
+            for i, (eta, sigma, m, spread) in enumerate(
+                [(0.2, 1.3, 500, 0.55), (0.3, 2.1, 900, 0.6), (0.25, 1.2, 400, 0.52),
+                 (0.15, 1.9, 1200, 0.58), (0.35, 1.0, 300, 0.7)]
+            )
+        ]
+        fit = fit_spread_vol(normal + [high])
+        assert fit.n_days == len(normal)
+        assert fit == fit_spread_vol(normal)
+        assert fit_spread_vol(normal + [high], exclude_flagged=False).n_days == len(normal) + 1
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=200))

@@ -1,5 +1,6 @@
-"""Latent-price paths, barrier-triggered price changes, and tape assembly."""
+"""Event-by-event price changes, their exit-time oracles, and tape assembly."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,68 +12,43 @@ from tickzone import (
     PriceChangeEvent,
     PriceChangeSeries,
     TapeConfig,
-    apply_uncertainty_zones,
     equilibrium_fill_rate,
     generate_tape,
     simulate_day,
-    simulate_efficient_path,
-    suggested_step,
 )
-from tickzone.simulator import _strictly_increasing_ms
+from tickzone.simulator import _interval_exits, _strictly_increasing_ms, _unit_exit_times
 
 
-# ------------------------------------------------------------ path generator
+# ------------------------------------------------------------ latent price
 
 class TestEfficientPath:
     def test_zero_volatility_path_is_constant(self):
-        spec = EfficientPathSpec(x0=100.0, volatility=0.0, horizon=10.0, step=1.0)
-        path = simulate_efficient_path(spec, rng=0)
-        assert np.all(path.values == 100.0)
-        assert path.n_steps == 10
-        assert path.horizon == pytest.approx(10.0)
-
-    def test_pure_drift_terminal_value(self):
-        spec = EfficientPathSpec(x0=100.0, volatility=0.0, drift=0.01, horizon=100.0, step=1.0)
-        path = simulate_efficient_path(spec, rng=0)
-        assert path.values[-1] == pytest.approx(101.0, rel=1e-12)
-        assert np.all(np.diff(path.values) > 0)
+        asset = AssetSpec("A", 1.0, eta=0.25)
+        spec = EfficientPathSpec(x0=100.0, volatility=0.0, horizon=10.0)
+        tape, truth = simulate_day(spec, asset, TapeConfig(trade_intensity=2.0, seed=0))
+        assert truth.n_price_changes == 0
+        assert truth.integrated_variance == 0.0
+        assert len(tape) > 0
+        assert np.all(tape.prices() == 100.0)
 
     def test_increment_variance_matches_sigma(self):
-        # one long path: per-step variance should be sigma^2 * dt
-        spec = EfficientPathSpec(x0=0.0, volatility=0.02, horizon=100_000.0, step=1.0)
-        path = simulate_efficient_path(spec, rng=42)
-        var = float(np.var(np.diff(path.values)))
-        assert var == pytest.approx(4e-4, rel=0.01)
-
-    def test_step_snaps_to_exact_divisor(self):
-        spec = EfficientPathSpec(x0=0.0, volatility=0.0, horizon=1.0, step=0.3)
-        path = simulate_efficient_path(spec, rng=0)
-        assert path.n_steps == 3
-        assert path.step == pytest.approx(1.0 / 3.0)
-        assert path.horizon == pytest.approx(1.0)
-        assert path.times[-1] == pytest.approx(1.0)
-
-    def test_unset_step_is_an_error(self):
-        spec = EfficientPathSpec(x0=0.0, volatility=1.0, horizon=1.0)
-        with pytest.raises(ParameterError, match="step"):
-            simulate_efficient_path(spec, rng=0)
+        # the latent price at its barrier hits is a martingale whose squared
+        # increments add up to the integrated variance
+        asset = AssetSpec("A", 0.01, eta=0.25)
+        spec = EfficientPathSpec(x0=0.0, volatility=0.02, horizon=10_000.0)
+        _, truth = simulate_day(spec, asset, TapeConfig(seed=42))
+        assert truth.integrated_variance == pytest.approx(0.02**2 * 10_000.0, rel=1e-12)
+        d = np.diff(truth.price_changes.efficient_prices)
+        assert float(d @ d) == pytest.approx(truth.integrated_variance, rel=0.03)
 
     def test_piecewise_volatility_schedule(self):
-        spec = EfficientPathSpec(
-            x0=0.0, volatility=[(0.0, 0.0), (50.0, 0.1)], horizon=100.0, step=1.0
-        )
-        path = simulate_efficient_path(spec, rng=1)
-        assert np.all(path.values[:51] == 0.0)  # silent first half
-        assert np.any(path.values[51:] != 0.0)
-        assert path.integrated_variance() == pytest.approx(0.1**2 * 50.0, rel=1e-12)
-
-    def test_piecewise_drift_schedule(self):
-        spec = EfficientPathSpec(
-            x0=0.0, volatility=0.0, drift=[(0.0, 1.0), (5.0, -1.0)], horizon=10.0, step=1.0
-        )
-        path = simulate_efficient_path(spec, rng=0)
-        assert path.values[5] == pytest.approx(5.0)
-        assert path.values[-1] == pytest.approx(0.0, abs=1e-12)
+        asset = AssetSpec("A", 0.01, eta=0.25)
+        spec = EfficientPathSpec(x0=0.0, volatility=[(0.0, 0.0), (50.0, 0.1)], horizon=100.0)
+        _, truth = simulate_day(spec, asset, TapeConfig(seed=1))
+        times = truth.price_changes.times
+        assert len(times) > 1000
+        assert times[0] > 50.0  # silent first half
+        assert truth.integrated_variance == pytest.approx(0.1**2 * 50.0, rel=1e-12)
 
     def test_schedule_validation(self):
         with pytest.raises(ParameterError, match="empty"):
@@ -85,46 +61,103 @@ class TestEfficientPath:
             EfficientPathSpec(x0=0.0, volatility=-0.1, horizon=1.0)
 
     def test_spec_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="horizon"):
             EfficientPathSpec(x0=0.0, volatility=1.0, horizon=0.0)
-        with pytest.raises(ParameterError):
-            EfficientPathSpec(x0=0.0, volatility=1.0, horizon=1.0, step=0.0)
-        with pytest.raises(ParameterError, match="at least one step"):
-            EfficientPathSpec(x0=0.0, volatility=1.0, horizon=0.5, step=1.0)
+        with pytest.raises(ParameterError, match="horizon"):
+            EfficientPathSpec(x0=0.0, volatility=1.0, horizon=-5.0)
 
-    def test_suggested_step_keeps_noise_inside_band(self):
+
+# ------------------------------------------------------------- exit sampler
+
+def _theta_survival(t: float) -> float:
+    """P(T > t) for the exit time of a standard Brownian motion from (-1, 1), 200 terms."""
+    return 4.0 / math.pi * sum(
+        (-1) ** k / (2 * k + 1) * math.exp(-((2 * k + 1) ** 2) * math.pi**2 * t / 8.0)
+        for k in range(200)
+    )
+
+
+class TestExactExits:
+    def test_unit_exit_time_inverts_the_theta_series(self):
+        u = np.concatenate(
+            [np.logspace(-12, -1, 23), np.linspace(0.15, 0.85, 15), 1.0 - np.logspace(-1, -12, 23)]
+        )
+        t = _unit_exit_times(u)
+        assert np.all(np.diff(t) < 0)
+        for ui, ti in zip(u, t):
+            assert abs(_theta_survival(float(ti)) - ui) <= 1e-13 + 1e-12 * ui
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 1.0), (0.5, 1.0), (0.37, 0.91)])
+    def test_exit_moments_and_sides(self, lo, hi):
+        # closed forms for an exit from (-lo, hi): E tau = lo hi,
+        # Var tau = lo hi (lo^2 + hi^2) / 3, P(exit at hi) = lo / (lo + hi)
+        n = 200_000
+        tau, at_hi = _interval_exits(lo, hi, n, np.random.default_rng(11))
+        mean, var = lo * hi, lo * hi * (lo**2 + hi**2) / 3.0
+        assert abs(tau.mean() - mean) <= 5.0 * math.sqrt(var / n)
+        fourth = float(np.mean((tau - tau.mean()) ** 4))
+        assert abs(tau.var() - var) <= 5.0 * math.sqrt((fourth - tau.var() ** 2) / n)
+        p = lo / (lo + hi)
+        assert abs(at_hi.mean() - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("eta", [0.10, 0.25, 0.40])
+    def test_mean_change_count(self, eta):
+        # sigma^2 t / (2 eta tick^2) changes a day, with renewal-count spread
+        asset = AssetSpec("A", 0.01, eta=eta)
+        sigma, horizon, days = 0.003, 3600.0, 20
+        spec = EfficientPathSpec(x0=100.0, volatility=sigma, horizon=horizon)
+        counts = [simulate_day(spec, asset, TapeConfig(seed=s))[1].n_price_changes for s in range(days)]
+        expected = sigma**2 * horizon / (2.0 * eta * 0.01**2)
+        cv2 = (1.0 + 4.0 * eta**2) / (6.0 * eta)  # squared coefficient of variation of one exit
+        assert abs(np.mean(counts) - expected) <= 5.0 * math.sqrt(expected * cv2 / days)
+
+    def test_silent_hour_has_no_changes(self):
         asset = AssetSpec("A", 0.01, eta=0.25)
-        dt = suggested_step(asset, sigma_max=0.005, horizon=1000.0)
-        # one step's noise is a tenth of the band half-width
-        assert 0.005 * math.sqrt(dt) == pytest.approx(0.25 * 0.01 / 10.0, rel=1e-12)
-        assert suggested_step(asset, sigma_max=0.0, horizon=1000.0) == pytest.approx(10.0)
-        # never longer than the horizon
-        assert suggested_step(asset, sigma_max=1e-9, horizon=2.0) == pytest.approx(2.0)
+        s = 0.003
+        schedule = [(0.0, s), (3600.0, 0.0), (7200.0, 2 * s)]
+        spec = EfficientPathSpec(x0=100.0, volatility=schedule, horizon=10_800.0)
+        _, truth = simulate_day(spec, asset, TapeConfig(seed=8))
+        t = truth.price_changes.times
+        assert np.count_nonzero((t > 3600.0) & (t < 7200.0)) == 0
+        assert np.count_nonzero(t <= 3600.0) > 100
+        assert np.count_nonzero(t >= 7200.0) > 100
+        assert truth.integrated_variance == pytest.approx(s**2 * 3600.0 + (2 * s) ** 2 * 3600.0, rel=1e-12)
+
+    def test_first_change_leaves_the_band_around_the_start(self):
+        # starting 0.49 tick above the grid point, the up barrier is 0.26 tick
+        # away and the down barrier 1.24: the first move is up with odds 1.24/1.5
+        asset = AssetSpec("A", 0.01, eta=0.25)
+        spec = EfficientPathSpec(x0=100.0049, volatility=0.1, horizon=1.0)
+        n = 400
+        firsts = [simulate_day(spec, asset, TapeConfig(seed=s))[1].price_changes.directions[0] for s in range(n)]
+        ups = sum(d > 0 for d in firsts)
+        p = 1.24 / 1.5
+        assert abs(ups / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_memory_grows_with_changes_not_time(self):
+        # 1 h at sigma 0.03 is about 65k changes
+        asset = AssetSpec("A", 0.01, eta=0.25)
+        spec = EfficientPathSpec(x0=100.0, volatility=0.03, horizon=3600.0)
+        tracemalloc.start()
+        try:
+            _, truth = simulate_day(spec, asset, TapeConfig(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert truth.n_price_changes > 60_000
+        assert peak < 64 * 2**20
 
 
 # ------------------------------------------------------------- zone crossing
 
 class TestApplyUncertaintyZones:
-    def asset(self, eta=0.25, tick=1.0):
-        return AssetSpec("A", tick, eta=eta)
-
     def test_constant_path_produces_no_changes(self):
-        spec = EfficientPathSpec(x0=100.0, volatility=0.0, horizon=10.0, step=1.0)
-        path = simulate_efficient_path(spec, rng=0)
-        changes = apply_uncertainty_zones(path, self.asset(), p0=100.0, rng=0)
-        assert len(changes) == 0
-
-    def test_pure_drift_crosses_two_barriers(self):
-        # eta = 1/2 puts barriers one full tick away; drifting up two ticks
-        # must print exactly twice, on the barriers
-        spec = EfficientPathSpec(x0=100.0, volatility=0.0, drift=0.02, horizon=100.0, step=0.5)
-        path = simulate_efficient_path(spec, rng=0)
-        changes = apply_uncertainty_zones(path, self.asset(eta=0.5), p0=100.0, rng=0)
-        assert len(changes) == 2
-        assert np.allclose(changes.new_prices, [101.0, 102.0])
-        assert list(changes.directions) == [1, 1]
-        assert np.allclose(changes.efficient_prices, [101.0, 102.0])
-        assert changes.times[0] < changes.times[1]
+        # volatility that only starts after the horizon never moves the price
+        asset = AssetSpec("A", 1.0, eta=0.25)
+        spec = EfficientPathSpec(x0=100.0, volatility=[(0.0, 0.0), (20.0, 1.0)], horizon=10.0)
+        _, truth = simulate_day(spec, asset, TapeConfig(seed=0))
+        assert len(truth.price_changes) == 0
+        assert truth.integrated_variance == 0.0
 
     def test_crossings_sit_exactly_on_barriers(self, sim_days):
         for eta, (tape, truth) in sim_days.days.items():
@@ -146,21 +179,15 @@ class TestApplyUncertaintyZones:
             t = truth.price_changes.times
             assert np.all(np.diff(t) >= 0)
             assert t[0] >= 0.0
-            assert t[-1] <= 20000.0 + 1e-9
-
-    def test_off_grid_start_rejected(self):
-        spec = EfficientPathSpec(x0=100.0, volatility=0.0, horizon=1.0, step=1.0)
-        path = simulate_efficient_path(spec, rng=0)
-        with pytest.raises(ParameterError, match="tick grid"):
-            apply_uncertainty_zones(path, self.asset(), p0=100.3, rng=0)
+            assert t[-1] <= 80000.0 + 1e-9
 
     def test_deterministic_in_rng_seed(self):
-        spec = EfficientPathSpec(x0=100.0, volatility=0.02, horizon=500.0, step=0.25)
-        path = simulate_efficient_path(spec, rng=5)
-        a = apply_uncertainty_zones(path, self.asset(), p0=100.0, rng=9)
-        b = apply_uncertainty_zones(path, self.asset(), p0=100.0, rng=9)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.new_prices, b.new_prices)
+        a = _interval_exits(0.5, 1.0, 1000, np.random.default_rng(9))
+        b = _interval_exits(0.5, 1.0, 1000, np.random.default_rng(9))
+        c = _interval_exits(0.5, 1.0, 1000, np.random.default_rng(10))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], c[0])
 
     def test_series_slicing(self):
         s = PriceChangeSeries([1.0, 2.0, 3.0], [100.0, 101.0, 100.0], [1, 1, -1], [0.0, 0.0, 0.0])
@@ -327,7 +354,7 @@ def test_fill_rate_balances_volatility_per_trade(sim_days):
     # come out near the implicit spread half-width eta*alpha
     asset = AssetSpec("A", 0.01, eta=0.25)
     sigma = math.sqrt(3e-5)
-    t = 20000.0
+    t = 80000.0
     lam = equilibrium_fill_rate(asset, sigma, t)
     n_changes = sim_days.days[0.25].truth.n_price_changes
     m_total = lam * t + n_changes
