@@ -15,8 +15,6 @@ Set ``TICKZONE_LOG=INFO`` (or DEBUG) to see progress and skip reasons.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import logging
 import os
 import sys
@@ -30,14 +28,15 @@ from .equilibrium import equilibrium_report
 from .errors import TickzoneError
 from .estimators import build_daily_record, signature_plot
 from .pipeline import (
-    DAILY_CSV_HEADER,
-    daily_record_rows,
+    fit_groups,
     fmt_float,
     load_config,
     read_daily_records_csv,
     run_pipeline,
+    write_csv,
+    write_daily_records_csv,
+    write_regression_csv,
 )
-from .regression import REGRESSION_CSV_HEADER, fit_spread_vol
 from .simulator import EfficientPathSpec, TapeConfig, equilibrium_fill_rate, simulate_day
 from .tick_policy import (
     BETA_PRESETS,
@@ -48,12 +47,6 @@ from .tick_policy import (
     predict_eta,
 )
 from .tradefile import SessionFilter, ingest_trades, write_tape_csv
-
-
-def _open_out(out: Optional[str]):
-    if out:
-        return open(out, "w", newline="")
-    return contextlib.nullcontext(sys.stdout)
 
 
 def _session(args) -> SessionFilter:
@@ -88,43 +81,24 @@ def _cmd_estimate(args) -> int:
     asset = AssetSpec(args.asset_id, float(Fraction(args.tick_value)))
     day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
     records = []
-    failures = 0
     for day, tape in day_tapes:
         try:
             records.append(build_daily_record(tape, date=day.isoformat()))
         except TickzoneError as exc:
-            failures += 1
             print(f"skipped: {exc}", file=sys.stderr)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DAILY_CSV_HEADER)
-        writer.writerows(daily_record_rows(records))
+    write_daily_records_csv(records, args.out)
     return 0 if records else 1
 
 
 def _cmd_regress(args) -> int:
     records = read_daily_records_csv(args.records)
-    groups = {}
-    for r in records:
-        key = f"{r.asset_id}@{r.alpha:g}" if args.split_regimes else r.asset_id
-        groups.setdefault(key, []).append(r)
-    fits = {}
-    for key in sorted(groups):
-        try:
-            fits[key] = fit_spread_vol(groups[key], exclude_flagged=not args.keep_flagged)
-        except TickzoneError as exc:
-            print(f"skipped {key}: {exc}", file=sys.stderr)
-    if args.pool:
-        fits["ALL"] = fit_spread_vol(records, exclude_flagged=not args.keep_flagged)
+    fits, skipped = fit_groups(records, args.split_regimes, args.pool, args.keep_flagged)
+    for msg in skipped:
+        print(f"skipped: {msg}", file=sys.stderr)
     if not fits:
         print("error: no group could be fitted", file=sys.stderr)
         return 1
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGRESSION_CSV_HEADER)
-        for key in sorted(k for k in fits if k != "ALL") + (["ALL"] if "ALL" in fits else []):
-            row = fits[key].row(key)
-            writer.writerow([row[0]] + [fmt_float(v) for v in row[1:]])
+    write_regression_csv(fits, args.out)
     return 0
 
 
@@ -166,36 +140,29 @@ def _cmd_optimal_tick(args) -> int:
     betas = tuple(args.beta) if args.beta else BETA_PRESETS
     versions = tuple(args.version) if args.version else VERSIONS
     table = optimal_tick_table(assets, betas=betas, versions=versions)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in versions for b in betas])
-        for row in table:
-            writer.writerow(
-                [row["asset_id"], fmt_float(row["tick_value"])]
-                + [fmt_float(row[(v, b)]) for v in versions for b in betas]
-            )
+    header = ["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in versions for b in betas]
+    rows = [
+        [row["asset_id"], fmt_float(row["tick_value"])]
+        + [fmt_float(row[(v, b)]) for v in versions for b in betas]
+        for row in table
+    ]
+    write_csv(args.out, header, rows)
     return 0
 
 
 def _cmd_signature(args) -> int:
     asset = AssetSpec(args.asset_id, float(Fraction(args.tick_value)))
     day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
-    wrote = 0
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "lag", "realized_variance"])
-        for day, tape in day_tapes:
-            try:
-                curve = signature_plot(
-                    tape, samples_per_second=args.samples_per_second, lag_max=args.lag_max
-                )
-            except TickzoneError as exc:
-                print(f"skipped: {asset.asset_id} {day.isoformat()}: {exc}", file=sys.stderr)
-                continue
-            for lag in sorted(curve.points):
-                writer.writerow([day.isoformat(), lag, fmt_float(curve.points[lag])])
-            wrote += 1
-    return 0 if wrote else 1
+    rows = []
+    for day, tape in day_tapes:
+        try:
+            curve = signature_plot(tape, samples_per_second=args.samples_per_second, lag_max=args.lag_max)
+        except TickzoneError as exc:
+            print(f"skipped: {asset.asset_id} {day.isoformat()}: {exc}", file=sys.stderr)
+            continue
+        rows += [[day.isoformat(), lag, fmt_float(curve.points[lag])] for lag in sorted(curve.points)]
+    write_csv(args.out, ["date", "lag", "realized_variance"], rows)
+    return 0 if rows else 1
 
 
 def _cmd_pipeline(args) -> int:

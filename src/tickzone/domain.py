@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,15 +20,6 @@ SUBTICKS_PER_TICK = 1_000_000
 
 # Sentinel for a trade without quotes (some vendor files carry blanks).
 NO_QUOTE = np.iinfo(np.int64).min
-
-
-class Zone(Enum):
-    """Region of the quote bracket an efficient price falls in."""
-
-    BID = "bid"
-    BUY_SELL = "buy_sell"
-    ASK = "ask"
-    OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -159,71 +149,8 @@ class TickGrid:
 
 
 @dataclass(frozen=True)
-class ZoneGeometry:
-    """The three zones carried by a quote bracket [bid, bid + tick].
-
-    With half-width ratio eta and tick value alpha the efficient price is
-    classified against, from below: an open bid zone of width alpha, a closed
-    buy/sell band of width 2*eta*alpha centred on the mid quote, and an open
-    ask zone of width alpha.
-    """
-
-    bid: float
-    tick_value: float
-    eta: float
-
-    def __post_init__(self):
-        if self.tick_value <= 0:
-            raise ParameterError(f"tick_value must be > 0, got {self.tick_value!r}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ParameterError(f"eta must lie in (0, 1], got {self.eta!r}")
-
-    @classmethod
-    def from_asset(cls, asset: AssetSpec, bid: float) -> "ZoneGeometry":
-        return cls(bid=bid, tick_value=asset.tick_value, eta=asset.require_eta())
-
-    @property
-    def band_low(self) -> float:
-        return self.bid + 0.5 * self.tick_value - self.eta * self.tick_value
-
-    @property
-    def band_high(self) -> float:
-        return self.bid + 0.5 * self.tick_value + self.eta * self.tick_value
-
-    @property
-    def bid_zone(self) -> tuple[float, float]:
-        return (self.band_low - self.tick_value, self.band_low)
-
-    @property
-    def buy_sell_zone(self) -> tuple[float, float]:
-        return (self.band_low, self.band_high)
-
-    @property
-    def ask_zone(self) -> tuple[float, float]:
-        return (self.band_high, self.band_high + self.tick_value)
-
-    def classify(self, x: float) -> Zone:
-        return classify_efficient_price(self, x)
-
-
-def classify_efficient_price(zone: ZoneGeometry, x: float) -> Zone:
-    """Locate an efficient price within a quote bracket's zones.
-
-    The buy/sell band is closed; the bid and ask zones are open, so the outer
-    endpoints classify as OUTSIDE.
-    """
-    if zone.band_low <= x <= zone.band_high:
-        return Zone.BUY_SELL
-    if zone.bid_zone[0] < x < zone.band_low:
-        return Zone.BID
-    if zone.band_high < x < zone.ask_zone[1]:
-        return Zone.ASK
-    return Zone.OUTSIDE
-
-
-@dataclass(frozen=True)
 class TradeEvent:
-    """One trade with its pre-trade quotes. Scalar view into a tape."""
+    """One trade with its pre-trade quotes, for building small tapes."""
 
     time: float
     price: float
@@ -393,20 +320,6 @@ class TradeTape:
     def quote_mask(self) -> np.ndarray:
         """True where both pre-trade quotes are present."""
         return (self.bid_q != NO_QUOTE) & (self.ask_q != NO_QUOTE)
-
-    def event(self, i: int) -> TradeEvent:
-        g = self.grid
-        return TradeEvent(
-            time=float(self.times[i]),
-            price=g.currency(int(self.price_q[i])),
-            pre_bid=None if self.bid_q[i] == NO_QUOTE else g.currency(int(self.bid_q[i])),
-            pre_ask=None if self.ask_q[i] == NO_QUOTE else g.currency(int(self.ask_q[i])),
-            changed_price=bool(self.changed[i]),
-            direction=int(self.direction[i]),
-        )
-
-    def __iter__(self) -> Iterator[TradeEvent]:
-        return (self.event(i) for i in range(len(self)))
 
     def __repr__(self):
         return (

@@ -7,7 +7,6 @@ probabilities follow from the gambler's ruin and drive who pays whom.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -89,31 +88,23 @@ def equilibrium_report(
     )
 
 
-def first_passage_frequencies(
-    eta: float,
-    n_trials: int,
-    seed: int = 0,
-    tick_value: float = 1.0,
-    sigma: float = 1.0,
-    step_safety: float = 5.0,
-) -> Tuple[float, float]:
+def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple[float, float]:
     """Monte Carlo check of the crossing probabilities.
 
     Simulates driftless Brownian paths from a fresh crossing, with barriers
-    2*eta*alpha below and alpha above, bridge-corrected within steps, and
-    reports the fraction absorbed at each side. Independent of the traded
-    price machinery on purpose.
+    2*eta ticks below and one tick above, bridge-corrected within steps, and
+    reports the fraction absorbed at each side. The odds depend on neither
+    the tick value nor the volatility, so both are one. Independent of the
+    traded price machinery on purpose.
     """
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
-    if tick_value <= 0 or sigma <= 0:
-        raise ParameterError("tick_value and sigma must be > 0")
     rng = np.random.default_rng(seed)
-    lo = -2.0 * eta * tick_value
-    hi = tick_value
-    sdt = eta * tick_value / step_safety  # one-step noise, a fraction of the nearer gap
+    lo = -2.0 * eta
+    hi = 1.0
+    sdt = eta / 5.0  # one-step noise, a tenth of the band width 2*eta
     var = sdt * sdt
     x = np.zeros(n_trials)
     n_dn = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     TickzoneError,
 )
 
-# Raw estimates above this are kept but flagged; regressions drop them by default.
+# Raw estimates above this, or of zero, are kept but flagged; regressions drop them by default.
 ETA_FLAG_THRESHOLD = 0.55
 
 
@@ -43,29 +43,16 @@ class AlternationCounts:
         return self.n_alternations + self.n_continuations
 
 
-def _directions(changes) -> np.ndarray:
-    """Accept a PriceChangeSeries, a tape, an array, or a list of events."""
-    if isinstance(changes, TradeTape):
-        d = changes.change_directions
-    elif hasattr(changes, "directions"):
-        d = changes.directions
-    elif len(changes) and hasattr(changes[0], "direction"):
-        d = np.array([e.direction for e in changes])
-    else:
-        d = np.asarray(changes)
-    d = d.astype(np.int64)
-    if len(d) and not np.all(np.isin(d, (-1, 1))):
-        raise ParameterError("directions must be +1 or -1")
-    return d
-
-
-def count_alternations(changes) -> AlternationCounts:
+def count_alternations(directions) -> AlternationCounts:
     """Tally continuations and alternations of the price-change direction.
 
-    The first change has no predecessor and enters no comparison, so the
-    counts always sum to one less than the number of changes.
+    ``directions`` holds +1 or -1 per price change, such as a tape's
+    ``change_directions``. The first change has no predecessor and enters no
+    comparison, so the counts always sum to one less than the number of changes.
     """
-    d = _directions(changes)
+    d = np.asarray(directions, dtype=np.int64)
+    if len(d) and not np.all(np.isin(d, (-1, 1))):
+        raise ParameterError("directions must be +1 or -1")
     if len(d) < 2:
         raise InsufficientDataError(
             f"need at least 2 price changes to compare directions, got {len(d)}"
@@ -84,20 +71,6 @@ def estimate_eta(counts: AlternationCounts) -> float:
     return counts.n_continuations / (2.0 * counts.n_alternations)
 
 
-def _change_arrays(changes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(changes, TradeTape):
-        return changes.change_times, changes.change_prices, changes.change_directions
-    if hasattr(changes, "new_prices"):
-        return changes.times, changes.new_prices, changes.directions
-    if isinstance(changes, tuple) and len(changes) == 3:
-        t, p, d = (np.asarray(a) for a in changes)
-        return t, p, d
-    t = np.array([e.time for e in changes])
-    p = np.array([e.new_price for e in changes])
-    d = np.array([e.direction for e in changes])
-    return t, p, d
-
-
 def recover_efficient_prices(changes, eta_hat: float, tick_value: float):
     """Efficient-price proxy at change times.
 
@@ -107,13 +80,17 @@ def recover_efficient_prices(changes, eta_hat: float, tick_value: float):
     ``eta_hat >= 0``, so days estimating no continuations or a ratio above
     one still get a variance estimate.
 
-    Returns (times, values) arrays.
+    ``changes`` is a tape or a ``(times, prices, directions)`` tuple of
+    arrays over the price changes. Returns (times, values) arrays.
     """
     if not eta_hat >= 0.0:
         raise ParameterError(f"eta_hat must be >= 0, got {eta_hat!r}")
     if tick_value <= 0:
         raise ParameterError("tick_value must be > 0")
-    t, p, d = _change_arrays(changes)
+    if isinstance(changes, TradeTape):
+        t, p, d = changes.change_times, changes.change_prices, changes.change_directions
+    else:
+        t, p, d = (np.asarray(a) for a in changes)
     xhat = p - d * (0.5 - eta_hat) * tick_value
     return t, xhat
 
@@ -261,8 +238,9 @@ class DailyRecord:
 
     @property
     def eta_flagged(self) -> bool:
-        """True when the raw estimate is suspiciously high for a large-tick asset."""
-        return self.eta_hat > ETA_FLAG_THRESHOLD
+        """True when the raw estimate is zero (no continuations) or suspiciously
+        high for a large-tick asset."""
+        return not 0.0 < self.eta_hat <= ETA_FLAG_THRESHOLD
 
 
 def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:

@@ -16,16 +16,17 @@ Outputs, all under ``out``:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from datetime import date as date_type
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
 from .simulator import EfficientPathSpec, TapeConfig, equilibrium_fill_rate, simulate_day
 from .tick_policy import BETA_PRESETS, VERSIONS, TickScenario, optimal_tick
-from .tradefile import DayTape, SessionFilter, ingest_trades, write_tape_csv
+from .tradefile import SessionFilter, ingest_trades, write_tape_csv
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +46,8 @@ DAILY_CSV_HEADER = [
     "avg_spread", "frac_one_tick", "market_order_cost", "p_revert", "p_continue",
 ]
 CLOUD_CSV_HEADER = ["x", "y", "ref"]
+# the report files every run writes under ``out``, as ``<name>.csv``
+REPORTS = ("daily_records", "regression", "cloud_raw", "cloud_adjusted", "optimal_ticks")
 
 
 def fmt_float(v: float) -> str:
@@ -52,7 +55,12 @@ def fmt_float(v: float) -> str:
     return f"{v:.12g}"
 
 
-_fmt = fmt_float
+def write_csv(path: Union[str, Path, None], header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write one report CSV to ``path``, or to stdout when ``path`` is None."""
+    with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,6 @@ class PipelineConfig:
     pool: bool = True
     split_regimes: bool = False
     keep_flagged: bool = False
-    workers: int = 4
     start_date: date_type = date_type(2009, 6, 1)
     beta: Optional[float] = None
     input_dir: Optional[Path] = None
@@ -102,13 +109,11 @@ class PipelineConfig:
             raise ParameterError("ingest mode needs input_dir")
         if self.mode == "synthetic" and not self.synthetic:
             raise ParameterError("synthetic mode needs at least one synthetic.<ID>.* block")
-        if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
 
 
 _TOP_KEYS = {
     "mode", "out", "seed", "session", "timezone", "beta", "pool", "split_regimes",
-    "keep_flagged", "workers", "start_date", "input_dir",
+    "keep_flagged", "start_date", "input_dir",
 }
 _SYN_KEYS = {"tick_value", "eta", "sigma", "days", "x0", "fills", "sigma_jitter"}
 
@@ -185,7 +190,6 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
         pool=_parse_bool(raw.get("pool", "true"), "pool"),
         split_regimes=_parse_bool(raw.get("split_regimes", "false"), "split_regimes"),
         keep_flagged=_parse_bool(raw.get("keep_flagged", "false"), "keep_flagged"),
-        workers=int(raw.get("workers", "4")),
         start_date=date_type.fromisoformat(raw.get("start_date", "2009-06-01")),
         beta=float(raw["beta"]) if "beta" in raw else None,
         input_dir=Path(raw["input_dir"]) if "input_dir" in raw else None,
@@ -273,27 +277,22 @@ def _daily_diagnostics(r: DailyRecord) -> List[str]:
     cost = r.alpha * (0.5 - r.eta_hat)
     try:
         p_revert, p_continue = crossing_probabilities(r.eta_hat)
-        return [_fmt(cost), _fmt(p_revert), _fmt(p_continue)]
+        return [fmt_float(cost), fmt_float(p_revert), fmt_float(p_continue)]
     except TickzoneError:
-        return [_fmt(cost), "", ""]
+        return [fmt_float(cost), "", ""]
 
 
-def daily_record_rows(records: Sequence[DailyRecord]) -> List[List]:
-    return [
+def write_daily_records_csv(records: Sequence[DailyRecord], path: Union[str, Path, None]) -> None:
+    """One row per record; ``path`` None writes to stdout."""
+    rows = [
         [
-            r.date, r.asset_id, _fmt(r.eta_hat), _fmt(r.alpha), _fmt(r.sigma_hat),
-            r.m_trades, _fmt(r.avg_spread), _fmt(r.frac_one_tick),
+            r.date, r.asset_id, fmt_float(r.eta_hat), fmt_float(r.alpha), fmt_float(r.sigma_hat),
+            r.m_trades, fmt_float(r.avg_spread), fmt_float(r.frac_one_tick),
         ]
         + _daily_diagnostics(r)
         for r in records
     ]
-
-
-def write_daily_records_csv(records: Sequence[DailyRecord], path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DAILY_CSV_HEADER)
-        writer.writerows(daily_record_rows(records))
+    write_csv(path, DAILY_CSV_HEADER, rows)
 
 
 def read_daily_records_csv(path: Union[str, Path]) -> List[DailyRecord]:
@@ -337,23 +336,52 @@ def emit_cloud_csv(records: Sequence[DailyRecord], path: Path, fit_for=None) -> 
     when omitted the raw cloud (x = eta*alpha*sqrt(M), y = sigma) is written.
     The ``ref`` column repeats x so plots can draw the y = x line directly.
     """
-    dropped = 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLOUD_CSV_HEADER)
-        for r in records:
-            base = r.eta_hat * r.alpha * math.sqrt(r.m_trades)
-            if fit_for is None:
-                x, y = base, r.sigma_hat
-            else:
-                fit = fit_for(r)
-                if fit is None:
-                    dropped += 1
-                    continue
-                x = fit.p1 * base
-                y = r.sigma_hat - fit.p2 * r.avg_spread * math.sqrt(r.m_trades)
-            writer.writerow([_fmt(x), _fmt(y), _fmt(x)])
-    return dropped
+    rows = []
+    for r in records:
+        base = r.eta_hat * r.alpha * math.sqrt(r.m_trades)
+        if fit_for is None:
+            x, y = base, r.sigma_hat
+        else:
+            fit = fit_for(r)
+            if fit is None:
+                continue
+            x = fit.p1 * base
+            y = r.sigma_hat - fit.p2 * r.avg_spread * math.sqrt(r.m_trades)
+        rows.append([fmt_float(x), fmt_float(y), fmt_float(x)])
+    write_csv(path, CLOUD_CSV_HEADER, rows)
+    return len(records) - len(rows)
+
+
+def _group_key(r: DailyRecord, split_regimes: bool) -> str:
+    return f"{r.asset_id}@{r.alpha:g}" if split_regimes else r.asset_id
+
+
+def fit_groups(
+    records: Sequence[DailyRecord], split_regimes: bool, pool: bool, keep_flagged: bool
+) -> Tuple[Dict[str, RegressionFit], List[str]]:
+    """Fit each asset, or each asset and tick value, and with ``pool`` all records as ``ALL``.
+
+    Returns the fits in report order (groups sorted, then ``ALL``) and one
+    message per group that could not be fitted.
+    """
+    groups: Dict[str, List[DailyRecord]] = {}
+    for r in records:
+        groups.setdefault(_group_key(r, split_regimes), []).append(r)
+    named = sorted(groups.items()) + ([("ALL", records)] if pool else [])
+    fits: Dict[str, RegressionFit] = {}
+    skipped: List[str] = []
+    for key, group in named:
+        try:
+            fits[key] = fit_spread_vol(group, exclude_flagged=not keep_flagged)
+        except TickzoneError as exc:
+            skipped.append(f"regression {key}: {exc}")
+    return fits, skipped
+
+
+def write_regression_csv(fits: Mapping[str, RegressionFit], path: Union[str, Path, None]) -> None:
+    """One row per fit, in the order of ``fits``; ``path`` None writes to stdout."""
+    rows = [[key] + [fmt_float(v) for v in fit.row(key)[1:]] for key, fit in fits.items()]
+    write_csv(path, REGRESSION_CSV_HEADER, rows)
 
 
 def _tick_table_rows(
@@ -378,7 +406,7 @@ def _tick_table_rows(
         fit = fits.get(aid) or fits.get("ALL")
         m0 = float(np.mean([r.m_trades for r in recs]))
         sigma0 = float(np.mean([r.sigma_hat for r in recs]))
-        row = [aid, _fmt(alpha0)]
+        row = [aid, fmt_float(alpha0)]
         for version in VERSIONS:
             for beta in betas:
                 try:
@@ -387,7 +415,7 @@ def _tick_table_rows(
                         p1_0=fit.p1 if fit else None, p2_0=fit.p2 if fit else None,
                         m0=m0, sigma0=sigma0,
                     )
-                    row.append(_fmt(optimal_tick(scenario, version=version)))
+                    row.append(fmt_float(optimal_tick(scenario, version=version)))
                 except TickzoneError:
                     row.append("")
         rows.append(row)
@@ -407,86 +435,32 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     if not files:
         skipped.append(f"no input: nothing to ingest under {config.input_dir or config.out}")
 
-    def ingest_one(aid: str) -> List[DayTape]:
-        asset = AssetSpec(aid, float(Fraction(ticks[aid])))
-        return ingest_trades(files[aid], asset, session=config.session, tick_text=ticks[aid])
-
-    def build_one(task):
-        aid, day, tape = task
-        try:
-            return build_daily_record(tape, date=day.isoformat())
-        except TickzoneError as exc:
-            return f"record {aid} {day.isoformat()}: {exc}"
-
-    asset_ids = sorted(files)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        ingested = list(pool.map(ingest_one, asset_ids))
-        tasks = [
-            (aid, day, tape)
-            for aid, day_tapes in zip(asset_ids, ingested)
-            for day, tape in day_tapes
-        ]
-        built = list(pool.map(build_one, tasks))
-
     records: List[DailyRecord] = []
-    for item in built:
-        if isinstance(item, DailyRecord):
-            records.append(item)
-        else:
-            skipped.append(item)
+    for aid in sorted(files):
+        asset = AssetSpec(aid, float(Fraction(ticks[aid])))
+        for day, tape in ingest_trades(files[aid], asset, session=config.session, tick_text=ticks[aid]):
+            try:
+                records.append(build_daily_record(tape, date=day.isoformat()))
+            except TickzoneError as exc:
+                skipped.append(f"record {aid} {day.isoformat()}: {exc}")
 
-    fits: Dict[str, RegressionFit] = {}
-    groups: Dict[str, List[DailyRecord]] = {}
-    for r in records:
-        key = f"{r.asset_id}@{r.alpha:g}" if config.split_regimes else r.asset_id
-        groups.setdefault(key, []).append(r)
-    for key in sorted(groups):
-        try:
-            fits[key] = fit_spread_vol(groups[key], exclude_flagged=not config.keep_flagged)
-        except TickzoneError as exc:
-            skipped.append(f"regression {key}: {exc}")
-    if config.pool:
-        try:
-            fits["ALL"] = fit_spread_vol(records, exclude_flagged=not config.keep_flagged)
-        except TickzoneError as exc:
-            skipped.append(f"regression ALL: {exc}")
+    fits, unfitted = fit_groups(records, config.split_regimes, config.pool, config.keep_flagged)
+    skipped.extend(unfitted)
 
-    outputs: Dict[str, Path] = {}
+    outputs = {name: config.out / f"{name}.csv" for name in REPORTS}
+    write_daily_records_csv(records, outputs["daily_records"])
+    write_regression_csv(fits, outputs["regression"])
+    emit_cloud_csv(records, outputs["cloud_raw"])
 
-    daily_path = config.out / "daily_records.csv"
-    write_daily_records_csv(records, daily_path)
-    outputs["daily_records"] = daily_path
-
-    regression_path = config.out / "regression.csv"
-    with regression_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGRESSION_CSV_HEADER)
-        for key in sorted(k for k in fits if k != "ALL") + (["ALL"] if "ALL" in fits else []):
-            fit = fits[key]
-            writer.writerow([fit.row(key)[0]] + [_fmt(v) for v in fit.row(key)[1:]])
-    outputs["regression"] = regression_path
-
-    raw_path = config.out / "cloud_raw.csv"
-    emit_cloud_csv(records, raw_path)
-    outputs["cloud_raw"] = raw_path
+    pooled = fits.get("ALL") if config.pool else None
 
     def fit_for(r: DailyRecord) -> Optional[RegressionFit]:
-        key = f"{r.asset_id}@{r.alpha:g}" if config.split_regimes else r.asset_id
-        return fits.get("ALL") if config.pool and "ALL" in fits else fits.get(key)
+        return pooled if pooled is not None else fits.get(_group_key(r, config.split_regimes))
 
-    adjusted_path = config.out / "cloud_adjusted.csv"
-    dropped = emit_cloud_csv(records, adjusted_path, fit_for=fit_for)
+    dropped = emit_cloud_csv(records, outputs["cloud_adjusted"], fit_for=fit_for)
     if dropped:
         skipped.append(f"cloud_adjusted: no fit for {dropped} record(s)")
-    outputs["cloud_adjusted"] = adjusted_path
-
-    ticks_path = config.out / "optimal_ticks.csv"
-    header, rows = _tick_table_rows(records, fits, config, skipped)
-    with ticks_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    outputs["optimal_ticks"] = ticks_path
+    write_csv(outputs["optimal_ticks"], *_tick_table_rows(records, fits, config, skipped))
 
     n_files = sum(len(v) for v in files.values())
     for msg in skipped:

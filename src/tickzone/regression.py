@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -99,15 +99,3 @@ def fit_spread_vol(records: Iterable[DailyRecord], exclude_flagged: bool = True)
         r2=r2, n_days=len(recs),
     )
 
-
-def fit_by_asset(
-    records: Iterable[DailyRecord],
-    split_regimes: bool = False,
-    exclude_flagged: bool = True,
-) -> Dict[str, RegressionFit]:
-    """One fit per asset, pooling tick-value regimes unless told to split."""
-    groups: Dict[str, List[DailyRecord]] = {}
-    for r in records:
-        key = f"{r.asset_id}@{r.alpha:g}" if split_regimes else r.asset_id
-        groups.setdefault(key, []).append(r)
-    return {key: fit_spread_vol(rs, exclude_flagged=exclude_flagged) for key, rs in sorted(groups.items())}

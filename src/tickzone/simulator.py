@@ -210,19 +210,9 @@ def _change_sequence(
     return times[:n], np.cumprod(np.concatenate(turns)[:n]).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class PriceChangeEvent:
-    """One traded-price move: when, to what, which way, and where the
-    efficient price was (the barrier value) when it happened."""
-
-    time: float
-    new_price: float
-    direction: int
-    efficient_price_at_crossing: float
-
-
-class PriceChangeSeries(Sequence):
-    """Column-oriented sequence of PriceChangeEvent."""
+class PriceChangeSeries:
+    """Traded-price moves as columns: when, to what, which way, and where the
+    efficient price was (the barrier value) when each happened."""
 
     def __init__(self, times, new_prices, directions, efficient_prices):
         self.times = np.asarray(times, dtype=np.float64)
@@ -233,29 +223,8 @@ class PriceChangeSeries(Sequence):
         if not (len(self.new_prices) == len(self.directions) == len(self.efficient_prices) == n):
             raise ParameterError("price change columns must have equal length")
 
-    @classmethod
-    def from_events(cls, events: Sequence[PriceChangeEvent]) -> "PriceChangeSeries":
-        return cls(
-            [e.time for e in events],
-            [e.new_price for e in events],
-            [e.direction for e in events],
-            [e.efficient_price_at_crossing for e in events],
-        )
-
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PriceChangeSeries(
-                self.times[i], self.new_prices[i], self.directions[i], self.efficient_prices[i]
-            )
-        return PriceChangeEvent(
-            time=float(self.times[i]),
-            new_price=float(self.new_prices[i]),
-            direction=int(self.directions[i]),
-            efficient_price_at_crossing=float(self.efficient_prices[i]),
-        )
 
     def __repr__(self):
         return f"PriceChangeSeries(n={len(self)})"
@@ -298,7 +267,7 @@ def _strictly_increasing_ms(times: np.ndarray) -> np.ndarray:
 
 
 def generate_tape(
-    changes,
+    changes: PriceChangeSeries,
     cfg: TapeConfig,
     asset: AssetSpec,
     horizon: float,
@@ -320,8 +289,6 @@ def generate_tape(
     if horizon <= 0:
         raise ParameterError("horizon must be > 0")
     grid = TickGrid(asset.tick_value)
-    if not isinstance(changes, PriceChangeSeries):
-        changes = PriceChangeSeries.from_events(list(changes))
     k_open = grid.nearest_tick_index(opening_price)
     if abs(opening_price - k_open * asset.tick_value) > 1e-9 * asset.tick_value:
         raise ParameterError(f"opening price {opening_price!r} is not on the tick grid")

@@ -33,7 +33,7 @@ class TickScenario:
     tick (unused when solving for the optimal one). ``p1_0``/``p2_0`` are the
     asset's spread-volatility coefficients, needed by version 1 only.
     ``m0``/``sigma0`` (trades per day, daily volatility) refine the
-    large-tick check; ``v0`` is the daily volume, carried as an invariant.
+    large-tick check.
     """
 
     alpha0: float
@@ -44,7 +44,6 @@ class TickScenario:
     beta: float = 1.0
     m0: Optional[float] = None
     sigma0: Optional[float] = None
-    v0: Optional[float] = None
 
     def __post_init__(self):
         if self.alpha0 <= 0:
@@ -214,13 +213,6 @@ def load_reference_assets() -> List[ReferenceAsset]:
             )
         )
     return out
-
-
-def reference_session(asset_id: str) -> Optional[str]:
-    for ref in load_reference_assets():
-        if ref.asset_id == asset_id:
-            return ref.session
-    return None
 
 
 def optimal_tick_table(

@@ -1,6 +1,4 @@
-"""Value types: grids, zones, asset parameters and tape validation."""
-import math
-
+"""Value types: grids, asset parameters and tape validation."""
 import numpy as np
 import pytest
 
@@ -13,9 +11,6 @@ from tickzone import (
     TickGrid,
     TradeEvent,
     TradeTape,
-    Zone,
-    ZoneGeometry,
-    classify_efficient_price,
 )
 
 
@@ -126,66 +121,6 @@ class TestTickGrid:
         assert grid.text(q) == "109.375"
 
 
-# -------------------------------------------------------------------- zones
-
-class TestZones:
-    def geometry(self):
-        return ZoneGeometry(bid=100.0, tick_value=1.0, eta=0.25)
-
-    def test_band_edges(self):
-        z = self.geometry()
-        assert z.band_low == pytest.approx(100.25)
-        assert z.band_high == pytest.approx(100.75)
-        assert z.band_high - z.band_low == pytest.approx(2 * z.eta * z.tick_value)
-
-    def test_mid_points_classify_buy_sell(self):
-        z = self.geometry()
-        assert z.classify(100.5) is Zone.BUY_SELL
-        assert z.classify(100.75) is Zone.BUY_SELL  # band is closed
-        assert z.classify(100.25) is Zone.BUY_SELL
-
-    def test_outer_points(self):
-        z = self.geometry()
-        assert z.classify(100.80) is Zone.ASK
-        assert z.classify(100.20) is Zone.BID
-        assert z.classify(101.75) is Zone.OUTSIDE  # open outer endpoint
-        assert z.classify(99.25) is Zone.OUTSIDE
-        assert z.classify(99.26) is Zone.BID
-        assert z.classify(102.0) is Zone.OUTSIDE
-
-    def test_zone_ordering_is_monotone(self):
-        z = self.geometry()
-        rank = {Zone.OUTSIDE: None, Zone.BID: 0, Zone.BUY_SELL: 1, Zone.ASK: 2}
-        xs = np.linspace(99.3, 101.7, 971)
-        ranks = [rank[classify_efficient_price(z, x)] for x in xs]
-        inner = [r for r in ranks if r is not None]
-        assert inner == sorted(inner)
-
-    def test_zone_windows(self):
-        z = self.geometry()
-        assert z.bid_zone == (pytest.approx(99.25), pytest.approx(100.25))
-        assert z.buy_sell_zone == (pytest.approx(100.25), pytest.approx(100.75))
-        assert z.ask_zone == (pytest.approx(100.75), pytest.approx(101.75))
-
-    def test_from_asset(self):
-        asset = AssetSpec("A", 1.0, eta=0.25)
-        z = ZoneGeometry.from_asset(asset, bid=100.0)
-        assert z == self.geometry()
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            ZoneGeometry(bid=100.0, tick_value=0.0, eta=0.25)
-        with pytest.raises(ParameterError):
-            ZoneGeometry(bid=100.0, tick_value=1.0, eta=0.0)
-
-    def test_full_band_at_eta_one(self):
-        z = ZoneGeometry(bid=100.0, tick_value=1.0, eta=1.0)
-        # band covers [99.5, 101.5]; the open side zones collapse outward
-        assert z.classify(100.5) is Zone.BUY_SELL
-        assert z.classify(99.5) is Zone.BUY_SELL
-        assert z.classify(99.4) is Zone.BID
-
-
 # ---------------------------------------------------------------- TradeTape
 
 def _events():
@@ -219,7 +154,13 @@ class TestTradeTape:
 
     def test_event_round_trip(self):
         tape = _tape()
-        assert list(tape) == _events()
+        events = _events()
+        assert list(tape.times) == [e.time for e in events]
+        assert list(tape.prices()) == [e.price for e in events]
+        assert list(tape.grid.currency(tape.bid_q)) == [e.pre_bid for e in events]
+        assert list(tape.grid.currency(tape.ask_q)) == [e.pre_ask for e in events]
+        assert list(tape.changed) == [e.changed_price for e in events]
+        assert list(tape.direction) == [e.direction for e in events]
 
     def test_missing_quotes_round_trip(self):
         asset = AssetSpec("T", 1.0, eta=0.25)
@@ -229,7 +170,6 @@ class TestTradeTape:
         tape = TradeTape.from_events(asset, events, session_length=2.0, opening_price=100.0)
         assert tape.bid_q[0] == NO_QUOTE
         assert not tape.quote_mask().any()
-        assert tape.event(0).pre_bid is None
 
     def test_rejects_non_increasing_times(self):
         asset = AssetSpec("T", 1.0)
@@ -305,26 +245,3 @@ class TestTradeTape:
         TradeTape(asset, [1.0], [101 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE],
                   [True], [1], 10.0, 100 * SUBTICKS_PER_TICK)
 
-
-def test_zone_width_scales_with_eta():
-    widths = []
-    for eta in (0.1, 0.25, 0.4, 0.5):
-        z = ZoneGeometry(bid=50.0, tick_value=0.5, eta=eta)
-        widths.append(z.band_high - z.band_low)
-    assert widths == pytest.approx([2 * e * 0.5 for e in (0.1, 0.25, 0.4, 0.5)])
-
-
-def test_classification_agrees_with_math():
-    rng = np.random.default_rng(3)
-    z = ZoneGeometry(bid=10.0, tick_value=0.5, eta=0.3)
-    for x in rng.uniform(9.0, 12.0, 200):
-        got = z.classify(float(x))
-        if z.band_low <= x <= z.band_high:
-            want = Zone.BUY_SELL
-        elif z.band_low - z.tick_value < x < z.band_low:
-            want = Zone.BID
-        elif z.band_high < x < z.band_high + z.tick_value:
-            want = Zone.ASK
-        else:
-            want = Zone.OUTSIDE
-        assert got is want, f"x={x}"

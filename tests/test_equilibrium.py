@@ -152,7 +152,3 @@ class TestFirstPassageFrequencies:
             first_passage_frequencies(1.5, 100)
         with pytest.raises(ParameterError):
             first_passage_frequencies(0.25, 0)
-        with pytest.raises(ParameterError):
-            first_passage_frequencies(0.25, 100, tick_value=0.0)
-        with pytest.raises(ParameterError):
-            first_passage_frequencies(0.25, 100, sigma=-1.0)

@@ -31,7 +31,6 @@ from tickzone.estimators import (
     volatility_per_trade,
 )
 from tickzone.regression import fit_spread_vol
-from tickzone.simulator import PriceChangeSeries
 
 
 def _asset(tick=0.5, eta=0.25):
@@ -82,20 +81,6 @@ class TestCountAlternations:
         with pytest.raises(ParameterError):
             AlternationCounts(n_alternations=-1, n_continuations=0)
 
-    def test_all_input_shapes_agree(self):
-        # tape, change series, event list, and bare array count identically
-        moves = [1, 1, -1, 1, -1]
-        tape = _tape_from_moves(moves)
-        series = PriceChangeSeries(
-            tape.change_times, tape.change_prices, tape.change_directions,
-            tape.change_prices,
-        )
-        events = [tape.event(int(i)) for i in tape.change_indices]
-        expected = count_alternations(np.array(moves))
-        assert count_alternations(tape) == expected
-        assert count_alternations(series) == expected
-        assert count_alternations(events) == expected
-
 
 class TestEstimateEta:
     def test_no_continuations_gives_zero(self):
@@ -141,7 +126,7 @@ class TestRecoverEfficientPrices:
         # with the true ratio the proxy reproduces the crossing levels exactly
         for eta, (tape, truth) in sim_days.days.items():
             ch = truth.price_changes
-            _, xhat = recover_efficient_prices(ch, eta, 0.01)
+            _, xhat = recover_efficient_prices((ch.times, ch.new_prices, ch.directions), eta, 0.01)
             assert np.allclose(xhat, ch.efficient_prices, rtol=0, atol=1e-9)
 
 
@@ -366,11 +351,14 @@ class TestBuildDailyRecord:
         high = build_daily_record(_tape_from_moves([1, 1, 1, 1, -1, -1, -1]), date="d")
         assert high.eta_hat == 2.5
         assert high.eta_flagged
-        # no continuations at all
-        assert build_daily_record(_tape_from_moves([1, -1, 1, -1]), date="d").eta_hat == 0.0
+        # no continuations at all: a zero ratio is flagged too
+        zero = build_daily_record(_tape_from_moves([1, -1, 1, -1]), date="d")
+        assert zero.eta_hat == 0.0
+        assert zero.eta_flagged
 
     def test_flagged_day_left_out_of_the_fit(self):
         high = build_daily_record(_tape_from_moves([1, 1, 1, 1, -1, -1, -1]), date="d")
+        zero = build_daily_record(_tape_from_moves([1, -1, 1, -1]), date="d")
         normal = [
             DailyRecord(
                 date=f"d{i}", asset_id="TST", eta_hat=eta, alpha=0.5, sigma_hat=sigma,
@@ -381,10 +369,10 @@ class TestBuildDailyRecord:
                  (0.15, 1.9, 1200, 0.58), (0.35, 1.0, 300, 0.7)]
             )
         ]
-        fit = fit_spread_vol(normal + [high])
+        fit = fit_spread_vol(normal + [high, zero])
         assert fit.n_days == len(normal)
         assert fit == fit_spread_vol(normal)
-        assert fit_spread_vol(normal + [high], exclude_flagged=False).n_days == len(normal) + 1
+        assert fit_spread_vol(normal + [high, zero], exclude_flagged=False).n_days == len(normal) + 2
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=200))

@@ -28,7 +28,6 @@ mode = synthetic
 out = {out}
 seed = 3
 session = 08:00-09:00
-workers = 2
 synthetic.A1.tick_value = 0.01
 synthetic.A1.eta = 0.25
 synthetic.A1.sigma = 0.002
@@ -80,7 +79,6 @@ class TestParseConfig:
         assert cfg.seed == 0
         assert cfg.session.label() == "00:00-24:00"
         assert cfg.pool and not cfg.split_regimes and not cfg.keep_flagged
-        assert cfg.workers == 4
         assert cfg.start_date.isoformat() == "2009-06-01"
         syn = cfg.synthetic["A"]
         assert (syn.tick_text, syn.eta, syn.sigma) == ("0.01", 0.25, 0.003)
@@ -129,6 +127,10 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="unknown config keys"):
             parse_config_text(self._minimal() + "colour = blue\n")
 
+    def test_workers_is_an_unknown_key(self):
+        with pytest.raises(ParameterError, match="unknown config keys: workers$"):
+            parse_config_text(self._minimal() + "workers = 2\n")
+
     def test_unknown_synthetic_key(self):
         with pytest.raises(ParameterError, match="unknown synthetic key"):
             parse_config_text(self._minimal() + "synthetic.A.drift = 1\n")
@@ -165,8 +167,6 @@ class TestConfigValidation:
             PipelineConfig(mode="ingest", out=Path("/tmp/x"))
         with pytest.raises(ParameterError, match="synthetic"):
             PipelineConfig(mode="synthetic", out=Path("/tmp/x"))
-        with pytest.raises(ParameterError, match="workers"):
-            parse_config_text("out = /tmp/x\ninput_dir = /tmp/in\nworkers = 0\n")
 
 
 class TestDailyRecordsCsv:
@@ -462,6 +462,26 @@ class TestCli:
         assert rows[0] == ["date", "lag", "realized_variance"]
         assert [int(r[1]) for r in rows[1:]] == list(range(1, 21))
         assert all(r[0] == "2009-06-01" for r in rows[1:])
+
+    @pytest.mark.parametrize("command", ["estimate", "regress", "signature", "optimal-tick"])
+    def test_stdout_matches_out_file(self, command, sim_csv, tmp_path, capsysbinary):
+        records = tmp_path / "records.csv"
+        write_daily_records_csv(_plane_records(), records)
+        session = ["--tick-value", "0.01", "--session", "08:00-08:10"]
+        args = {
+            "estimate": ["estimate", str(sim_csv)] + session,
+            "regress": ["regress", "--records", str(records)],
+            "signature": ["signature", str(sim_csv), "--lag-max", "20"] + session,
+            "optimal-tick": ["optimal-tick", "--asset", "BUS5", "--asset", "Bund"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert cli_main(args + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert cli_main(args) == 0
+        printed = capsysbinary.readouterr().out
+        # csv rows end in \r\n; stdout must carry the same bytes as the file
+        assert printed.endswith(b"\r\n")
+        assert printed == out.read_bytes()
 
     def test_pipeline_command(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -9,7 +9,6 @@ from tickzone import (
     AssetSpec,
     EfficientPathSpec,
     ParameterError,
-    PriceChangeEvent,
     PriceChangeSeries,
     TapeConfig,
     equilibrium_fill_rate,
@@ -189,13 +188,6 @@ class TestApplyUncertaintyZones:
         assert np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
-    def test_series_slicing(self):
-        s = PriceChangeSeries([1.0, 2.0, 3.0], [100.0, 101.0, 100.0], [1, 1, -1], [0.0, 0.0, 0.0])
-        assert len(s) == 3
-        assert s[1].new_price == pytest.approx(101.0)
-        assert len(s[1:]) == 2
-        assert isinstance(s[0], PriceChangeEvent)
-
     def test_series_column_validation(self):
         with pytest.raises(ParameterError, match="equal length"):
             PriceChangeSeries([1.0], [100.0, 101.0], [1], [0.0])
@@ -204,10 +196,8 @@ class TestApplyUncertaintyZones:
 # ------------------------------------------------------------- tape assembly
 
 def _changes():
-    return PriceChangeSeries.from_events([
-        PriceChangeEvent(time=10.0, new_price=101.0, direction=1, efficient_price_at_crossing=100.75),
-        PriceChangeEvent(time=30.0, new_price=100.0, direction=-1, efficient_price_at_crossing=100.25),
-    ])
+    # up to 101 at t=10 across the barrier 100.75, back to 100 at t=30 across 100.25
+    return PriceChangeSeries([10.0, 30.0], [101.0, 100.0], [1, -1], [100.75, 100.25])
 
 
 class TestGenerateTape:

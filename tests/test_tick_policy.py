@@ -15,7 +15,6 @@ from tickzone.tick_policy import (
     optimal_tick,
     optimal_tick_table,
     predict_eta,
-    reference_session,
     scale_trade_count,
 )
 
@@ -220,11 +219,6 @@ class TestReferenceFixture:
         s = ref.scenario(beta=0.5, alpha=10.0)
         assert (s.alpha0, s.eta0, s.alpha, s.beta) == (5.0, 0.268, 10.0, 0.5)
         assert (s.p1_0, s.p2_0, s.m0) == (0.91, 0.08, 18531.0)
-
-    def test_session_lookup(self):
-        assert reference_session("Bund") == "08:00-17:15"
-        assert reference_session("DAX") == "08:00-17:30"
-        assert reference_session("NOPE") is None
 
 
 class TestOptimalTickTable:
