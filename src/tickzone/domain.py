@@ -65,7 +65,7 @@ class TickGrid:
     CSV prices never suffer binary rounding.
     """
 
-    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum", "_parse_cache", "_text_cache")
+    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum", "_parse_cache")
 
     def __init__(self, tick_value):
         if isinstance(tick_value, float):
@@ -83,9 +83,8 @@ class TickGrid:
         self.tick_fraction = frac
         self.tick_value = float(frac)
         self.quantum = self.tick_value / SUBTICKS_PER_TICK
-        # price strings repeat heavily within a day; cache the exact conversions
+        # ingest checks each distinct (price, bid, ask) row, so a price text recurs
         self._parse_cache = {}
-        self._text_cache = {}
 
     def subticks_from_text(self, text: str) -> int:
         """Parse a decimal price string to sub-ticks, exactly."""
@@ -118,13 +117,8 @@ class TickGrid:
 
     def text(self, q: int) -> str:
         """Sub-ticks to an exact decimal string."""
-        q = int(q)
-        cached = self._text_cache.get(q)
-        if cached is None:
-            d = Decimal(q) * Decimal(self.tick_text) / Decimal(SUBTICKS_PER_TICK)
-            cached = format(d.normalize(), "f")
-            self._text_cache[q] = cached
-        return cached
+        d = Decimal(int(q)) * Decimal(self.tick_text) / Decimal(SUBTICKS_PER_TICK)
+        return format(d.normalize(), "f")
 
     def on_tick(self, q: int) -> bool:
         return q % SUBTICKS_PER_TICK == 0
@@ -182,7 +176,6 @@ class TradeTape:
         session_length: float,
         opening_price_q: int,
         grid: Optional[TickGrid] = None,
-        validate: bool = True,
     ):
         self.asset = asset
         self.grid = grid if grid is not None else TickGrid(asset.tick_value)
@@ -195,8 +188,7 @@ class TradeTape:
         self.session_length = float(session_length)
         self.opening_price_q = int(opening_price_q)
         self._change_idx: Optional[np.ndarray] = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # ------------------------------------------------------------------ build
 

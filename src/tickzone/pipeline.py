@@ -94,7 +94,6 @@ class PipelineConfig:
     seed: int = 0
     session: SessionFilter = field(default_factory=lambda: SessionFilter(0, 86400))
     pool: bool = True
-    split_regimes: bool = False
     keep_flagged: bool = False
     start_date: date_type = date_type(2009, 6, 1)
     beta: Optional[float] = None
@@ -112,8 +111,8 @@ class PipelineConfig:
 
 
 _TOP_KEYS = {
-    "mode", "out", "seed", "session", "timezone", "beta", "pool", "split_regimes",
-    "keep_flagged", "start_date", "input_dir",
+    "mode", "out", "seed", "session", "timezone", "beta", "pool", "keep_flagged",
+    "start_date", "input_dir",
 }
 _SYN_KEYS = {"tick_value", "eta", "sigma", "days", "x0", "fills", "sigma_jitter"}
 
@@ -188,7 +187,6 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
         seed=int(raw.get("seed", "0")),
         session=session,
         pool=_parse_bool(raw.get("pool", "true"), "pool"),
-        split_regimes=_parse_bool(raw.get("split_regimes", "false"), "split_regimes"),
         keep_flagged=_parse_bool(raw.get("keep_flagged", "false"), "keep_flagged"),
         start_date=date_type.fromisoformat(raw.get("start_date", "2009-06-01")),
         beta=float(raw["beta"]) if "beta" in raw else None,
@@ -352,10 +350,6 @@ def emit_cloud_csv(records: Sequence[DailyRecord], path: Path, fit_for=None) -> 
     return len(records) - len(rows)
 
 
-def _group_key(r: DailyRecord, split_regimes: bool) -> str:
-    return f"{r.asset_id}@{r.alpha:g}" if split_regimes else r.asset_id
-
-
 def fit_groups(
     records: Sequence[DailyRecord], split_regimes: bool, pool: bool, keep_flagged: bool
 ) -> Tuple[Dict[str, RegressionFit], List[str]]:
@@ -366,7 +360,7 @@ def fit_groups(
     """
     groups: Dict[str, List[DailyRecord]] = {}
     for r in records:
-        groups.setdefault(_group_key(r, split_regimes), []).append(r)
+        groups.setdefault(f"{r.asset_id}@{r.alpha:g}" if split_regimes else r.asset_id, []).append(r)
     named = sorted(groups.items()) + ([("ALL", records)] if pool else [])
     fits: Dict[str, RegressionFit] = {}
     skipped: List[str] = []
@@ -444,7 +438,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             except TickzoneError as exc:
                 skipped.append(f"record {aid} {day.isoformat()}: {exc}")
 
-    fits, unfitted = fit_groups(records, config.split_regimes, config.pool, config.keep_flagged)
+    # each pipeline asset has one tick value, so its fit is keyed by the asset id
+    fits, unfitted = fit_groups(records, False, config.pool, config.keep_flagged)
     skipped.extend(unfitted)
 
     outputs = {name: config.out / f"{name}.csv" for name in REPORTS}
@@ -453,11 +448,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     emit_cloud_csv(records, outputs["cloud_raw"])
 
     pooled = fits.get("ALL") if config.pool else None
-
-    def fit_for(r: DailyRecord) -> Optional[RegressionFit]:
-        return pooled if pooled is not None else fits.get(_group_key(r, config.split_regimes))
-
-    dropped = emit_cloud_csv(records, outputs["cloud_adjusted"], fit_for=fit_for)
+    dropped = emit_cloud_csv(records, outputs["cloud_adjusted"], lambda r: pooled or fits.get(r.asset_id))
     if dropped:
         skipped.append(f"cloud_adjusted: no fit for {dropped} record(s)")
     write_csv(outputs["optimal_ticks"], *_tick_table_rows(records, fits, config, skipped))

@@ -5,9 +5,14 @@ Files carry one trade per row with the header
 milliseconds, decimal prices, and the pre-trade quotes (which may be blank).
 Prices are parsed exactly against the asset's tick grid, so grid checks and
 spread statistics never depend on binary float rounding.
+
+Both directions work a column at a time; ingest finds a failing row with array
+masks and words its error with the one scalar check of its phase.
 """
 from __future__ import annotations
 
+import bisect
+import contextlib
 import csv
 import logging
 from dataclasses import dataclass
@@ -26,17 +31,8 @@ logger = logging.getLogger(__name__)
 
 TRADE_CSV_HEADER = ["timestamp_ms", "price", "size", "bid", "ask"]
 
-
-@dataclass(frozen=True)
-class TradeCsvRow:
-    """One parsed line of a trade file; prices stay as decimal text."""
-
-    timestamp_ms: int
-    price: str
-    size: int
-    bid: Optional[str]
-    ask: Optional[str]
-    line: int = 0
+_DAY_MS = 86_400_000
+_EPOCH_ORDINAL = date_type(1970, 1, 1).toordinal()
 
 
 def _parse_session_clock(text: str) -> int:
@@ -92,83 +88,50 @@ class SessionFilter:
         opened = midnight + timedelta(seconds=self.open_seconds)
         return int(round(opened.timestamp() * 1000))
 
-    def locate(self, timestamp_ms: int) -> tuple[date_type, float]:
-        """Local date and seconds since local midnight of a UTC stamp."""
-        dt = datetime.fromtimestamp(timestamp_ms / 1000.0, tz=timezone.utc)
-        local = dt.astimezone(ZoneInfo(self.tz))
-        midnight = local.replace(hour=0, minute=0, second=0, microsecond=0)
-        return local.date(), (local - midnight).total_seconds()
+    def rows_by_day(self, stamps: np.ndarray) -> Dict[date_type, np.ndarray]:
+        """Indices of the in-session stamps per local date, for non-decreasing UTC stamps.
+
+        The UTC offset is piecewise constant. It is read at the first stamp of
+        each UTC day and at the last stamp; where two readings differ, the
+        first stamp with the new offset is found by bisection. Rows keep file
+        order within a date even where a change at local midnight steps back.
+        """
+        zone = ZoneInfo(self.tz)
+
+        def offset(i: int) -> int:
+            utc = datetime.fromtimestamp(int(stamps[i]) // 1000, tz=timezone.utc)
+            return utc.astimezone(zone).utcoffset() // timedelta(milliseconds=1)
+
+        if len(stamps) == 0:
+            return {}
+        samples = [0, *(np.flatnonzero(np.diff(stamps // _DAY_MS)) + 1).tolist(), len(stamps) - 1]
+        starts, offsets = [0], [offset(0)]
+        for a, b in zip(samples, samples[1:]):
+            if offset(b) != offsets[-1]:
+                moved = bisect.bisect_left(range(a, b), True, key=lambda i: offset(i) != offsets[-1])
+                starts.append(a + moved)
+                offsets.append(offset(b))
+        local = stamps + np.repeat(offsets, np.diff([*starts, len(stamps)]))
+        day, clock = np.divmod(local, _DAY_MS)
+        rows = np.flatnonzero((clock >= self.open_seconds * 1000) & (clock <= self.close_seconds * 1000))
+        rows = rows[np.argsort(day[rows], kind="stable")]
+        days, firsts = np.unique(day[rows], return_index=True)
+        dates = (date_type.fromordinal(_EPOCH_ORDINAL + d) for d in days.tolist())
+        return dict(zip(dates, np.split(rows, firsts[1:])))
 
 
 FULL_DAY = SessionFilter(0, 86400, tz="UTC")
 
 
-def read_trade_rows(path: Union[str, Path]) -> List[TradeCsvRow]:
-    """Read and validate one trade file. Timestamps must be non-decreasing."""
-    path = Path(path)
-    rows: List[TradeCsvRow] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("file is empty", path=path) from None
-        if [h.strip() for h in header] != TRADE_CSV_HEADER:
-            raise IngestError(
-                f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}", path=path
-            )
-        prev_ts = None
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
-                continue
-            if len(rec) != 5:
-                raise IngestError(f"expected 5 fields, got {len(rec)}", path=path, line=lineno)
-            ts_text, price, size_text, bid, ask = (f.strip() for f in rec)
-            try:
-                ts = int(ts_text)
-            except ValueError:
-                raise IngestError(f"bad timestamp {ts_text!r}", path=path, line=lineno) from None
-            if prev_ts is not None and ts < prev_ts:
-                raise IngestError("timestamps must be non-decreasing", path=path, line=lineno)
-            prev_ts = ts
-            try:
-                size = int(size_text)
-            except ValueError:
-                raise IngestError(f"bad size {size_text!r}", path=path, line=lineno) from None
-            if size < 0:
-                raise IngestError(f"negative size {size}", path=path, line=lineno)
-            if not price:
-                raise IngestError("missing price", path=path, line=lineno)
-            rows.append(
-                TradeCsvRow(
-                    timestamp_ms=ts,
-                    price=price,
-                    size=size,
-                    bid=bid or None,
-                    ask=ask or None,
-                    line=lineno,
-                )
-            )
-    return rows
-
-
-def write_tape_csv(
-    tape: TradeTape,
-    path: Union[str, Path],
-    day: date_type,
-    session: SessionFilter,
-) -> None:
+def write_tape_csv(tape: TradeTape, path: Union[str, Path], day: date_type, session: SessionFilter) -> None:
     """Write a tape in the trade CSV format, anchored at the session open."""
-    open_ms = session.open_epoch_ms(day)
-    grid = tape.grid
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRADE_CSV_HEADER)
-        for i in range(len(tape)):
-            ts = open_ms + int(round(float(tape.times[i]) * 1000.0))
-            bid = "" if tape.bid_q[i] == NO_QUOTE else grid.text(int(tape.bid_q[i]))
-            ask = "" if tape.ask_q[i] == NO_QUOTE else grid.text(int(tape.ask_q[i]))
-            writer.writerow([ts, grid.text(int(tape.price_q[i])), 1, bid, ask])
+    stamps = session.open_epoch_ms(day) + np.rint(tape.times * 1000.0).astype(np.int64)
+    values, codes = np.unique(np.concatenate([tape.price_q, tape.bid_q, tape.ask_q]), return_inverse=True)
+    texts = np.array(["" if q == NO_QUOTE else tape.grid.text(q) for q in values.tolist()], dtype=object)
+    prices, bids, asks = (cells.tolist() for cells in np.split(texts[codes], 3))
+    rows = zip(stamps.tolist(), prices, bids, asks)
+    body = "".join([f"{ts},{price},1,{bid},{ask}\r\n" for ts, price, bid, ask in rows])
+    Path(path).write_text(",".join(TRADE_CSV_HEADER) + "\r\n" + body, newline="")
 
 
 class DayTape(NamedTuple):
@@ -176,67 +139,134 @@ class DayTape(NamedTuple):
     tape: TradeTape
 
 
-def _quantize(grid: TickGrid, text: Optional[str], path, line: int, what: str) -> int:
-    if text is None:
-        return NO_QUOTE
+class _TradeColumns(NamedTuple):
+    """One file's data rows; a text column is (distinct values, each row's code)."""
+
+    path: Path
+    lines: np.ndarray
+    stamps: np.ndarray
+    texts: List[tuple]  # price, bid, ask
+
+
+def _distinct(texts: Sequence[str]) -> tuple:
+    index = {v: i for i, v in enumerate(dict.fromkeys(texts))}
+    return list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+
+
+def _leading_ints(texts: Sequence[str]) -> List[int]:
+    """The integers of ``texts`` up to the first text that is not one."""
+    values: List[int] = []
+    with contextlib.suppress(ValueError):
+        values.extend(map(int, texts))  # keeps what was appended before int() failed
+    return values
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _record_error(rec: List[str], prev_ts: Optional[int]) -> Optional[str]:
+    """The first read-check failure of one record, in check order."""
+    if len(rec) != 5:
+        return f"expected 5 fields, got {len(rec)}"
+    ts_text, price, size_text, _, _ = (f.strip() for f in rec)
     try:
-        return grid.subticks_from_text(text)
-    except OffGridError as exc:
-        raise IngestError(f"{what}: {exc}", path=path, line=line) from None
+        ts = int(ts_text)
+    except ValueError:
+        return f"bad timestamp {ts_text!r}"
+    if prev_ts is not None and ts < prev_ts:
+        return "timestamps must be non-decreasing"
+    try:
+        size = int(size_text)
+    except ValueError:
+        return f"bad size {size_text!r}"
+    if size < 0:
+        return f"negative size {size}"
+    return None if price else "missing price"
+
+
+def _read_columns(path: Path) -> _TradeColumns:
+    """Read one trade file and run the read checks on every row."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("file is empty", path=path)
+        if [h.strip() for h in header] != TRADE_CSV_HEADER:
+            raise IngestError(
+                f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}", path=path
+            )
+        recs = list(reader)
+    widths = np.fromiter(map(len, recs), np.intp, len(recs))
+    blank = widths == 0
+    blank[widths == 1] = [not recs[i][0].strip() for i in np.flatnonzero(widths == 1)]
+    lines = np.flatnonzero(~blank) + 2
+    if blank.any():
+        recs, widths = [rec for rec, b in zip(recs, blank) if not b], widths[~blank]
+    good = recs[: _first(widths != 5)]
+    # one list per column; zip(*good) would make one iterator per row for the collector to scan
+    ts_col, price_col, size_col, bid_col, ask_col = ([rec[k] for rec in good] for k in range(5))
+    stamps = np.array(_leading_ints(ts_col), dtype=np.int64)
+    price = _distinct(price_col)
+    # each mask covers the rows its column parsed for: the earliest first failure is the failing row
+    end = min(
+        _first(np.diff(stamps, prepend=stamps[:1]) < 0),
+        _first(np.array(_leading_ints(size_col)) < 0),
+        _first(np.array([not v.strip() for v in price[0]], dtype=bool)[price[1]]),
+    )
+    if end < len(recs):
+        prev_ts = int(stamps[end - 1]) if end else None
+        raise IngestError(_record_error(recs[end], prev_ts), path=path, line=int(lines[end]))
+    return _TradeColumns(path, lines, stamps, [price, _distinct(bid_col), _distinct(ask_col)])
+
+
+def _check_quotes(grid: TickGrid, price: str, bid: str, ask: str) -> Union[str, List[int]]:
+    """Sub-ticks of one in-session row's price, bid and ask, or its first grid or quote failure."""
+    q: List[int] = []
+    for what, text in (("price", price.strip()), ("bid", bid.strip()), ("ask", ask.strip())):
+        try:
+            q.append(grid.subticks_from_text(text) if text else NO_QUOTE)
+        except OffGridError as exc:
+            return f"{what}: {exc}"
+        if len(q) == 1 and q[0] % SUBTICKS_PER_TICK != 0:
+            return f"price {text} off the tick grid"
+    if NO_QUOTE not in q[1:] and q[2] <= q[1]:
+        return "ask must exceed bid"
+    if NO_QUOTE not in q[1:] and (q[2] - q[1]) % SUBTICKS_PER_TICK != 0:
+        return "spread is not a whole number of ticks"
+    return q
 
 
 def _build_day_tape(
-    asset: AssetSpec,
-    grid: TickGrid,
-    day: date_type,
-    kept: List[tuple[int, TradeCsvRow]],
+    asset: AssetSpec, grid: TickGrid, day: date_type, cols: _TradeColumns, rows: np.ndarray,
     session: SessionFilter,
-    path: Path,
 ) -> TradeTape:
-    open_ms = session.open_epoch_ms(day)
-    n = len(kept)
-    ms = np.empty(n, dtype=np.int64)
-    price_q = np.empty(n, dtype=np.int64)
-    bid_q = np.empty(n, dtype=np.int64)
-    ask_q = np.empty(n, dtype=np.int64)
-    for i, (lineno, row) in enumerate(kept):
-        ms[i] = row.timestamp_ms - open_ms
-        pq = _quantize(grid, row.price, path, lineno, "price")
-        if pq % SUBTICKS_PER_TICK != 0:
-            raise IngestError(f"price {row.price} off the tick grid", path=path, line=lineno)
-        price_q[i] = pq
-        bid_q[i] = _quantize(grid, row.bid, path, lineno, "bid")
-        ask_q[i] = _quantize(grid, row.ask, path, lineno, "ask")
-        if bid_q[i] != NO_QUOTE and ask_q[i] != NO_QUOTE:
-            spread = ask_q[i] - bid_q[i]
-            if spread <= 0:
-                raise IngestError("ask must exceed bid", path=path, line=lineno)
-            if spread % SUBTICKS_PER_TICK != 0:
-                raise IngestError("spread is not a whole number of ticks", path=path, line=lineno)
-    # identical-millisecond prints are pushed forward to keep times strict
-    if n > 1:
-        ramp = np.arange(n, dtype=np.int64)
-        ms = np.maximum.accumulate(ms - ramp) + ramp
+    # the grid and quote checks read only a row's three texts, so each
+    # distinct (price, bid, ask) is checked once; `key` numbers them per row
+    key = np.zeros(len(rows), dtype=np.int64)
+    for values, codes in cols.texts:
+        _, firsts, key = np.unique(key * len(values) + codes[rows], return_index=True, return_inverse=True)
+    checked = [_check_quotes(grid, *(values[codes[rows[i]]] for values, codes in cols.texts)) for i in firsts]
+    failed = np.array([isinstance(c, str) for c in checked])[key]
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise IngestError(checked[key[i]], path=cols.path, line=int(cols.lines[rows[i]]))
+    price_q, bid_q, ask_q = np.array(checked, dtype=np.int64)[key].T.copy()
     delta = np.diff(price_q, prepend=price_q[:1])
-    bad = np.flatnonzero(np.abs(delta) > SUBTICKS_PER_TICK)
-    if len(bad):
-        lineno = kept[int(bad[0])][0]
+    jumps = np.abs(delta) > SUBTICKS_PER_TICK
+    if jumps.any():
         raise IngestError(
-            "price jumped more than one tick; outside the one-tick model", path=path, line=lineno
+            "price jumped more than one tick; outside the one-tick model",
+            path=cols.path, line=int(cols.lines[rows[np.argmax(jumps)]]),
         )
+    # identical-millisecond prints are pushed forward to keep times strict
+    ramp = np.arange(len(rows), dtype=np.int64)
+    ms = np.maximum.accumulate(cols.stamps[rows] - session.open_epoch_ms(day) - ramp) + ramp
     direction = np.sign(delta).astype(np.int8)
-    session_length = max(session.length_seconds, float(ms[-1]) / 1000.0 if n else 0.0)
+    session_length = max(session.length_seconds, ms[-1] / 1000.0)
     return TradeTape(
-        asset=asset,
-        times=ms / 1000.0,
-        price_q=price_q,
-        bid_q=bid_q,
-        ask_q=ask_q,
-        changed=direction != 0,
-        direction=direction,
-        session_length=session_length,
-        opening_price_q=int(price_q[0]),
-        grid=grid,
+        asset, ms / 1000.0, price_q, bid_q, ask_q, direction != 0, direction,
+        session_length=session_length, opening_price_q=int(price_q[0]), grid=grid,
     )
 
 
@@ -248,45 +278,36 @@ def ingest_trades(
 ) -> List[DayTape]:
     """Ingest one or more trade files into per-day tapes.
 
-    Rows outside the session window are dropped. When several files cover
-    the same day (different contract maturities), the file with the most
-    in-session trades wins and the others are discarded; ties go to the
-    lexicographically first path so reruns stay deterministic. Days with an
-    empty session are skipped with a warning.
+    Every row of every file passes the read checks first. Rows outside the
+    session window are then dropped. When several files cover the same day
+    (different contract maturities), the file with the most in-session
+    trades wins, and only its rows get the grid and quote checks; ties go to
+    the lexicographically first path so reruns stay deterministic. Days with
+    an empty session are skipped with a warning.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     session = session or FULL_DAY
     grid = TickGrid(tick_text) if tick_text is not None else TickGrid(asset.tick_value)
     if abs(grid.tick_value - asset.tick_value) > 1e-12 * asset.tick_value:
-        raise ParameterError(
-            f"tick_text {tick_text!r} disagrees with asset tick {asset.tick_value!r}"
-        )
+        raise ParameterError(f"tick_text {tick_text!r} disagrees with asset tick {asset.tick_value!r}")
 
-    per_file: Dict[Path, Dict[date_type, List[tuple[int, TradeCsvRow]]]] = {}
+    per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
     for p in sorted(Path(p) for p in paths):
-        rows = read_trade_rows(p)
-        by_day: Dict[date_type, List[tuple[int, TradeCsvRow]]] = {}
-        for row in rows:
-            day, secs = session.locate(row.timestamp_ms)
-            if session.open_seconds <= secs <= session.close_seconds:
-                by_day.setdefault(day, []).append((row.line, row))
-        if not by_day:
+        cols = _read_columns(p)
+        per_file.append((cols, session.rows_by_day(cols.stamps)))
+        if not per_file[-1][1]:
             logger.warning("%s: no trades inside session %s", p, session.label())
-        per_file[p] = by_day
 
-    days = sorted({d for by_day in per_file.values() for d in by_day})
     out: List[DayTape] = []
-    for day in days:
-        candidates = [(p, by_day[day]) for p, by_day in per_file.items() if day in by_day]
-        # max keeps the first candidate on ties; per_file iterates sorted paths
-        best_path, best_rows = max(candidates, key=lambda c: len(c[1]))
+    for day in sorted({d for _, by_day in per_file for d in by_day}):
+        candidates = [(cols, by_day[day]) for cols, by_day in per_file if day in by_day]
+        # max keeps the first candidate on ties; per_file holds sorted paths
+        best, rows = max(candidates, key=lambda c: len(c[1]))
         if len(candidates) > 1:
             logger.info(
                 "%s %s: kept %s with %d trades, discarded %d other file(s)",
-                asset.asset_id, day, best_path, len(best_rows), len(candidates) - 1,
+                asset.asset_id, day, best.path, len(rows), len(candidates) - 1,
             )
-        if len(best_rows) == 0:
-            continue
-        out.append(DayTape(date=day, tape=_build_day_tape(asset, grid, day, best_rows, session, best_path)))
+        out.append(DayTape(date=day, tape=_build_day_tape(asset, grid, day, best, rows, session)))
     return out

@@ -7,10 +7,12 @@ changes. Seeds are pinned; every number derived from these fixtures is
 reproducible bit for bit.
 """
 import math
+import os
 import time
 from typing import Dict, NamedTuple, Tuple
 
 import pytest
+from hypothesis import settings
 
 from tickzone import (
     AssetSpec,
@@ -20,6 +22,13 @@ from tickzone import (
     TrueParams,
     simulate_day,
 )
+
+
+# In CI, property tests draw the same examples on every run, so a failure there
+# reproduces locally with CI=1; without CI set, Hypothesis keeps its defaults.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 class SimDay(NamedTuple):

@@ -78,7 +78,7 @@ class TestParseConfig:
         assert cfg.out == Path("/tmp/x")
         assert cfg.seed == 0
         assert cfg.session.label() == "00:00-24:00"
-        assert cfg.pool and not cfg.split_regimes and not cfg.keep_flagged
+        assert cfg.pool and not cfg.keep_flagged
         assert cfg.start_date.isoformat() == "2009-06-01"
         syn = cfg.synthetic["A"]
         assert (syn.tick_text, syn.eta, syn.sigma) == ("0.01", 0.25, 0.003)
@@ -130,6 +130,11 @@ class TestParseConfig:
     def test_workers_is_an_unknown_key(self):
         with pytest.raises(ParameterError, match="unknown config keys: workers$"):
             parse_config_text(self._minimal() + "workers = 2\n")
+
+    def test_split_regimes_is_an_unknown_key(self):
+        # every pipeline asset has one tick value, so there is one regime per asset
+        with pytest.raises(ParameterError, match="unknown config keys: split_regimes$"):
+            parse_config_text(self._minimal() + "split_regimes = true\n")
 
     def test_unknown_synthetic_key(self):
         with pytest.raises(ParameterError, match="unknown synthetic key"):
@@ -303,6 +308,16 @@ class TestRunPipelineSynthetic:
         text = result.summary()
         assert text.startswith("12 asset-day record(s) from 12 file(s); 3 regression fit(s)")
         assert text.count("wrote") == 5
+
+    def test_own_fits_fill_the_tick_table_without_pool(self, tmp_path):
+        # each asset's version-1 forecasts need its own fit when nothing is pooled
+        cfg = parse_config_text(_SYNTH_CONFIG.format(out=tmp_path / "own"), {"pool": "false"})
+        result = run_pipeline(cfg)
+        assert list(result.fits) == ["A1", "A2"]
+        rows = list(csv.DictReader(result.outputs["optimal_ticks"].open()))
+        assert [r["asset_id"] for r in rows] == ["A1", "A2"]
+        v1 = [k for k in rows[0] if k.startswith("v1_")]
+        assert v1 and all(r[k] != "" for r in rows for k in v1)
 
     def test_rerun_is_byte_identical(self, synth_run, tmp_path):
         cfg, result = synth_run

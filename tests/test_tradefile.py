@@ -1,18 +1,24 @@
 """Trade CSV ingest and export: sessions, validation, round trips."""
-from datetime import date
+import csv
+import functools
+import io
+import tempfile
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
-from zoneinfo import ZoneInfoNotFoundError
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
-from tickzone.domain import NO_QUOTE, AssetSpec, TradeEvent, TradeTape
-from tickzone.errors import IngestError, ParameterError
+from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeEvent, TradeTape
+from tickzone.errors import IngestError, ParameterError, TickzoneError
 from tickzone.estimators import build_daily_record
 from tickzone.tradefile import (
     FULL_DAY,
     SessionFilter,
     ingest_trades,
-    read_trade_rows,
     write_tape_csv,
 )
 
@@ -66,73 +72,101 @@ class TestSessionFilter:
         # and UTC+1 in winter
         assert s.open_epoch_ms(date(2009, 1, 5)) % 86_400_000 == 7 * 3600 * 1000
 
-    def test_locate_inverts_open(self):
+    def test_locate_inverts_open(self, tmp_path):
+        # a print stamped at the open lands on that day, at time zero
         s = SessionFilter.from_text("08:00-17:15", tz="Europe/Berlin")
-        day, secs = s.locate(s.open_epoch_ms(date(2009, 6, 1)))
-        assert day == date(2009, 6, 1)
-        assert secs == 28800.0
+        p = _write(tmp_path / "o.csv", [_header(), f"{s.open_epoch_ms(date(2009, 6, 1))},100.5,1,,"])
+        (day,) = ingest_trades(p, _asset(), session=s)
+        assert day.date == date(2009, 6, 1)
+        assert list(day.tape.times) == [0.0]
 
 
 class TestReadTradeRows:
+    """Read-phase checks, which cover every row of a file whether or not it is in session."""
+
     def test_happy_path_with_blank_line(self, tmp_path):
         p = _write(
             tmp_path / "t.csv",
             [_header(), "1000,100.5,3,100.0,100.5", "", "2000,100.5,1,,"],
         )
-        rows = read_trade_rows(p)
-        assert len(rows) == 2
-        assert rows[0].timestamp_ms == 1000
-        assert rows[0].price == "100.5"
-        assert rows[0].size == 3
-        assert (rows[0].bid, rows[0].ask) == ("100.0", "100.5")
-        assert (rows[1].bid, rows[1].ask) == (None, None)
-        assert rows[0].line == 2
-        assert rows[1].line == 4
+        (day,) = ingest_trades(p, _asset())
+        assert day.date == date(1970, 1, 1)
+        tape = day.tape
+        assert list(tape.times) == [1.0, 2.0]
+        assert list(tape.prices()) == [100.5, 100.5]
+        assert (tape.grid.text(tape.bid_q[0]), tape.grid.text(tape.ask_q[0])) == ("100", "100.5")
+        assert (tape.bid_q[1], tape.ask_q[1]) == (NO_QUOTE, NO_QUOTE)
+        # the blank line still counts: the row after it is line 4
+        bad = _write(
+            tmp_path / "t2.csv",
+            [_header(), "1000,100.5,3,100.0,100.5", "", "2000,100.5,x,,"],
+        )
+        with pytest.raises(IngestError) as err:
+            ingest_trades(bad, _asset())
+        assert err.value.line == 4
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
         with pytest.raises(IngestError, match="empty"):
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
 
     def test_bad_header(self, tmp_path):
         p = _write(tmp_path / "h.csv", ["time,price,qty,bid,ask", "1,100,1,,"])
         with pytest.raises(IngestError, match="bad header"):
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
 
     def test_field_count(self, tmp_path):
         p = _write(tmp_path / "f.csv", [_header(), "1000,100.5,3"])
         with pytest.raises(IngestError) as err:
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
         assert err.value.line == 2
 
     def test_bad_timestamp(self, tmp_path):
         p = _write(tmp_path / "ts.csv", [_header(), "noon,100.5,3,,"])
         with pytest.raises(IngestError, match="bad timestamp"):
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
 
     def test_decreasing_timestamps(self, tmp_path):
         p = _write(tmp_path / "d.csv", [_header(), "2000,100.5,1,,", "1000,100.5,1,,"])
         with pytest.raises(IngestError, match="non-decreasing") as err:
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
         assert err.value.line == 3
 
     def test_equal_timestamps_allowed(self, tmp_path):
         p = _write(tmp_path / "eq.csv", [_header(), "1000,100.5,1,,", "1000,101.0,1,,"])
-        assert len(read_trade_rows(p)) == 2
+        assert len(ingest_trades(p, _asset())[0].tape) == 2
 
     def test_bad_size(self, tmp_path):
         p = _write(tmp_path / "s.csv", [_header(), "1000,100.5,-2,,"])
         with pytest.raises(IngestError, match="negative size"):
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
         p2 = _write(tmp_path / "s2.csv", [_header(), "1000,100.5,many,,"])
         with pytest.raises(IngestError, match="bad size"):
-            read_trade_rows(p2)
+            ingest_trades(p2, _asset())
 
     def test_missing_price(self, tmp_path):
         p = _write(tmp_path / "mp.csv", [_header(), "1000,,1,,"])
         with pytest.raises(IngestError, match="missing price"):
-            read_trade_rows(p)
+            ingest_trades(p, _asset())
+
+    def test_header_only_file_has_no_days(self, tmp_path, caplog):
+        p = _write(tmp_path / "ho.csv", [_header()])
+        with caplog.at_level("WARNING"):
+            assert ingest_trades(p, _asset()) == []
+        assert any("no trades inside session" in r.message for r in caplog.records)
+
+    def test_read_checks_cover_rows_outside_the_session(self, tmp_path):
+        # a bad row after the session still fails the file, before any grid check
+        session = SessionFilter.from_text("08:00-09:00")
+        open_ms = session.open_epoch_ms(date(2009, 6, 1))
+        p = _write(
+            tmp_path / "late.csv",
+            [_header(), f"{open_ms},100.3,1,,", f"{open_ms + 7_200_000},100.5,-1,,"],
+        )
+        with pytest.raises(IngestError, match="negative size") as err:
+            ingest_trades(p, _asset(), session=session)
+        assert err.value.line == 3
 
 
 def _asset(tick=0.5, eta=0.25):
@@ -276,6 +310,22 @@ class TestWriteRoundTrip:
         assert got.opening_price_q == tape.opening_price_q
         assert build_daily_record(got, "2009-06-01") == build_daily_record(tape, "2009-06-01")
 
+    def test_bytes_match_a_csv_writer_row_by_row(self, tmp_path):
+        session = SessionFilter.from_text("08:00-09:00", tz="Europe/Berlin")
+        day = date(2009, 6, 1)
+        tape = self._tape()
+        tape.bid_q[2] = NO_QUOTE
+        out = tmp_path / "w.csv"
+        write_tape_csv(tape, out, day, session)
+        expect = io.StringIO()
+        writer = csv.writer(expect)
+        writer.writerow(["timestamp_ms", "price", "size", "bid", "ask"])
+        for i in range(len(tape)):
+            quotes = ["" if q == NO_QUOTE else tape.grid.text(q) for q in (tape.bid_q[i], tape.ask_q[i])]
+            ts = session.open_epoch_ms(day) + int(round(float(tape.times[i]) * 1000.0))
+            writer.writerow([ts, tape.grid.text(tape.price_q[i]), 1] + quotes)
+        assert out.read_bytes() == expect.getvalue().encode()
+
     def test_missing_quotes_round_trip_blank(self, tmp_path):
         a = _asset()
         events = [
@@ -304,3 +354,232 @@ class TestWriteRoundTrip:
         assert "101.5625" in body and "109.375" in body
         got = ingest_trades(out, a)[0].tape
         assert np.array_equal(got.price_q, tape.price_q)
+
+
+# ------------------------------------------------------------------ properties
+
+_TICKS = ("0.5", "0.01", "0.25", "7.8125", "0.005", "1")
+_ZONES = ("Europe/Berlin", "America/New_York", "Australia/Lord_Howe")
+# one-hour sessions whose open never falls in a summer-time gap
+_HOUR_SESSIONS = ("00:00-01:00", "08:00-09:00", "12:15-13:15", "22:30-23:30")
+_SUB = SUBTICKS_PER_TICK
+
+
+def _record_or_error(tape):
+    try:
+        return build_daily_record(tape, "d")
+    except TickzoneError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _tape_files(draw):
+    """A valid one-hour tape with its tick text, session and day."""
+    tick = draw(st.sampled_from(_TICKS))
+    grid = TickGrid(tick)
+    asset = AssetSpec("PRP", float(tick), eta=0.25)
+    session = SessionFilter.from_text(
+        draw(st.sampled_from(_HOUR_SESSIONS)), tz=draw(st.sampled_from(_ZONES + ("UTC",)))
+    )
+    day = draw(st.dates(date(2008, 1, 1), date(2010, 12, 31)))
+    n = draw(st.integers(1, 40))
+    ms = sorted(draw(st.sets(st.integers(0, 3_600_000), min_size=n, max_size=n)))
+    moves = [0] + draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n - 1, max_size=n - 1))
+    price_q = (1000 + np.cumsum(moves)) * _SUB
+    bid_q = np.full(n, NO_QUOTE, dtype=np.int64)
+    ask_q = np.full(n, NO_QUOTE, dtype=np.int64)
+    for i in range(n):
+        sides = draw(st.sampled_from(("", "b", "a", "ba")))
+        # quotes may sit between ticks, but the spread is whole ticks
+        bid = price_q[i] - draw(st.integers(0, 2)) * _SUB - draw(st.sampled_from((0, _SUB // 2, _SUB // 4)))
+        if "b" in sides:
+            bid_q[i] = bid
+        if "a" in sides:
+            ask_q[i] = bid + draw(st.integers(1, 3)) * _SUB
+    direction = np.sign(np.diff(price_q, prepend=price_q[0])).astype(np.int8)
+    tape = TradeTape(
+        asset, np.asarray(ms) / 1000.0, price_q, bid_q, ask_q, direction != 0, direction,
+        session_length=3600.0, opening_price_q=int(price_q[0]), grid=grid,
+    )
+    return tape, tick, session, day
+
+
+@given(_tape_files())
+@settings(max_examples=60, deadline=None)
+def test_write_then_ingest_gives_the_same_tape(case):
+    tape, tick, session, day = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_tape_csv(tape, path, day, session)
+        back = ingest_trades(path, tape.asset, session=session, tick_text=tick)
+    assert [d.date for d in back] == [day]
+    got = back[0].tape
+    for col in ("times", "price_q", "bid_q", "ask_q", "changed", "direction"):
+        assert np.array_equal(getattr(tape, col), getattr(got, col)), col
+    assert (got.opening_price_q, got.session_length) == (tape.opening_price_q, tape.session_length)
+    assert _record_or_error(got) == _record_or_error(tape)
+
+
+_CORRUPTIONS = (
+    "timestamp", "size", "negative size", "missing price", "malformed price", "fine price",
+    "off-grid price", "malformed bid", "two-tick jump", "crossed quote", "fractional spread",
+    "backwards timestamp", "short row", "long row",
+)
+
+
+_NOT_DECIMALS = ("noon", "0x10", "7-", "1..5", "inf")
+_NOT_INTEGERS = _NOT_DECIMALS + ("1.5", "12e3", "")
+
+
+def _corrupt(fields, prev, grid, kind, bad_int, bad_decimal):
+    """Spoil one row's fields in place; returns the message ingest must give."""
+    price = fields[1]
+    q = grid.subticks_from_text(price)
+    if kind == "timestamp":
+        fields[0] = bad_int
+        return f"bad timestamp {bad_int!r}"
+    if kind == "size":
+        fields[2] = bad_int
+        return f"bad size {bad_int!r}"
+    if kind == "negative size":
+        fields[2] = "-3"
+        return "negative size -3"
+    if kind == "missing price":
+        fields[1] = " "
+        return "missing price"
+    if kind == "malformed price":
+        fields[1] = bad_decimal
+        return f"price: malformed price {bad_decimal!r}"
+    if kind == "fine price":
+        fields[1] = price + ("" if "." in price else ".") + "000000000001"
+        return f"price: price {fields[1]} is finer than the sub-tick lattice of tick {grid.tick_text}"
+    if kind == "off-grid price":
+        fields[1] = grid.text(q + _SUB // 2)
+        return f"price {fields[1]} off the tick grid"
+    if kind == "malformed bid":
+        fields[3] = bad_decimal
+        return f"bid: malformed price {bad_decimal!r}"
+    if kind == "two-tick jump":
+        fields[1] = grid.text(grid.subticks_from_text(prev[1]) + 2 * _SUB)
+        return "price jumped more than one tick; outside the one-tick model"
+    if kind == "crossed quote":
+        fields[3], fields[4] = grid.text(q), grid.text(q - _SUB)
+        return "ask must exceed bid"
+    if kind == "fractional spread":
+        fields[3], fields[4] = grid.text(q - _SUB // 2), grid.text(q + _SUB)
+        return "spread is not a whole number of ticks"
+    if kind == "backwards timestamp":
+        fields[0] = str(int(prev[0]) - 1)
+        return "timestamps must be non-decreasing"
+    if kind == "short row":
+        del fields[-1]
+        return "expected 5 fields, got 4"
+    fields.append("1")
+    return "expected 5 fields, got 6"
+
+
+@given(
+    _tape_files(),
+    st.sampled_from(_CORRUPTIONS),
+    st.sampled_from(_NOT_INTEGERS),
+    st.sampled_from(_NOT_DECIMALS),
+    st.lists(st.sampled_from(("", "   ")), max_size=2),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_corrupted_cell_names_its_line(case, kind, bad_int, bad_decimal, blanks, data):
+    tape, tick, session, day = case
+    needs_previous = kind in ("two-tick jump", "backwards timestamp")
+    assume(len(tape) > 1 or not needs_previous)
+    row = data.draw(st.integers(1 if needs_previous else 0, len(tape) - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.csv"
+        write_tape_csv(tape, path, day, session)
+        lines = path.read_text().splitlines()
+        records = [line.split(",") for line in lines[1:]]
+        message = _corrupt(records[row], records[row - 1], tape.grid, kind, bad_int, bad_decimal)
+        lines[1:] = [",".join(r) for r in records]
+        lines[1 + row:1 + row] = blanks
+        _write(path, lines)
+        with pytest.raises(IngestError) as err:
+            ingest_trades(path, tape.asset, session=session, tick_text=tick)
+    line = 2 + row + len(blanks)
+    assert err.value.line == line
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+_UTC_2008 = 1_199_145_600_000  # 2008-01-01T00:00:00Z
+_UTC_2011 = 1_293_840_000_000  # 2011-01-01T00:00:00Z
+_DAY_MS = 86_400_000
+# sessions whose open never falls in a summer-time gap of the three zones
+_LOCATE_SESSIONS = (
+    "00:00-24:00", "01:00-04:00", "00:30-02:15", "01:45-02:45", "03:00-17:15", "21:30-23:59",
+)
+
+
+def _utc(ms):
+    return datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=ms)
+
+
+@functools.lru_cache(maxsize=None)
+def _offset_change_days(tz):
+    """UTC midnights (epoch ms) of the 2008-2010 days on which ``tz`` changes its offset."""
+    zone = ZoneInfo(tz)
+    days = range(_UTC_2008, _UTC_2011, _DAY_MS)
+    offsets = [_utc(ms).astimezone(zone).utcoffset() for ms in days]
+    return tuple(ms for ms, a, b in zip(days, offsets, offsets[1:]) if a != b)
+
+
+def _oracle_days(stamps, session):
+    """Per local day, the tape times of the in-session stamps, one datetime per stamp."""
+    zone = ZoneInfo(session.tz)
+    days = {}
+    for ms in stamps:
+        local = _utc(ms).astimezone(zone)
+        clock_ms = (local.hour * 3600 + local.minute * 60 + local.second) * 1000 + local.microsecond // 1000
+        if session.open_seconds * 1000 <= clock_ms <= session.close_seconds * 1000:
+            days.setdefault(local.date(), []).append(ms)
+    return [
+        (day, [(ms - session.open_epoch_ms(day)) / 1000.0 for ms in got])
+        for day, got in sorted(days.items())
+    ]
+
+
+def _assert_located_like_oracle(stamps, session, tmp_dir):
+    path = _write(Path(tmp_dir) / "loc.csv", [_header()] + [f"{ms},100,1,," for ms in stamps])
+    got = ingest_trades(path, AssetSpec("LOC", 1.0), session=session)
+    assert [(d.date, list(d.tape.times)) for d in got] == _oracle_days(stamps, session)
+
+
+@st.composite
+def _located_stamps(draw):
+    tz = draw(st.sampled_from(_ZONES))
+    near_change = st.tuples(
+        st.sampled_from(_offset_change_days(tz)), st.integers(-2 * _DAY_MS, 3 * _DAY_MS)
+    ).map(sum)
+    stamps = draw(
+        st.lists(st.one_of(st.integers(_UTC_2008, _UTC_2011 - 1), near_change), min_size=1, max_size=80)
+    )
+    return sorted(set(stamps)), SessionFilter.from_text(draw(st.sampled_from(_LOCATE_SESSIONS)), tz=tz)
+
+
+@given(_located_stamps())
+@settings(max_examples=80, deadline=None)
+def test_session_location_matches_a_datetime_per_row(case):
+    stamps, session = case
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_located_like_oracle(stamps, session, tmp)
+
+
+@pytest.mark.parametrize("tz", _ZONES)
+@pytest.mark.parametrize("window", ("00:00-24:00", "01:45-02:45"))
+def test_session_location_across_both_2009_changes(tz, window, tmp_path):
+    # a file from March to November has the same offset at both ends
+    start, stop = 1_235_865_600_000, 1_258_070_400_000  # 2009-03-01, 2009-11-13 (UTC)
+    stamps = set(range(start, stop, 25_931_017))  # a stamp every 7.2 h
+    for change in _offset_change_days(tz):
+        if start <= change < stop:
+            stamps.update(range(change - _DAY_MS, change + 2 * _DAY_MS, 299_993))  # every 5 min
+    session = SessionFilter.from_text(window, tz=tz)
+    assert sum(start <= c < stop for c in _offset_change_days(tz)) == 2
+    _assert_located_like_oracle(sorted(stamps), session, tmp_path)
