@@ -20,6 +20,8 @@ SUBTICKS_PER_TICK = 1_000_000
 
 # Sentinel for a trade without quotes (some vendor files carry blanks).
 NO_QUOTE = np.iinfo(np.int64).min
+# Largest parsed price magnitude, in sub-ticks; differences of two stay inside int64.
+_MAX_SUBTICKS = 2**62 - 1
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ class TickGrid:
             raise OffGridError(
                 f"price {text} is finer than the sub-tick lattice of tick {self.tick_text}"
             )
+        if abs(q) > _MAX_SUBTICKS:
+            raise OffGridError(f"price {text} is out of range for tick {self.tick_text}")
         self._parse_cache[text] = int(q)
         return self._parse_cache[text]
 

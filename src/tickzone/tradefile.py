@@ -3,6 +3,7 @@
 Files carry one trade per row with the header
 ``timestamp_ms,price,size,bid,ask``: a UTC epoch timestamp in whole
 milliseconds, decimal prices, and the pre-trade quotes (which may be blank).
+They are UTF-8 text with unquoted fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends.
 Prices are parsed exactly against the asset's tick grid, so grid checks and
 spread statistics never depend on binary float rounding.
 
@@ -13,11 +14,11 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime, time, timedelta, timezone
+from itertools import compress, repeat, takewhile
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 from zoneinfo import ZoneInfo
@@ -33,6 +34,11 @@ TRADE_CSV_HEADER = ["timestamp_ms", "price", "size", "bid", "ask"]
 
 _DAY_MS = 86_400_000
 _EPOCH_ORDINAL = date_type(1970, 1, 1).toordinal()
+# epoch ms whose local dates stay inside the datetime range at any UTC offset
+_STAMP_RANGE = range(
+    (date_type(1, 1, 3).toordinal() - _EPOCH_ORDINAL) * _DAY_MS,
+    (date_type(9999, 12, 29).toordinal() - _EPOCH_ORDINAL) * _DAY_MS,
+)
 
 
 def _parse_session_clock(text: str) -> int:
@@ -112,7 +118,10 @@ class SessionFilter:
                 starts.append(a + moved)
                 offsets.append(offset(b))
         local = stamps + np.repeat(offsets, np.diff([*starts, len(stamps)]))
-        day, clock = np.divmod(local, _DAY_MS)
+        # a stamp at local midnight closes a 24:00 session, unless the session opens at 00:00
+        late = int(self.close_seconds == 86400 and self.open_seconds > 0)
+        day, clock = np.divmod(local - late, _DAY_MS)
+        clock += late
         rows = np.flatnonzero((clock >= self.open_seconds * 1000) & (clock <= self.close_seconds * 1000))
         rows = rows[np.argsort(day[rows], kind="stable")]
         days, firsts = np.unique(day[rows], return_index=True)
@@ -161,6 +170,16 @@ def _leading_ints(texts: Sequence[str]) -> List[int]:
     return values
 
 
+def _leading_stamps(texts: Sequence[str]) -> np.ndarray:
+    """The timestamps of ``texts`` up to the first text that is not one in range."""
+    values = _leading_ints(texts)
+    try:
+        stamps = np.array(values, dtype=np.int64)
+    except OverflowError:  # a value beyond int64 is out of range too; cut there
+        stamps = np.array(list(takewhile(_STAMP_RANGE.__contains__, values)), dtype=np.int64)
+    return stamps[: _first((stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop))]
+
+
 def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask)) if mask.any() else len(mask)
 
@@ -174,6 +193,8 @@ def _record_error(rec: List[str], prev_ts: Optional[int]) -> Optional[str]:
         ts = int(ts_text)
     except ValueError:
         return f"bad timestamp {ts_text!r}"
+    if ts not in _STAMP_RANGE:
+        return f"timestamp {ts_text} out of range"
     if prev_ts is not None and ts < prev_ts:
         return "timestamps must be non-decreasing"
     try:
@@ -185,28 +206,52 @@ def _record_error(rec: List[str], prev_ts: Optional[int]) -> Optional[str]:
     return None if price else "missing price"
 
 
+def _lines(path: Path) -> List[str]:
+    """The file's lines, each ended by ``\\n``, ``\\r\\n`` or ``\\r``; a final line end starts no line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+        raise IngestError("file is not UTF-8 text", path=path, line=line) from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _columns(rows: List[str]) -> List[List[str]]:
+    """The five field columns of five-field ``rows``, up to the first row that holds a quote."""
+    joined = ",".join(rows)
+    if '"' in joined:  # a quoted row fails where it stands, whatever its comma count
+        return _columns(rows[: next(i for i, row in enumerate(rows) if '"' in row)])
+    fields = joined.split(",") if joined else []
+    return [fields[k::5] for k in range(5)]
+
+
 def _read_columns(path: Path) -> _TradeColumns:
-    """Read one trade file and run the read checks on every row."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError("file is empty", path=path)
-        if [h.strip() for h in header] != TRADE_CSV_HEADER:
-            raise IngestError(
-                f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}", path=path
-            )
-        recs = list(reader)
-    widths = np.fromiter(map(len, recs), np.intp, len(recs))
-    blank = widths == 0
-    blank[widths == 1] = [not recs[i][0].strip() for i in np.flatnonzero(widths == 1)]
+    """Read one trade file and run the read checks on every row.
+
+    Fields are unquoted, so a row is its line split at commas: each line's
+    comma count gives its field count, and the five-field rows are split all
+    at once, so no list is made per row for the garbage collector to scan.
+    """
+    recs = _lines(path)
+    if not recs:
+        raise IngestError("file is empty", path=path)
+    head = recs.pop(0)
+    header = head.split(",") if head else []
+    if [h.strip() for h in header] != TRADE_CSV_HEADER:
+        raise IngestError(f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}", path=path)
+    widths = np.fromiter(map(str.count, recs, repeat(",")), np.intp, len(recs)) + 1
+    blank = widths == 1
+    blank[blank] = [not recs[i].strip() for i in np.flatnonzero(blank)]
     lines = np.flatnonzero(~blank) + 2
     if blank.any():
-        recs, widths = [rec for rec, b in zip(recs, blank) if not b], widths[~blank]
-    good = recs[: _first(widths != 5)]
-    # one list per column; zip(*good) would make one iterator per row for the collector to scan
-    ts_col, price_col, size_col, bid_col, ask_col = ([rec[k] for rec in good] for k in range(5))
-    stamps = np.array(_leading_ints(ts_col), dtype=np.int64)
+        recs, widths = list(compress(recs, ~blank)), widths[~blank]
+    ts_col, price_col, size_col, bid_col, ask_col = _columns(recs[: _first(widths != 5)])
+    stamps = _leading_stamps(ts_col)
     price = _distinct(price_col)
     # each mask covers the rows its column parsed for: the earliest first failure is the failing row
     end = min(
@@ -216,7 +261,9 @@ def _read_columns(path: Path) -> _TradeColumns:
     )
     if end < len(recs):
         prev_ts = int(stamps[end - 1]) if end else None
-        raise IngestError(_record_error(recs[end], prev_ts), path=path, line=int(lines[end]))
+        rec = recs[end]
+        message = "quoted fields are not supported" if '"' in rec else _record_error(rec.split(","), prev_ts)
+        raise IngestError(message, path=path, line=int(lines[end]))
     return _TradeColumns(path, lines, stamps, [price, _distinct(bid_col), _distinct(ask_col)])
 
 

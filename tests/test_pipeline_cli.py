@@ -216,7 +216,7 @@ class TestEmitCloud:
         recs = _plane_records(n=1)
         path = tmp_path / "raw.csv"
         emit_cloud_csv(recs, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == CLOUD_CSV_HEADER
         x, y, ref = (float(v) for v in rows[1])
         r = recs[0]
@@ -230,7 +230,7 @@ class TestEmitCloud:
         path = tmp_path / "adj.csv"
         dropped = emit_cloud_csv(recs, path, fit_for=lambda r: fit)
         assert dropped == 0
-        for row in list(csv.reader(path.open()))[1:]:
+        for row in list(csv.reader(path.read_text().splitlines()))[1:]:
             x, y, ref = (float(v) for v in row)
             assert y == pytest.approx(x, rel=1e-9)
             assert ref == x
@@ -241,7 +241,7 @@ class TestEmitCloud:
         path = tmp_path / "drop.csv"
         dropped = emit_cloud_csv(recs, path, fit_for=lambda r: fit if r.m_trades > 2000 else None)
         assert dropped == 2
-        assert len(list(csv.reader(path.open()))) == 1 + 2
+        assert len(list(csv.reader(path.read_text().splitlines()))) == 1 + 2
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +290,7 @@ class TestRunPipelineSynthetic:
 
     def test_regression_rows_ordered_pooled_last(self, synth_run):
         _, result = synth_run
-        rows = list(csv.reader(result.outputs["regression"].open()))
+        rows = list(csv.reader(result.outputs["regression"].read_text().splitlines()))
         assert [r[0] for r in rows[1:]] == ["A1", "A2", "ALL"]
 
     def test_daily_csv_matches_records(self, synth_run):
@@ -314,7 +314,7 @@ class TestRunPipelineSynthetic:
         cfg = parse_config_text(_SYNTH_CONFIG.format(out=tmp_path / "own"), {"pool": "false"})
         result = run_pipeline(cfg)
         assert list(result.fits) == ["A1", "A2"]
-        rows = list(csv.DictReader(result.outputs["optimal_ticks"].open()))
+        rows = list(csv.DictReader(result.outputs["optimal_ticks"].read_text().splitlines()))
         assert [r["asset_id"] for r in rows] == ["A1", "A2"]
         v1 = [k for k in rows[0] if k.startswith("v1_")]
         assert v1 and all(r[k] != "" for r in rows for k in v1)
@@ -404,7 +404,7 @@ class TestCli:
         out = tmp_path / "fit.csv"
         rc = cli_main(["regress", "--records", str(records), "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == REGRESSION_CSV_HEADER
         assert [r[0] for r in rows[1:]] == ["A", "ALL"]
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-9)
@@ -418,7 +418,7 @@ class TestCli:
             ["regress", "--records", str(records), "--split-regimes", "--no-pool", "--out", str(out)]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert [r[0] for r in rows[1:]] == ["A@0.01", "A@0.025"]
 
     def test_regress_unfittable_without_pool(self, tmp_path, capsys):
@@ -453,7 +453,7 @@ class TestCli:
         out = tmp_path / "ticks.csv"
         rc = cli_main(["optimal-tick", "--asset", "BUS5", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][:4] == ["asset_id", "tick_value", "v1_beta1", "v1_beta0.5"]
         assert rows[1][0] == "BUS5"
         assert float(rows[1][2]) == pytest.approx(2.7, abs=0.1)
@@ -473,7 +473,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["date", "lag", "realized_variance"]
         assert [int(r[1]) for r in rows[1:]] == list(range(1, 21))
         assert all(r[0] == "2009-06-01" for r in rows[1:])

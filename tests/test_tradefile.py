@@ -16,8 +16,16 @@ from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, Tr
 from tickzone.errors import IngestError, ParameterError, TickzoneError
 from tickzone.estimators import build_daily_record
 from tickzone.tradefile import (
+    _STAMP_RANGE,
     FULL_DAY,
+    TRADE_CSV_HEADER,
     SessionFilter,
+    _distinct,
+    _first,
+    _leading_ints,
+    _read_columns,
+    _record_error,
+    _TradeColumns,
     ingest_trades,
     write_tape_csv,
 )
@@ -79,6 +87,24 @@ class TestSessionFilter:
         (day,) = ingest_trades(p, _asset(), session=s)
         assert day.date == date(2009, 6, 1)
         assert list(day.tape.times) == [0.0]
+
+    def test_print_at_a_2400_close_ends_that_day(self, tmp_path):
+        session = SessionFilter.from_text("23:00-24:00")
+        open_ms = session.open_epoch_ms(date(2009, 6, 1))
+        p = _write(tmp_path / "late.csv", [_header(), f"{open_ms},100.5,1,,", f"{open_ms + 3_600_000},101,1,,"])
+        (day,) = ingest_trades(p, _asset(), session=session)
+        assert day.date == date(2009, 6, 1)
+        assert list(day.tape.times) == [0.0, 3600.0]
+        assert list(day.tape.prices()) == [100.5, 101.0]
+
+    def test_print_at_midnight_opens_a_session_that_opens_at_0000(self, tmp_path):
+        jun2 = _JUN1_UTC_MS + 86_400_000
+        p = _write(tmp_path / "mid.csv", [_header(), f"{jun2 - 3_600_000},100.5,1,,", f"{jun2},101,1,,"])
+        for session in (FULL_DAY, SessionFilter.from_text("00:00-01:00")):
+            days = ingest_trades(p, _asset(), session=session)
+            assert [d.date for d in days][-1] == date(2009, 6, 2)
+            assert list(days[-1].tape.times) == [0.0]
+            assert list(days[-1].tape.prices()) == [101.0]
 
 
 class TestReadTradeRows:
@@ -167,6 +193,45 @@ class TestReadTradeRows:
         with pytest.raises(IngestError, match="negative size") as err:
             ingest_trades(p, _asset(), session=session)
         assert err.value.line == 3
+
+    def _assert_error(self, path, line, message, session=None):
+        with pytest.raises(IngestError) as err:
+            ingest_trades(path, _asset(), session=session)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_non_utf8_byte(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"timestamp_ms,price,size,bid,ask\r\n1000,100.5,1,,\r\n\r\n2000,100.5,1,,\xe9\r\n")
+        self._assert_error(p, 4, "file is not UTF-8 text")
+
+    def test_field_of_200_kb(self, tmp_path):
+        huge = "x" * 200_000
+        p = _write(tmp_path / "huge.csv", [_header(), "1000,100.5,1,,", f"{huge},100.5,1,,"])
+        self._assert_error(p, 3, f"bad timestamp {huge!r}")
+
+    def test_nul_byte(self, tmp_path):
+        p = _write(tmp_path / "nul.csv", [_header(), "1000,100.5,1,,", "2000\0,100.5,1,,"])
+        self._assert_error(p, 3, "bad timestamp '2000\\x00'")
+
+    @pytest.mark.parametrize("row", ['2000,"100.5",1,,', '2000,"100,5",1,,'])
+    def test_quoted_field(self, tmp_path, row):
+        p = _write(tmp_path / "q.csv", [_header(), "1000,100.5,1,,", row, "3000,100.5,x,,"])
+        self._assert_error(p, 3, "quoted fields are not supported")
+
+    @pytest.mark.parametrize("stamp", ["100000000000000000000000", "-100000000000000000"])
+    def test_timestamp_out_of_range(self, tmp_path, stamp):
+        # a read check: the row fails although no session can contain it
+        session = SessionFilter.from_text("08:00-09:00")
+        p = _write(tmp_path / "ts.csv", [_header(), "1000,100.5,1,,", f"{stamp},100.5,1,,", "3000,x,1,,"])
+        self._assert_error(p, 3, f"timestamp {stamp} out of range", session=session)
+
+    def test_price_out_of_range(self, tmp_path):
+        # a grid check: it applies to in-session rows only, after the read checks
+        big = "1000000000000000000000000000000"
+        p = _write(tmp_path / "px.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", f"{_JUN1_UTC_MS + 1},{big},1,,"])
+        self._assert_error(p, 3, f"price: price {big} is out of range for tick 0.5")
+        assert ingest_trades(p, _asset(), session=SessionFilter.from_text("08:00-09:00")) == []
 
 
 def _asset(tick=0.5, eta=0.25):
@@ -583,3 +648,84 @@ def test_session_location_across_both_2009_changes(tz, window, tmp_path):
     session = SessionFilter.from_text(window, tz=tz)
     assert sum(start <= c < stop for c in _offset_change_days(tz)) == 2
     _assert_located_like_oracle(sorted(stamps), session, tmp_path)
+
+
+def _csv_module_read_columns(path: Path) -> _TradeColumns:
+    """The ``csv.reader`` form of ``_read_columns``, kept as the oracle of the tokenizer."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("file is empty", path=path)
+        if [h.strip() for h in header] != TRADE_CSV_HEADER:
+            raise IngestError(
+                f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}", path=path
+            )
+        recs = list(reader)
+    widths = np.fromiter(map(len, recs), np.intp, len(recs))
+    blank = widths == 0
+    blank[widths == 1] = [not recs[i][0].strip() for i in np.flatnonzero(widths == 1)]
+    lines = np.flatnonzero(~blank) + 2
+    if blank.any():
+        recs, widths = [rec for rec, b in zip(recs, blank) if not b], widths[~blank]
+    good = recs[: _first(widths != 5)]
+    ts_col, price_col, size_col, bid_col, ask_col = ([rec[k] for rec in good] for k in range(5))
+    stamps = np.array(_leading_ints(ts_col), dtype=np.int64)
+    price = _distinct(price_col)
+    end = min(
+        _first(np.diff(stamps, prepend=stamps[:1]) < 0),
+        _first(np.array(_leading_ints(size_col)) < 0),
+        _first(np.array([not v.strip() for v in price[0]], dtype=bool)[price[1]]),
+    )
+    if end < len(recs):
+        prev_ts = int(stamps[end - 1]) if end else None
+        raise IngestError(_record_error(recs[end], prev_ts), path=path, line=int(lines[end]))
+    return _TradeColumns(path, lines, stamps, [price, _distinct(bid_col), _distinct(ask_col)])
+
+
+def _columns_or_error(read, path):
+    """A reader's columns as lists, or the line and text of its error."""
+    try:
+        cols = read(path)
+    except IngestError as exc:
+        return exc.line, str(exc)
+    return cols.lines.tolist(), cols.stamps.tolist(), [(values, codes.tolist()) for values, codes in cols.texts]
+
+
+_LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r"))
+_SCRAPS = st.text("0123456789.,- \n\r", max_size=30)
+
+
+@st.composite
+def _quote_free_files(draw):
+    """Valid rows, with any line end, mixed with scraps of digits, separators and line ends."""
+    header = draw(_SCRAPS) if draw(st.integers(0, 9)) == 0 else ",".join(TRADE_CSV_HEADER)
+    parts, ts = [header, draw(_LINE_ENDS)], 1_243_814_400_000
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)):
+            ts += draw(st.integers(0, 5000))
+            price = draw(st.sampled_from(("100", "100.5", " 101 ", "99.25")))
+            bid, ask = draw(st.lists(st.sampled_from(("", "100", "100.5", " 101")), min_size=2, max_size=2))
+            parts += [f"{ts},{price},{draw(st.integers(0, 9))},{bid},{ask}", draw(_LINE_ENDS)]
+        else:
+            parts.append(draw(_SCRAPS))
+    return "".join(parts)
+
+
+@given(_quote_free_files())
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_reads_like_the_csv_module(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scraps.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = _columns_or_error(_csv_module_read_columns, path)
+        except OverflowError:
+            assume(False)  # a timestamp beyond int64 ends the oracle in a traceback
+        got = _columns_or_error(_read_columns, path)
+    if isinstance(got[1], str) and got[1].endswith(" out of range"):
+        # the oracle has no range check: it stops on a later row or keeps the stamp
+        stops_later = isinstance(want[1], str) and want[0] >= got[0]
+        assert stops_later or any(ts not in _STAMP_RANGE for ts in want[1])
+    else:
+        assert got == want
