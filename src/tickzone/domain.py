@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OffGridError, ParameterError
+from .errors import OffGridError, ParameterError, show_field
 
 SUBTICKS_PER_TICK = 1_000_000
 
@@ -96,13 +96,13 @@ class TickGrid:
         try:
             q = Fraction(text.strip()) * SUBTICKS_PER_TICK / self.tick_fraction
         except (ValueError, ZeroDivisionError):
-            raise OffGridError(f"malformed price {text!r}") from None
+            raise OffGridError(f"malformed price {show_field(text)}") from None
         if q.denominator != 1:
             raise OffGridError(
-                f"price {text} is finer than the sub-tick lattice of tick {self.tick_text}"
+                f"price {show_field(text, str)} is finer than the sub-tick lattice of tick {self.tick_text}"
             )
         if abs(q) > _MAX_SUBTICKS:
-            raise OffGridError(f"price {text} is out of range for tick {self.tick_text}")
+            raise OffGridError(f"price {show_field(text, str)} is out of range for tick {self.tick_text}")
         self._parse_cache[text] = int(q)
         return self._parse_cache[text]
 

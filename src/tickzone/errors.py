@@ -1,5 +1,15 @@
 """Exception types raised across the package."""
 
+# a longer field is shown by its head and its length, so one bad field cannot make a huge message
+_FIELD_SHOWN = 40
+
+
+def show_field(text: str, short=repr) -> str:
+    """A field as a message shows it: ``short(text)``, or its quoted head and length if it is long."""
+    if len(text) <= _FIELD_SHOWN:
+        return short(text)
+    return f"{text[:_FIELD_SHOWN] + '…'!r} ({len(text)} characters)"
+
 
 class TickzoneError(Exception):
     """Base class for all package errors."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import logging
 import math
 import sys
@@ -32,12 +33,12 @@ import numpy as np
 
 from .domain import AssetSpec
 from .equilibrium import crossing_probabilities
-from .errors import IngestError, ParameterError, TickzoneError
+from .errors import IngestError, ParameterError, TickzoneError, show_field
 from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
 from .simulator import EfficientPathSpec, TapeConfig, equilibrium_fill_rate, simulate_day
 from .tick_policy import BETA_PRESETS, VERSIONS, TickScenario, optimal_tick
-from .tradefile import SessionFilter, ingest_trades, write_tape_csv
+from .tradefile import SessionFilter, ingest_trades, read_text, write_tape_csv
 
 logger = logging.getLogger(__name__)
 
@@ -300,30 +301,32 @@ def read_daily_records_csv(path: Union[str, Path]) -> List[DailyRecord]:
     get recomputed on the next write.
     """
     path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise IngestError(str(exc), path=path, line=reader.line_num) from None
+    if not rows:
+        raise IngestError("file is empty", path=path)
+    header = rows.pop(0)[1]
+    if header[: len(DAILY_CSV_HEADER)] != DAILY_CSV_HEADER and header != DAILY_CSV_HEADER[:8]:
+        raise IngestError(f"bad header {header!r}", path=path)
     records: List[DailyRecord] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("file is empty", path=path) from None
-        if header[: len(DAILY_CSV_HEADER)] != DAILY_CSV_HEADER and header != DAILY_CSV_HEADER[:8]:
-            raise IngestError(f"bad header {header!r}", path=path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 8:
-                raise IngestError(f"expected at least 8 fields, got {len(row)}", path=path, line=lineno)
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) < 8:
+            raise IngestError(f"expected at least 8 fields, got {len(row)}", path=path, line=lineno)
+        fields = dict(zip(DAILY_CSV_HEADER[:8], row))
+        for name in DAILY_CSV_HEADER[2:8]:
             try:
-                records.append(
-                    DailyRecord(
-                        date=row[0], asset_id=row[1], eta_hat=float(row[2]), alpha=float(row[3]),
-                        sigma_hat=float(row[4]), m_trades=int(row[5]), avg_spread=float(row[6]),
-                        frac_one_tick=float(row[7]),
-                    )
-                )
-            except (ValueError, TickzoneError) as exc:
-                raise IngestError(str(exc), path=path, line=lineno) from None
+                fields[name] = (int if name == "m_trades" else float)(fields[name])
+            except ValueError:
+                raise IngestError(f"bad {name} {show_field(fields[name])}", path=path, line=lineno) from None
+        try:
+            records.append(DailyRecord(**fields))
+        except TickzoneError as exc:
+            raise IngestError(str(exc), path=path, line=lineno) from None
     return records
 
 

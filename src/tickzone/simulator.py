@@ -14,8 +14,10 @@ is a standard Brownian motion, so each change is its exit from an interval:
   crossed, continuing the last move on the ``tick`` side. These exits are
   independent and identically distributed.
 
-Exit times and sides are exact: walks on symmetric intervals, whose unit exit
-time comes from inverting its theta-series distribution. Business time maps
+Exit times and sides are exact: walks on symmetric intervals. The sides
+alone steer a walk; each step's time is its interval's squared half-width
+times a unit exit time, and all the unit exit times of one batch of walks
+come from one inversion of the theta-series distribution. Business time maps
 back to clock time through the piecewise-linear integrated variance, so a
 zero-volatility stretch gets no changes.
 """
@@ -98,19 +100,28 @@ _ODD = 2.0 * np.arange(5) + 1.0
 _SIGN = (-1.0) ** np.arange(5)
 
 
+def _series(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * terms[k], one elementwise product and sum per term.
+
+    Each element is rounded the same wherever it sits in the array; a BLAS
+    product may round an element by its place.
+    """
+    return sum(w * term for w, term in zip(weights, terms))
+
+
 def _long_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(T > t) for the unit exit time T, and its derivative in t."""
-    e = np.exp(-np.outer(t, _ODD**2) * (math.pi**2 / 8.0))
-    survival = (4.0 / math.pi) * (e @ (_SIGN / _ODD))
-    density = (math.pi / 2.0) * (e @ (_SIGN * _ODD))
+    e = np.exp(-np.outer(_ODD**2, t) * (math.pi**2 / 8.0))
+    survival = (4.0 / math.pi) * _series(_SIGN / _ODD, e)
+    density = (math.pi / 2.0) * _series(_SIGN * _ODD, e)
     return np.log(survival), -density / survival
 
 
 def _short_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(T <= t) for the unit exit time T, and its derivative in t."""
-    z = np.outer(1.0 / np.sqrt(2.0 * t), _ODD)
-    cdf = 2.0 * (special.erfc(z) @ _SIGN)
-    density = 2.0 * (np.exp(-z * z) @ (_SIGN * _ODD)) / np.sqrt(2.0 * math.pi * t**3)
+    z = np.outer(_ODD, 1.0 / np.sqrt(2.0 * t))
+    cdf = 2.0 * _series(_SIGN, special.erfc(z))
+    density = 2.0 * _series(_SIGN * _ODD, np.exp(-z * z)) / np.sqrt(2.0 * math.pi * t**3)
     return np.log(cdf), density / cdf
 
 
@@ -118,17 +129,21 @@ _SURVIVAL_AT_HALF = float(np.exp(_long_time_tail(np.array([0.5]))[0][0]))
 
 
 def _newton(tail, t: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve tail(t) = target by Newton's method, to a relative step of 1e-13.
+    """Solve tail(t) = target in place by Newton's method, to a relative step of 1e-13.
 
     Both log tails are monotone and concave in t (the unit exit time is a sum
     of independent exponentials), so from a start where tail(t) < target
-    every step moves toward the root and, up to rounding, not past it.
+    every step moves toward the root and, up to rounding, not past it. Each
+    element stops at its own first small step, so that, with the tails'
+    elementwise sums, its root does not depend on the rest of the batch.
     """
+    todo = np.arange(len(t))
     for _ in range(100):
-        value, slope = tail(t)
-        step = (value - target) / slope
-        t = t - step
-        if np.all(np.abs(step) <= 1e-13 * t):
+        value, slope = tail(t[todo])
+        step = (value - target[todo]) / slope
+        t[todo] -= step
+        todo = todo[np.abs(step) > 1e-13 * t[todo]]
+        if not len(todo):
             break
     return t
 
@@ -144,10 +159,12 @@ def _unit_exit_times(u: np.ndarray) -> np.ndarray:
     """
     t = np.empty_like(u)
     long = u < _SURVIVAL_AT_HALF
-    s = u[long]
-    t[long] = _newton(_long_time_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
-    q = 1.0 - u[~long]
-    t[~long] = _newton(_short_time_tail, 0.5 / special.erfcinv(q / 2.0) ** 2, np.log(q))
+    if long.any():
+        s = u[long]
+        t[long] = _newton(_long_time_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
+    if not long.all():
+        q = 1.0 - u[~long]
+        t[~long] = _newton(_short_time_tail, 0.5 / special.erfcinv(q / 2.0) ** 2, np.log(q))
     return t
 
 
@@ -161,24 +178,32 @@ def _interval_exits(
     with c its half-width and T a unit exit time, on either side with equal
     odds and independently of T. One of the two sides is a boundary, so at
     least half of the walks finish each round.
+
+    Only the sides steer the walks. Each round keeps its walks, its c^2 and
+    its survival draws; the unit exit times of all rounds are then inverted
+    in one solve and added to each walk in round order.
     """
     x = np.zeros(n)
-    times = np.zeros(n)
     at_hi = np.zeros(n, dtype=bool)
     live = np.arange(n)
+    walks, scales, survivals = [], [], []
     while len(live):
         xl = x[live]
         c = np.minimum(xl + lo, hi - xl)
         draws = rng.random((2, len(live)))
-        # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
-        times[live] += c * c * _unit_exit_times(draws[0] + 2.0**-55)
+        walks.append(live)
+        scales.append(c * c)
+        survivals.append(draws[0])
         up = draws[1] < 0.5
         hit_hi = up & (hi - xl <= c)
         done = hit_hi | (~up & (xl + lo <= c))
         at_hi[live[done]] = hit_hi[done]
         x[live] = np.where(up, xl + c, xl - c)
         live = live[~done]
-    return times, at_hi
+    # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
+    steps = np.concatenate(scales) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
+    # bincount adds the steps in the order given, so each walk's in round order
+    return np.bincount(np.concatenate(walks), weights=steps, minlength=n), at_hi
 
 
 def _change_sequence(

@@ -26,7 +26,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
-from .errors import IngestError, OffGridError, ParameterError
+from .errors import IngestError, OffGridError, ParameterError, show_field
 
 logger = logging.getLogger(__name__)
 
@@ -192,30 +192,34 @@ def _record_error(rec: List[str], prev_ts: Optional[int]) -> Optional[str]:
     try:
         ts = int(ts_text)
     except ValueError:
-        return f"bad timestamp {ts_text!r}"
+        return f"bad timestamp {show_field(ts_text)}"
     if ts not in _STAMP_RANGE:
-        return f"timestamp {ts_text} out of range"
+        return f"timestamp {show_field(ts_text, str)} out of range"
     if prev_ts is not None and ts < prev_ts:
         return "timestamps must be non-decreasing"
     try:
         size = int(size_text)
     except ValueError:
-        return f"bad size {size_text!r}"
+        return f"bad size {show_field(size_text)}"
     if size < 0:
         return f"negative size {size}"
     return None if price else "missing price"
 
 
-def _lines(path: Path) -> List[str]:
-    """The file's lines, each ended by ``\\n``, ``\\r\\n`` or ``\\r``; a final line end starts no line."""
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is an IngestError at its line."""
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].decode("utf-8")
         line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
         raise IngestError("file is not UTF-8 text", path=path, line=line) from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _lines(path: Path) -> List[str]:
+    """The file's lines, each ended by ``\\n``, ``\\r\\n`` or ``\\r``; a final line end starts no line."""
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
@@ -276,7 +280,7 @@ def _check_quotes(grid: TickGrid, price: str, bid: str, ask: str) -> Union[str, 
         except OffGridError as exc:
             return f"{what}: {exc}"
         if len(q) == 1 and q[0] % SUBTICKS_PER_TICK != 0:
-            return f"price {text} off the tick grid"
+            return f"price {show_field(text, str)} off the tick grid"
     if NO_QUOTE not in q[1:] and q[2] <= q[1]:
         return "ask must exceed bid"
     if NO_QUOTE not in q[1:] and (q[2] - q[1]) % SUBTICKS_PER_TICK != 0:

@@ -210,6 +210,29 @@ class TestDailyRecordsCsv:
         with pytest.raises(IngestError):
             read_daily_records_csv(invalid)
 
+    _GOOD_ROW = "2009-06-01,A,0.2,0.01,0.5,100,0.01,90"
+
+    def _assert_error(self, path, line, message):
+        with pytest.raises(IngestError) as err:
+            read_daily_records_csv(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_byte_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "ff.csv"
+        p.write_bytes(f"{','.join(DAILY_CSV_HEADER)}\n{self._GOOD_ROW}\n2009-06-02,A,0.2\xff,".encode("latin-1"))
+        self._assert_error(p, 3, "file is not UTF-8 text")
+
+    def test_field_over_the_csv_field_limit(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text(f"{','.join(DAILY_CSV_HEADER)}\n{self._GOOD_ROW}\n2009-06-02,A,{'9' * 200_000},0.01\n")
+        self._assert_error(p, 3, f"field larger than field limit ({csv.field_size_limit()})")
+
+    def test_long_bad_number_is_shown_short(self, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text(f"{','.join(DAILY_CSV_HEADER)}\n{self._GOOD_ROW.replace('0.2', 'x' * 100_000)}\n")
+        self._assert_error(p, 2, f"bad eta_hat '{'x' * 40}…' (100000 characters)")
+
 
 class TestEmitCloud:
     def test_raw_cloud_points(self, tmp_path):

@@ -15,6 +15,7 @@ from tickzone import (
     generate_tape,
     simulate_day,
 )
+from tickzone import simulator
 from tickzone.simulator import _interval_exits, _strictly_increasing_ms, _unit_exit_times
 
 
@@ -76,6 +77,26 @@ def _theta_survival(t: float) -> float:
     )
 
 
+def _per_round_interval_exits(lo, hi, n, rng):
+    """The walk with one unit-exit-time solve per round: the oracle of the one-solve walk."""
+    x = np.zeros(n)
+    times = np.zeros(n)
+    at_hi = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    while len(live):
+        xl = x[live]
+        c = np.minimum(xl + lo, hi - xl)
+        draws = rng.random((2, len(live)))
+        times[live] += c * c * _unit_exit_times(draws[0] + 2.0**-55)
+        up = draws[1] < 0.5
+        hit_hi = up & (hi - xl <= c)
+        done = hit_hi | (~up & (xl + lo <= c))
+        at_hi[live[done]] = hit_hi[done]
+        x[live] = np.where(up, xl + c, xl - c)
+        live = live[~done]
+    return times, at_hi
+
+
 class TestExactExits:
     def test_unit_exit_time_inverts_the_theta_series(self):
         u = np.concatenate(
@@ -132,6 +153,50 @@ class TestExactExits:
         ups = sum(d > 0 for d in firsts)
         p = 1.24 / 1.5
         assert abs(ups / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize(
+        "lo, hi, n, seed",
+        [(0.5, 1.0, 1, 0), (1.05, 0.45, 1, 3), (0.74, 0.26, 1, 4), (0.5, 1.0, 5_000, 1),
+         (0.2, 1.0, 3_000, 2), (0.8, 1.0, 257, 5), (1.05, 0.45, 100, 6)],
+    )
+    def test_one_solve_matches_one_solve_per_round(self, lo, hi, n, seed):
+        # off-centre (lo, hi) pairs are first-exit bands around a start off the grid point
+        want = _per_round_interval_exits(lo, hi, n, np.random.default_rng(seed))
+        got = _interval_exits(lo, hi, n, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_unit_exit_times_of_a_concatenation(self):
+        # a root must not depend on the batch it is solved in, nor on its place in it
+        rng = np.random.default_rng(12)
+        for sizes in ([1, 1], [1, 2, 3, 4, 5], [1000, 1, 37], [4096, 513, 2, 2049, 7]):
+            parts = [rng.random(k) + 2.0**-55 for k in sizes]
+            whole = _unit_exit_times(np.concatenate(parts))
+            assert np.array_equal(whole, np.concatenate([_unit_exit_times(u) for u in parts]))
+
+    def test_one_unit_exit_solve_per_walk(self, monkeypatch):
+        calls = {"walks": 0, "solves": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "_interval_exits", counted("walks", simulator._interval_exits))
+        monkeypatch.setattr(simulator, "_unit_exit_times", counted("solves", simulator._unit_exit_times))
+        spec = EfficientPathSpec(x0=100.0037, volatility=0.01, horizon=3600.0)
+        simulate_day(spec, AssetSpec("A", 0.01, eta=0.25), TapeConfig(seed=2))
+        assert calls["walks"] >= 2  # the first exit and at least one batch of later ones
+        assert calls["solves"] == calls["walks"]
+
+    @pytest.mark.parametrize("u, solves", [([0.3], 1), ([0.9], 1), ([0.3, 0.9], 2)])
+    def test_empty_branch_is_not_solved(self, monkeypatch, u, solves):
+        calls = []
+        newton = simulator._newton
+        monkeypatch.setattr(simulator, "_newton", lambda *args: calls.append(1) or newton(*args))
+        _unit_exit_times(np.array(u))
+        assert len(calls) == solves
 
     def test_memory_grows_with_changes_not_time(self):
         # 1 h at sigma 0.03 is about 65k changes

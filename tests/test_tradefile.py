@@ -206,9 +206,20 @@ class TestReadTradeRows:
         self._assert_error(p, 4, "file is not UTF-8 text")
 
     def test_field_of_200_kb(self, tmp_path):
+        # a long field is shown by its first 40 characters and its length
         huge = "x" * 200_000
         p = _write(tmp_path / "huge.csv", [_header(), "1000,100.5,1,,", f"{huge},100.5,1,,"])
-        self._assert_error(p, 3, f"bad timestamp {huge!r}")
+        self._assert_error(p, 3, f"bad timestamp '{'x' * 40}…' (200000 characters)")
+
+    def test_price_of_200_kb(self, tmp_path):
+        huge = "x" * 200_000
+        p = _write(tmp_path / "huge.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", f"{_JUN1_UTC_MS + 1},{huge},1,,"])
+        self._assert_error(p, 3, f"price: malformed price '{'x' * 40}…' (200000 characters)")
+
+    @pytest.mark.parametrize("size, shown", [("y" * 40, repr("y" * 40)), ("y" * 41, f"'{'y' * 40}…' (41 characters)")])
+    def test_field_shown_whole_up_to_40_characters(self, tmp_path, size, shown):
+        p = _write(tmp_path / "size.csv", [_header(), "1000,100.5,1,,", f"2000,100.5,{size},,"])
+        self._assert_error(p, 3, f"bad size {shown}")
 
     def test_nul_byte(self, tmp_path):
         p = _write(tmp_path / "nul.csv", [_header(), "1000,100.5,1,,", "2000\0,100.5,1,,"])
