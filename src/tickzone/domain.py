@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OffGridError, ParameterError, show_field
+from .errors import OffGridError, ParameterError, TapeError, show_field
 
 SUBTICKS_PER_TICK = 1_000_000
 
@@ -67,7 +67,7 @@ class TickGrid:
     CSV prices never suffer binary rounding.
     """
 
-    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum", "_parse_cache")
+    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum")
 
     def __init__(self, tick_value):
         if isinstance(tick_value, float):
@@ -85,14 +85,9 @@ class TickGrid:
         self.tick_fraction = frac
         self.tick_value = float(frac)
         self.quantum = self.tick_value / SUBTICKS_PER_TICK
-        # ingest checks each distinct (price, bid, ask) row, so a price text recurs
-        self._parse_cache = {}
 
     def subticks_from_text(self, text: str) -> int:
         """Parse a decimal price string to sub-ticks, exactly."""
-        cached = self._parse_cache.get(text)
-        if cached is not None:
-            return cached
         try:
             q = Fraction(text.strip()) * SUBTICKS_PER_TICK / self.tick_fraction
         except (ValueError, ZeroDivisionError):
@@ -103,8 +98,7 @@ class TickGrid:
             )
         if abs(q) > _MAX_SUBTICKS:
             raise OffGridError(f"price {show_field(text, str)} is out of range for tick {self.tick_text}")
-        self._parse_cache[text] = int(q)
-        return self._parse_cache[text]
+        return int(q)
 
     def subticks_from_currency(self, x: float) -> int:
         """Convert a float price known to sit on the lattice."""
@@ -146,6 +140,12 @@ class TickGrid:
         return f"TickGrid({self.tick_text})"
 
 
+def _first_fault(mask: np.ndarray, message: str) -> None:
+    """Raise a TapeError at the first row where ``mask`` is set."""
+    if mask.any():
+        raise TapeError(message, int(np.argmax(mask)))
+
+
 @dataclass(frozen=True)
 class TradeEvent:
     """One trade with its pre-trade quotes, for building small tapes."""
@@ -154,8 +154,6 @@ class TradeEvent:
     price: float
     pre_bid: Optional[float]
     pre_ask: Optional[float]
-    changed_price: bool
-    direction: int
 
 
 class TradeTape:
@@ -163,9 +161,15 @@ class TradeTape:
 
     Prices and quotes are integer sub-ticks on ``grid``. Times are seconds
     since session open with millisecond resolution, strictly increasing.
-    A trade either repeats the previous traded price (direction 0) or moves
-    it by exactly one tick (direction +1 or -1); the first trade's direction
-    is taken against ``opening_price_q``.
+    A trade either repeats the previous traded price or moves it by exactly
+    one tick, so ``direction`` (0, +1 or -1 per trade) is derived from the
+    prices; the first trade's move is taken against ``opening_price_q``.
+
+    Construction is the one check of a tape. A row that breaks a rule raises
+    a :class:`TapeError` naming the row; rows are checked rule by rule:
+    strictly increasing times, prices on the tick grid, quotes (the ask above
+    the bid by a whole number of ticks, where both are present), and moves of
+    at most one tick.
     """
 
     def __init__(
@@ -175,8 +179,6 @@ class TradeTape:
         price_q,
         bid_q,
         ask_q,
-        changed,
-        direction,
         session_length: float,
         opening_price_q: int,
         grid: Optional[TickGrid] = None,
@@ -187,12 +189,10 @@ class TradeTape:
         self.price_q = np.asarray(price_q, dtype=np.int64)
         self.bid_q = np.asarray(bid_q, dtype=np.int64)
         self.ask_q = np.asarray(ask_q, dtype=np.int64)
-        self.changed = np.asarray(changed, dtype=bool)
-        self.direction = np.asarray(direction, dtype=np.int8)
         self.session_length = float(session_length)
         self.opening_price_q = int(opening_price_q)
+        self.direction = np.sign(self._validate()).astype(np.int8)
         self._change_idx: Optional[np.ndarray] = None
-        self._validate()
 
     # ------------------------------------------------------------------ build
 
@@ -211,65 +211,37 @@ class TradeTape:
         price_q = [g.subticks_from_currency(e.price) for e in events]
         bid_q = [NO_QUOTE if e.pre_bid is None else g.subticks_from_currency(e.pre_bid) for e in events]
         ask_q = [NO_QUOTE if e.pre_ask is None else g.subticks_from_currency(e.pre_ask) for e in events]
-        return cls(
-            asset,
-            times,
-            price_q,
-            bid_q,
-            ask_q,
-            [e.changed_price for e in events],
-            [e.direction for e in events],
-            session_length,
-            g.subticks_from_currency(opening_price),
-            grid=g,
-        )
+        opening_q = g.subticks_from_currency(opening_price)
+        return cls(asset, times, price_q, bid_q, ask_q, session_length, opening_q, grid=g)
 
-    def _validate(self):
+    def _validate(self) -> np.ndarray:
+        """Check the tape; returns each trade's price move in sub-ticks."""
         n = len(self.times)
-        for name, arr in (
-            ("price_q", self.price_q),
-            ("bid_q", self.bid_q),
-            ("ask_q", self.ask_q),
-            ("changed", self.changed),
-            ("direction", self.direction),
-        ):
+        for name, arr in (("price_q", self.price_q), ("bid_q", self.bid_q), ("ask_q", self.ask_q)):
             if len(arr) != n:
                 raise ParameterError(f"column {name} has length {len(arr)}, expected {n}")
         if self.session_length <= 0:
             raise ParameterError("session_length must be > 0")
+        moves = np.diff(self.price_q, prepend=self.opening_price_q)
         if n == 0:
-            return
+            return moves
         if self.times[0] < 0 or self.times[-1] > self.session_length + 1e-9:
             raise ParameterError("trade times must lie within [0, session_length]")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
-            i = int(np.argmin(np.diff(self.times) > 0))
-            raise ParameterError(f"trade times must be strictly increasing (row {i + 1})")
-        if np.any(self.price_q % SUBTICKS_PER_TICK != 0):
-            i = int(np.argmax(self.price_q % SUBTICKS_PER_TICK != 0))
-            raise OffGridError(f"traded price off the tick grid at row {i}")
+        _first_fault(~(np.diff(self.times, prepend=-np.inf) > 0), "trade times must be strictly increasing")
+        _first_fault(self.price_q % SUBTICKS_PER_TICK != 0, "traded price off the tick grid")
         if self.opening_price_q % SUBTICKS_PER_TICK != 0:
             raise OffGridError("opening price off the tick grid")
-        bad_dir = ~np.isin(self.direction, (-1, 0, 1))
-        if np.any(bad_dir):
-            raise ParameterError(f"direction outside {{-1,0,1}} at row {int(np.argmax(bad_dir))}")
-        if np.any(self.changed != (self.direction != 0)):
-            i = int(np.argmax(self.changed != (self.direction != 0)))
-            raise ParameterError(f"changed_price and direction disagree at row {i}")
-        prev = np.concatenate(([self.opening_price_q], self.price_q[:-1]))
-        delta = self.price_q - prev
-        expect = self.direction.astype(np.int64) * SUBTICKS_PER_TICK
-        if np.any(delta != expect):
-            i = int(np.argmax(delta != expect))
-            raise ParameterError(
-                f"price move at row {i} is not one tick in the flagged direction"
-            )
-        have = (self.bid_q != NO_QUOTE) & (self.ask_q != NO_QUOTE)
-        if np.any(have):
-            spread = self.ask_q[have] - self.bid_q[have]
-            if np.any(spread <= 0):
-                raise ParameterError("pre_ask must exceed pre_bid")
-            if np.any(spread % SUBTICKS_PER_TICK != 0):
-                raise ParameterError("quoted spread must be a whole number of ticks")
+        quoted = np.flatnonzero((self.bid_q != NO_QUOTE) & (self.ask_q != NO_QUOTE))
+        spread = self.ask_q[quoted] - self.bid_q[quoted]
+        crossed = spread <= 0
+        broken = crossed | (spread % SUBTICKS_PER_TICK != 0)
+        if broken.any():
+            i = int(np.argmax(broken))
+            message = "ask must exceed bid" if crossed[i] else "spread is not a whole number of ticks"
+            raise TapeError(message, int(quoted[i]))
+        jumps = np.abs(moves) > SUBTICKS_PER_TICK
+        _first_fault(jumps, "price jumped more than one tick; outside the one-tick model")
+        return moves
 
     # ------------------------------------------------------------------ views
 
@@ -287,7 +259,7 @@ class TradeTape:
     @property
     def change_indices(self) -> np.ndarray:
         if self._change_idx is None:
-            self._change_idx = np.flatnonzero(self.changed)
+            self._change_idx = np.flatnonzero(self.direction)
         return self._change_idx
 
     @property

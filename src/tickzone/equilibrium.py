@@ -14,6 +14,7 @@ import numpy as np
 
 from .domain import AssetSpec
 from .errors import ParameterError
+from .simulator import _interval_exits
 
 DEFAULT_WYART_C = 2.0
 
@@ -91,48 +92,17 @@ def equilibrium_report(
 def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple[float, float]:
     """Monte Carlo check of the crossing probabilities.
 
-    Simulates driftless Brownian paths from a fresh crossing, with barriers
-    2*eta ticks below and one tick above, bridge-corrected within steps, and
-    reports the fraction absorbed at each side. The odds depend on neither
-    the tick value nor the volatility, so both are one. Independent of the
-    traded price machinery on purpose.
+    Samples exact exits of driftless Brownian paths from a fresh crossing,
+    with barriers 2*eta ticks below and one tick above, and reports the
+    fraction absorbed at each side. The odds depend on neither the tick value
+    nor the volatility, so both are one. The sampler walks on symmetric
+    intervals, leaving each on either side with equal odds, so it never uses
+    the gambler's-ruin odds that it checks.
     """
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    lo = -2.0 * eta
-    hi = 1.0
-    sdt = eta / 5.0  # one-step noise, a tenth of the band width 2*eta
-    var = sdt * sdt
-    x = np.zeros(n_trials)
-    n_dn = 0
-    n_up = 0
-    guard = 0
-    while len(x):
-        guard += 1
-        if guard > 10_000_000:
-            raise RuntimeError("first-passage simulation failed to absorb")
-        x1 = x + sdt * rng.standard_normal(len(x))
-        det_up = x1 >= hi
-        det_dn = x1 <= lo
-        pu = np.exp(np.minimum(-2.0 * (hi - x) * (hi - x1) / var, 0.0))
-        pd = np.exp(np.minimum(-2.0 * (x - lo) * (x1 - lo) / var, 0.0))
-        draws = rng.random((2, len(x)))
-        hit_up = det_up | (draws[0] < pu)
-        hit_dn = det_dn | (draws[1] < pd)
-        both = hit_up & hit_dn
-        if np.any(both):
-            # earliest tent-path time decides which barrier came first
-            up_den = np.where(det_up, x1 - x, (hi - x) + (hi - x1))
-            dn_den = np.where(det_dn, x - x1, (x - lo) + (x1 - lo))
-            t_up = (hi - x) / np.where(up_den > 0, up_den, np.inf)
-            t_dn = (x - lo) / np.where(dn_den > 0, dn_den, np.inf)
-            up_first = t_up <= t_dn
-            hit_up = np.where(both, up_first, hit_up)
-            hit_dn = np.where(both, ~up_first, hit_dn)
-        n_up += int(np.count_nonzero(hit_up))
-        n_dn += int(np.count_nonzero(hit_dn))
-        x = x1[~(hit_up | hit_dn)]
-    return n_dn / n_trials, n_up / n_trials
+    _, continued = _interval_exits(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))
+    n_up = int(np.count_nonzero(continued))
+    return (n_trials - n_up) / n_trials, n_up / n_trials

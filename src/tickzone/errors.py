@@ -19,6 +19,15 @@ class ParameterError(TickzoneError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class TapeError(ParameterError):
+    """A tape row breaks a tape rule; ``row`` is its index and ``message`` the rule."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(f"row {row}: {message}")
+        self.message = message
+        self.row = row
+
+
 class DomainError(TickzoneError, ValueError):
     """A closed-form expression was evaluated outside its mathematical domain."""
 

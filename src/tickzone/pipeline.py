@@ -310,7 +310,7 @@ def read_daily_records_csv(path: Union[str, Path]) -> List[DailyRecord]:
         raise IngestError("file is empty", path=path)
     header = rows.pop(0)[1]
     if header[: len(DAILY_CSV_HEADER)] != DAILY_CSV_HEADER and header != DAILY_CSV_HEADER[:8]:
-        raise IngestError(f"bad header {header!r}", path=path)
+        raise IngestError(f"bad header {show_field(','.join(header), lambda _: repr(header))}", path=path)
     records: List[DailyRecord] = []
     for lineno, row in rows:
         if not row:

@@ -332,10 +332,8 @@ def generate_tape(
     is_change = order < n_ch
 
     ticks = np.empty(len(times), dtype=np.int64)
-    direction = np.zeros(len(times), dtype=np.int8)
     if n_ch:
         ticks[is_change] = ch_ticks
-        direction[is_change] = changes.directions
         # a fill repeats the last changed price before it, or the opening price
         last_change = np.searchsorted(changes.times, times[~is_change], side="right") - 1
         fill_ticks = np.where(last_change >= 0, ch_ticks[np.maximum(last_change, 0)], k_open)
@@ -349,18 +347,15 @@ def generate_tape(
         next_dir = np.where(nxt < n_ch, changes.directions[np.minimum(nxt, n_ch - 1)], -changes.directions[-1])
     else:
         next_dir = np.ones(len(times), dtype=np.int8)
-    at_ask = np.where(is_change, direction > 0, next_dir < 0)
+    at_ask = next_dir < 0
+    at_ask[is_change] = changes.directions > 0
 
     price_q = ticks * SUBTICKS_PER_TICK
     bid_q = np.where(at_ask, price_q - SUBTICKS_PER_TICK, price_q)
     ask_q = np.where(at_ask, price_q, price_q + SUBTICKS_PER_TICK)
 
-    # vendor-view convention: the first row never counts as a change
-    opening_q = k_open * SUBTICKS_PER_TICK
-    if len(times):
-        is_change[0] = False
-        direction[0] = 0
-        opening_q = int(price_q[0])
+    # vendor-view convention: the tape opens at its first row, so that row never counts as a change
+    opening_q = int(price_q[0]) if len(times) else k_open * SUBTICKS_PER_TICK
 
     ms = _strictly_increasing_ms(times)
     t_canon = ms / 1000.0
@@ -371,8 +366,6 @@ def generate_tape(
         price_q=price_q,
         bid_q=bid_q,
         ask_q=ask_q,
-        changed=is_change,
-        direction=direction,
         session_length=session_length,
         opening_price_q=opening_q,
         grid=grid,

@@ -26,7 +26,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
-from .errors import IngestError, OffGridError, ParameterError, show_field
+from .errors import IngestError, OffGridError, ParameterError, TapeError, show_field
 
 logger = logging.getLogger(__name__)
 
@@ -247,7 +247,8 @@ def _read_columns(path: Path) -> _TradeColumns:
     head = recs.pop(0)
     header = head.split(",") if head else []
     if [h.strip() for h in header] != TRADE_CSV_HEADER:
-        raise IngestError(f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}", path=path)
+        shown = show_field(head, lambda _: repr(header))
+        raise IngestError(f"bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}", path=path)
     widths = np.fromiter(map(str.count, recs, repeat(",")), np.intp, len(recs)) + 1
     blank = widths == 1
     blank[blank] = [not recs[i].strip() for i in np.flatnonzero(blank)]
@@ -271,54 +272,59 @@ def _read_columns(path: Path) -> _TradeColumns:
     return _TradeColumns(path, lines, stamps, [price, _distinct(bid_col), _distinct(ask_col)])
 
 
-def _check_quotes(grid: TickGrid, price: str, bid: str, ask: str) -> Union[str, List[int]]:
-    """Sub-ticks of one in-session row's price, bid and ask, or its first grid or quote failure."""
-    q: List[int] = []
-    for what, text in (("price", price.strip()), ("bid", bid.strip()), ("ask", ask.strip())):
-        try:
-            q.append(grid.subticks_from_text(text) if text else NO_QUOTE)
-        except OffGridError as exc:
-            return f"{what}: {exc}"
-        if len(q) == 1 and q[0] % SUBTICKS_PER_TICK != 0:
-            return f"price {show_field(text, str)} off the tick grid"
-    if NO_QUOTE not in q[1:] and q[2] <= q[1]:
-        return "ask must exceed bid"
-    if NO_QUOTE not in q[1:] and (q[2] - q[1]) % SUBTICKS_PER_TICK != 0:
-        return "spread is not a whole number of ticks"
+def _subticks(grid: TickGrid, what: str, text: str) -> Union[int, str]:
+    """Sub-ticks of one price, bid or ask text (a blank quote is NO_QUOTE), or why it fails to parse."""
+    text = text.strip()
+    if not text:
+        return NO_QUOTE
+    try:
+        q = grid.subticks_from_text(text)
+    except OffGridError as exc:
+        return f"{what}: {exc}"
+    if what == "price" and q % SUBTICKS_PER_TICK != 0:
+        return f"price {show_field(text, str)} off the tick grid"
     return q
+
+
+def _parse_column(
+    grid: TickGrid, what: str, column: tuple, rows: np.ndarray
+) -> tuple[Optional[np.ndarray], int, Optional[str]]:
+    """Sub-ticks of the rows' cells, parsing each distinct text they use once.
+
+    Returns (sub-ticks, len(rows), None), or (None, first failing row, its message).
+    """
+    values, codes = column
+    row_codes = codes[rows]
+    used = np.zeros(len(values), dtype=bool)
+    used[row_codes] = True
+    cells = [_subticks(grid, what, v) if u else 0 for v, u in zip(values, used.tolist())]
+    i = _first(np.array([isinstance(c, str) for c in cells])[row_codes])
+    if i < len(rows):
+        return None, i, cells[row_codes[i]]
+    return np.array(cells, dtype=np.int64)[row_codes], i, None
 
 
 def _build_day_tape(
     asset: AssetSpec, grid: TickGrid, day: date_type, cols: _TradeColumns, rows: np.ndarray,
     session: SessionFilter,
 ) -> TradeTape:
-    # the grid and quote checks read only a row's three texts, so each
-    # distinct (price, bid, ask) is checked once; `key` numbers them per row
-    key = np.zeros(len(rows), dtype=np.int64)
-    for values, codes in cols.texts:
-        _, firsts, key = np.unique(key * len(values) + codes[rows], return_index=True, return_inverse=True)
-    checked = [_check_quotes(grid, *(values[codes[rows[i]]] for values, codes in cols.texts)) for i in firsts]
-    failed = np.array([isinstance(c, str) for c in checked])[key]
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise IngestError(checked[key[i]], path=cols.path, line=int(cols.lines[rows[i]]))
-    price_q, bid_q, ask_q = np.array(checked, dtype=np.int64)[key].T.copy()
-    delta = np.diff(price_q, prepend=price_q[:1])
-    jumps = np.abs(delta) > SUBTICKS_PER_TICK
-    if jumps.any():
-        raise IngestError(
-            "price jumped more than one tick; outside the one-tick model",
-            path=cols.path, line=int(cols.lines[rows[np.argmax(jumps)]]),
-        )
+    # the tape itself checks the quotes and the moves
+    parsed = [_parse_column(grid, what, column, rows) for what, column in zip(("price", "bid", "ask"), cols.texts)]
+    _, i, message = min(parsed, key=lambda p: p[1])  # on a tie, price before bid before ask
+    if message is not None:
+        raise IngestError(message, path=cols.path, line=int(cols.lines[rows[i]]))
+    price_q, bid_q, ask_q = (q for q, _, _ in parsed)
     # identical-millisecond prints are pushed forward to keep times strict
     ramp = np.arange(len(rows), dtype=np.int64)
     ms = np.maximum.accumulate(cols.stamps[rows] - session.open_epoch_ms(day) - ramp) + ramp
-    direction = np.sign(delta).astype(np.int8)
     session_length = max(session.length_seconds, ms[-1] / 1000.0)
-    return TradeTape(
-        asset, ms / 1000.0, price_q, bid_q, ask_q, direction != 0, direction,
-        session_length=session_length, opening_price_q=int(price_q[0]), grid=grid,
-    )
+    try:
+        return TradeTape(
+            asset, ms / 1000.0, price_q, bid_q, ask_q,
+            session_length=session_length, opening_price_q=int(price_q[0]), grid=grid,
+        )
+    except TapeError as exc:
+        raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows[exc.row]])) from None
 
 
 def ingest_trades(
@@ -332,9 +338,10 @@ def ingest_trades(
     Every row of every file passes the read checks first. Rows outside the
     session window are then dropped. When several files cover the same day
     (different contract maturities), the file with the most in-session
-    trades wins, and only its rows get the grid and quote checks; ties go to
-    the lexicographically first path so reruns stay deterministic. Days with
-    an empty session are skipped with a warning.
+    trades wins; ties go to the lexicographically first path so reruns stay
+    deterministic. Only the winner's rows are parsed against the grid and
+    built into the tape, which checks the quotes and the one-tick rule. Days
+    with an empty session are skipped with a warning.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]

@@ -8,6 +8,7 @@ from tickzone import (
     AssetSpec,
     OffGridError,
     ParameterError,
+    TapeError,
     TickGrid,
     TradeEvent,
     TradeTape,
@@ -126,16 +127,32 @@ class TestTickGrid:
 def _events():
     # open at 100, one up move, a fill, one down move
     return [
-        TradeEvent(time=0.5, price=100.0, pre_bid=100.0, pre_ask=101.0, changed_price=False, direction=0),
-        TradeEvent(time=1.0, price=101.0, pre_bid=100.0, pre_ask=101.0, changed_price=True, direction=1),
-        TradeEvent(time=2.5, price=101.0, pre_bid=101.0, pre_ask=102.0, changed_price=False, direction=0),
-        TradeEvent(time=3.0, price=100.0, pre_bid=100.0, pre_ask=101.0, changed_price=True, direction=-1),
+        TradeEvent(time=0.5, price=100.0, pre_bid=100.0, pre_ask=101.0),
+        TradeEvent(time=1.0, price=101.0, pre_bid=100.0, pre_ask=101.0),
+        TradeEvent(time=2.5, price=101.0, pre_bid=101.0, pre_ask=102.0),
+        TradeEvent(time=3.0, price=100.0, pre_bid=100.0, pre_ask=101.0),
     ]
 
 
 def _tape(**kw):
     asset = AssetSpec("T", 1.0, eta=0.25)
     return TradeTape.from_events(asset, _events(), session_length=10.0, opening_price=100.0, **kw)
+
+
+def _fault(price_q, bid_q=None, ask_q=None, times=None, opening_q=0):
+    """The TapeError of a tape built from these columns."""
+    n = len(price_q)
+    with pytest.raises(TapeError) as err:
+        TradeTape(
+            AssetSpec("T", 1.0),
+            times if times is not None else np.arange(1.0, n + 1.0),
+            price_q,
+            bid_q if bid_q is not None else [NO_QUOTE] * n,
+            ask_q if ask_q is not None else [NO_QUOTE] * n,
+            10.0,
+            opening_q,
+        )
+    return err.value
 
 
 class TestTradeTape:
@@ -159,14 +176,18 @@ class TestTradeTape:
         assert list(tape.prices()) == [e.price for e in events]
         assert list(tape.grid.currency(tape.bid_q)) == [e.pre_bid for e in events]
         assert list(tape.grid.currency(tape.ask_q)) == [e.pre_ask for e in events]
-        assert list(tape.changed) == [e.changed_price for e in events]
-        assert list(tape.direction) == [e.direction for e in events]
+
+    def test_direction_follows_the_prices(self):
+        assert list(_tape().direction) == [0, 1, 0, -1]
+        asset = AssetSpec("T", 1.0)
+        tape = TradeTape(asset, [1.0], [99 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE], 10.0,
+                         100 * SUBTICKS_PER_TICK)
+        assert list(tape.direction) == [-1]
+        assert list(tape.change_indices) == [0]
 
     def test_missing_quotes_round_trip(self):
         asset = AssetSpec("T", 1.0, eta=0.25)
-        events = [
-            TradeEvent(time=1.0, price=100.0, pre_bid=None, pre_ask=None, changed_price=False, direction=0)
-        ]
+        events = [TradeEvent(time=1.0, price=100.0, pre_bid=None, pre_ask=None)]
         tape = TradeTape.from_events(asset, events, session_length=2.0, opening_price=100.0)
         assert tape.bid_q[0] == NO_QUOTE
         assert not tape.quote_mask().any()
@@ -174,64 +195,54 @@ class TestTradeTape:
     def test_rejects_non_increasing_times(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="strictly increasing"):
-            TradeTape(asset, [1.0, 1.0], [0, 0], [NO_QUOTE] * 2, [NO_QUOTE] * 2,
-                      [False, False], [0, 0], 10.0, 0)
+            TradeTape(asset, [1.0, 1.0], [0, 0], [NO_QUOTE] * 2, [NO_QUOTE] * 2, 10.0, 0)
 
     def test_rejects_times_outside_session(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="within"):
-            TradeTape(asset, [11.0], [0], [NO_QUOTE], [NO_QUOTE], [False], [0], 10.0, 0)
+            TradeTape(asset, [11.0], [0], [NO_QUOTE], [NO_QUOTE], 10.0, 0)
         with pytest.raises(ParameterError, match="within"):
-            TradeTape(asset, [-1.0], [0], [NO_QUOTE], [NO_QUOTE], [False], [0], 10.0, 0)
+            TradeTape(asset, [-1.0], [0], [NO_QUOTE], [NO_QUOTE], 10.0, 0)
 
     def test_rejects_off_grid_price(self):
         asset = AssetSpec("T", 1.0)
-        with pytest.raises(OffGridError):
-            TradeTape(asset, [1.0], [SUBTICKS_PER_TICK // 2], [NO_QUOTE], [NO_QUOTE],
-                      [False], [0], 10.0, 0)
+        with pytest.raises(TapeError, match="off the tick grid"):
+            TradeTape(asset, [1.0], [SUBTICKS_PER_TICK // 2], [NO_QUOTE], [NO_QUOTE], 10.0, 0)
+
+    def test_rejects_off_grid_opening_price(self):
+        asset = AssetSpec("T", 1.0)
+        with pytest.raises(OffGridError, match="opening"):
+            TradeTape(asset, [1.0], [0], [NO_QUOTE], [NO_QUOTE], 10.0, SUBTICKS_PER_TICK // 2)
 
     def test_rejects_two_tick_jump(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="one tick"):
-            TradeTape(asset, [1.0], [2 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE],
-                      [True], [1], 10.0, 0)
-
-    def test_rejects_changed_direction_disagreement(self):
-        asset = AssetSpec("T", 1.0)
-        with pytest.raises(ParameterError, match="disagree"):
-            TradeTape(asset, [1.0], [0], [NO_QUOTE], [NO_QUOTE], [True], [0], 10.0, 0)
-
-    def test_rejects_bad_direction_value(self):
-        asset = AssetSpec("T", 1.0)
-        with pytest.raises(ParameterError, match="direction"):
-            TradeTape(asset, [1.0], [2 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE],
-                      [True], [2], 10.0, 0)
+            TradeTape(asset, [1.0], [2 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE], 10.0, 0)
 
     def test_rejects_inverted_quotes(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="exceed"):
-            TradeTape(asset, [1.0], [SUBTICKS_PER_TICK], [SUBTICKS_PER_TICK],
-                      [SUBTICKS_PER_TICK], [True], [1], 10.0, 0)
+            TradeTape(asset, [1.0], [SUBTICKS_PER_TICK], [SUBTICKS_PER_TICK], [SUBTICKS_PER_TICK], 10.0, 0)
 
     def test_rejects_fractional_tick_spread(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="whole"):
-            TradeTape(asset, [1.0], [SUBTICKS_PER_TICK], [0],
-                      [SUBTICKS_PER_TICK + SUBTICKS_PER_TICK // 2], [True], [1], 10.0, 0)
+            TradeTape(asset, [1.0], [SUBTICKS_PER_TICK], [0], [SUBTICKS_PER_TICK + SUBTICKS_PER_TICK // 2],
+                      10.0, 0)
 
     def test_rejects_column_length_mismatch(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="length"):
-            TradeTape(asset, [1.0, 2.0], [0], [NO_QUOTE], [NO_QUOTE], [False], [0], 10.0, 0)
+            TradeTape(asset, [1.0, 2.0], [0], [NO_QUOTE], [NO_QUOTE], 10.0, 0)
 
     def test_rejects_nonpositive_session(self):
         asset = AssetSpec("T", 1.0)
         with pytest.raises(ParameterError, match="session_length"):
-            TradeTape(asset, [], [], [], [], [], [], 0.0, 0)
+            TradeTape(asset, [], [], [], [], 0.0, 0)
 
     def test_empty_tape_is_valid(self):
         asset = AssetSpec("T", 1.0)
-        tape = TradeTape(asset, [], [], [], [], [], [], 10.0, 0)
+        tape = TradeTape(asset, [], [], [], [], 10.0, 0)
         assert len(tape) == 0
         assert tape.n_changes == 0
 
@@ -239,9 +250,48 @@ class TestTradeTape:
         asset = AssetSpec("T", 1.0)
         # first trade at 102 with opening 100 is a two-tick move
         with pytest.raises(ParameterError, match="one tick"):
-            TradeTape(asset, [1.0], [102 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE],
-                      [True], [1], 10.0, 100 * SUBTICKS_PER_TICK)
+            TradeTape(asset, [1.0], [102 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE], 10.0,
+                      100 * SUBTICKS_PER_TICK)
         # one tick up from the opening is fine
-        TradeTape(asset, [1.0], [101 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE],
-                  [True], [1], 10.0, 100 * SUBTICKS_PER_TICK)
+        TradeTape(asset, [1.0], [101 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE], 10.0,
+                  100 * SUBTICKS_PER_TICK)
 
+
+_T = SUBTICKS_PER_TICK
+
+
+class TestTapeError:
+    """Each row rule names its first failing row, in the message and in ``row``."""
+
+    def test_non_increasing_time(self):
+        err = _fault([0, 0, 0, 0], times=[1.0, 2.0, 3.0, 3.0])
+        assert (err.row, err.message) == (3, "trade times must be strictly increasing")
+        assert str(err) == "row 3: trade times must be strictly increasing"
+
+    def test_off_grid_price(self):
+        err = _fault([0, _T, _T + _T // 4])
+        assert (err.row, err.message) == (2, "traded price off the tick grid")
+
+    def test_crossed_quote(self):
+        err = _fault([0, 0, 0], bid_q=[-_T, NO_QUOTE, 0], ask_q=[0, -_T, -_T])
+        assert (err.row, err.message) == (2, "ask must exceed bid")
+        assert str(err) == "row 2: ask must exceed bid"
+
+    def test_fractional_spread(self):
+        err = _fault([0, 0], bid_q=[-_T, -_T // 2], ask_q=[0, _T])
+        assert (err.row, err.message) == (1, "spread is not a whole number of ticks")
+
+    def test_first_broken_quote_wins_whichever_rule_it_breaks(self):
+        err = _fault([0, 0, 0], bid_q=[-_T, -_T // 2, 0], ask_q=[0, _T, 0])
+        assert (err.row, err.message) == (1, "spread is not a whole number of ticks")
+
+    def test_jump(self):
+        err = _fault([0, _T, 3 * _T])
+        assert (err.row, err.message) == (2, "price jumped more than one tick; outside the one-tick model")
+
+    def test_quotes_are_checked_before_moves(self):
+        err = _fault([0, 2 * _T, 2 * _T], bid_q=[-_T, _T, 2 * _T], ask_q=[0, 2 * _T, 2 * _T])
+        assert (err.row, err.message) == (2, "ask must exceed bid")
+
+    def test_is_a_parameter_error(self):
+        assert issubclass(TapeError, ParameterError)

@@ -44,7 +44,7 @@ def _tape_from_moves(directions, tick=0.5, opening=100.0):
     price = opening
     for i, d in enumerate(directions):
         price += d * tick
-        events.append(TradeEvent(float(i + 1), price, price - tick, price, d != 0, int(d)))
+        events.append(TradeEvent(float(i + 1), price, price - tick, price))
     return TradeTape.from_events(a, events, session_length=len(directions) + 1.0, opening_price=opening)
 
 
@@ -154,15 +154,15 @@ class TestSignaturePlot:
     def _single_jump_tape(self):
         a = _asset(tick=0.5)
         events = [
-            TradeEvent(2.0, 100.0, 99.5, 100.0, False, 0),
-            TradeEvent(10.3, 100.5, 100.0, 100.5, True, 1),
-            TradeEvent(70.0, 100.5, 100.0, 100.5, False, 0),
+            TradeEvent(2.0, 100.0, 99.5, 100.0),
+            TradeEvent(10.3, 100.5, 100.0, 100.5),
+            TradeEvent(70.0, 100.5, 100.0, 100.5),
         ]
         return TradeTape.from_events(a, events, session_length=100.0, opening_price=100.0)
 
     def test_constant_tape_is_flat_zero(self):
         a = _asset()
-        events = [TradeEvent(5.0, 100.0, 99.5, 100.0, False, 0)]
+        events = [TradeEvent(5.0, 100.0, 99.5, 100.0)]
         tape = TradeTape.from_events(a, events, session_length=60.0, opening_price=100.0)
         curve = signature_plot(tape, samples_per_second=1.0, lag_max=50)
         assert np.all(curve.values == 0.0)
@@ -192,7 +192,7 @@ class TestSignaturePlot:
             signature_plot(tape, lag_max=0)
         with pytest.raises(InsufficientDataError):
             signature_plot(tape, samples_per_second=1.0, lag_max=200)
-        empty = TradeTape(_asset(), [], [], [], [], [], [], 10.0, 200_000_000)
+        empty = TradeTape(_asset(), [], [], [], [], 10.0, 200_000_000)
         with pytest.raises(InsufficientDataError):
             signature_plot(empty)
 
@@ -239,8 +239,8 @@ class TestSpreadStats:
     def test_mixed_widths(self):
         a = _asset(tick=0.5)
         events = [
-            TradeEvent(1.0, 100.0, 99.5, 100.0, False, 0),
-            TradeEvent(2.0, 100.0, 99.5, 100.5, False, 0),
+            TradeEvent(1.0, 100.0, 99.5, 100.0),
+            TradeEvent(2.0, 100.0, 99.5, 100.5),
         ]
         tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
         avg, frac = spread_stats(tape)
@@ -250,9 +250,9 @@ class TestSpreadStats:
     def test_missing_quotes_reported_with_rows(self):
         a = _asset(tick=0.5)
         events = [
-            TradeEvent(1.0, 100.0, 99.5, 100.0, False, 0),
-            TradeEvent(2.0, 100.0, None, None, False, 0),
-            TradeEvent(3.0, 100.0, None, 100.5, False, 0),
+            TradeEvent(1.0, 100.0, 99.5, 100.0),
+            TradeEvent(2.0, 100.0, None, None),
+            TradeEvent(3.0, 100.0, None, 100.5),
         ]
         tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
         with pytest.raises(PartialDataError) as err:
@@ -260,7 +260,7 @@ class TestSpreadStats:
         assert list(err.value.rows) == [1, 2]
 
     def test_empty_tape(self):
-        empty = TradeTape(_asset(), [], [], [], [], [], [], 10.0, 200_000_000)
+        empty = TradeTape(_asset(), [], [], [], [], 10.0, 200_000_000)
         with pytest.raises(InsufficientDataError):
             spread_stats(empty)
 
@@ -337,9 +337,9 @@ class TestBuildDailyRecord:
     def test_error_keeps_its_data(self):
         a = _asset(tick=0.5)
         events = [
-            TradeEvent(1.0, 100.5, 100.0, 100.5, True, 1),
-            TradeEvent(2.0, 100.0, None, None, True, -1),
-            TradeEvent(3.0, 100.5, 100.0, 100.5, True, 1),
+            TradeEvent(1.0, 100.5, 100.0, 100.5),
+            TradeEvent(2.0, 100.0, None, None),
+            TradeEvent(3.0, 100.5, 100.0, 100.5),
         ]
         tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
         with pytest.raises(PartialDataError, match=r"^TST 2009-06-03: missing quotes on rows 1$") as err:

@@ -234,6 +234,17 @@ class TestDailyRecordsCsv:
         self._assert_error(p, 2, f"bad eta_hat '{'x' * 40}…' (100000 characters)")
 
 
+    @pytest.mark.parametrize("width", [40, 41, 100_000])
+    def test_long_header_is_shown_short(self, tmp_path, width):
+        # a header of up to 40 characters is shown as its fields, a longer one by its head and length
+        head = "date,asset_id,eta_hat," + "a" * (width - 22)
+        p = tmp_path / "head.csv"
+        p.write_text(f"{head}\n{self._GOOD_ROW}\n")
+        shown = repr(head.split(",")) if width <= 40 else f"'{head[:40]}…' ({width} characters)"
+        with pytest.raises(IngestError) as err:
+            read_daily_records_csv(p)
+        assert str(err.value) == f"{p}:bad header {shown}"
+
 class TestEmitCloud:
     def test_raw_cloud_points(self, tmp_path):
         recs = _plane_records(n=1)

