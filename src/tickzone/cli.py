@@ -33,6 +33,7 @@ from .pipeline import (
     load_config,
     read_daily_records_csv,
     run_pipeline,
+    tick_table,
     write_csv,
     write_daily_records_csv,
     write_regression_csv,
@@ -43,7 +44,6 @@ from .tick_policy import (
     VERSIONS,
     TickScenario,
     load_reference_assets,
-    optimal_tick_table,
     predict_eta,
 )
 from .tradefile import SessionFilter, ingest_trades, write_tape_csv
@@ -137,16 +137,8 @@ def _cmd_optimal_tick(args) -> int:
             print(f"error: unknown asset(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 1
         assets = [a for a in assets if a.asset_id in wanted]
-    betas = tuple(args.beta) if args.beta else BETA_PRESETS
-    versions = tuple(args.version) if args.version else VERSIONS
-    table = optimal_tick_table(assets, betas=betas, versions=versions)
-    header = ["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in versions for b in betas]
-    rows = [
-        [row["asset_id"], fmt_float(row["tick_value"])]
-        + [fmt_float(row[(v, b)]) for v in versions for b in betas]
-        for row in table
-    ]
-    write_csv(args.out, header, rows)
+    scenarios = {a.asset_id: a.scenario() for a in assets}
+    write_csv(args.out, *tick_table(scenarios, args.beta or BETA_PRESETS, args.version or VERSIONS))
     return 0
 
 

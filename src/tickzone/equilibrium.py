@@ -14,7 +14,7 @@ import numpy as np
 
 from .domain import AssetSpec
 from .errors import ParameterError
-from .simulator import _interval_exits
+from .simulator import _interval_walk
 
 DEFAULT_WYART_C = 2.0
 
@@ -103,6 +103,6 @@ def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple
         raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
-    _, continued = _interval_exits(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))
+    continued = _interval_walk(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))[0]
     n_up = int(np.count_nonzero(continued))
     return (n_trials - n_up) / n_trials, n_up / n_trials

@@ -60,9 +60,8 @@ class IngestError(TickzoneError):
     """A trade file failed validation."""
 
     def __init__(self, message: str, path=None, line=None):
-        loc = ""
         if path is not None:
-            loc = f"{path}:" if line is None else f"{path}:{line}: "
-        super().__init__(f"{loc}{message}" if loc else message)
+            message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
+        super().__init__(message)
         self.path = path
         self.line = line

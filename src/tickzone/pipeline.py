@@ -22,7 +22,7 @@ import io
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date as date_type
 from datetime import timedelta
 from fractions import Fraction
@@ -54,6 +54,29 @@ REPORTS = ("daily_records", "regression", "cloud_raw", "cloud_adjusted", "optima
 def fmt_float(v: float) -> str:
     """Canonical float rendering for every CSV the pipeline writes."""
     return f"{v:.12g}"
+
+
+def tick_table(
+    scenarios: Mapping[str, TickScenario], betas: Sequence[float], versions: Sequence[int]
+) -> Tuple[List[str], List[List[str]]]:
+    """Header and rows of an optimal-tick table: one row per asset, one cell per (version, beta).
+
+    A cell is blank where its version gives no tick, as version 1 without a
+    fit does; a beta outside (0, 2) raises.
+    """
+    header = ["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in versions for b in betas]
+    rows = []
+    for aid, scenario in scenarios.items():
+        at_betas = [replace(scenario, beta=b) for b in betas]
+        row = [aid, fmt_float(scenario.alpha0)]
+        for v in versions:
+            for s in at_betas:
+                try:
+                    row.append(fmt_float(optimal_tick(s, version=v)))
+                except TickzoneError:
+                    row.append("")
+        rows.append(row)
+    return header, rows
 
 
 def write_csv(path: Union[str, Path, None], header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -109,22 +132,42 @@ class PipelineConfig:
             raise ParameterError("ingest mode needs input_dir")
         if self.mode == "synthetic" and not self.synthetic:
             raise ParameterError("synthetic mode needs at least one synthetic.<ID>.* block")
+        if self.beta is not None and not 0.0 < self.beta < 2.0:
+            raise ParameterError(f"beta must lie in (0, 2), got {self.beta!r}")
 
 
-_TOP_KEYS = {
-    "mode", "out", "seed", "session", "timezone", "beta", "pool", "keep_flagged",
-    "start_date", "input_dir",
-}
-_SYN_KEYS = {"tick_value", "eta", "sigma", "days", "x0", "fills", "sigma_jitter"}
-
-
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ParameterError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+# how the text of each optional key is read; a key the config leaves out keeps its dataclass default
+_TOP_VALUES = {
+    "seed": int, "beta": float, "pool": _parse_bool, "keep_flagged": _parse_bool,
+    "start_date": date_type.fromisoformat, "input_dir": Path,
+}
+_SYN_VALUES = {
+    "eta": float, "sigma": float, "days": int, "x0": float, "sigma_jitter": float,
+    "fills": lambda value: value if value == "auto" else float(value),
+}
+_TOP_KEYS = {"mode", "out", "session", "timezone", *_TOP_VALUES}
+_SYN_KEYS = {"tick_value", *_SYN_VALUES}
+
+
+def _read_values(texts: Mapping[str, str], readers: Mapping, prefix: str = "") -> Dict:
+    """Each key of ``texts`` that ``readers`` knows, read from its text; a bad text names its key."""
+    values = {}
+    for key, text in texts.items():
+        if key in readers:
+            try:
+                values[key] = readers[key](text)
+            except ValueError as exc:
+                raise ParameterError(f"{prefix}{key}: {exc}") from None
+    return values
 
 
 def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) -> PipelineConfig:
@@ -169,31 +212,15 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
         missing = {"tick_value", "eta", "sigma"} - set(params)
         if missing:
             raise ParameterError(f"synthetic.{aid}: missing {', '.join(sorted(missing))}")
-        fills: Union[str, float] = params.get("fills", "auto")
-        if fills != "auto":
-            fills = float(fills)
-        synthetic[aid] = SyntheticAsset(
-            asset_id=aid,
-            tick_text=params["tick_value"],
-            eta=float(params["eta"]),
-            sigma=float(params["sigma"]),
-            days=int(params.get("days", "20")),
-            x0=float(params.get("x0", "100.0")),
-            fills=fills,
-            sigma_jitter=float(params.get("sigma_jitter", "0.1")),
-        )
+        values = _read_values(params, _SYN_VALUES, f"synthetic.{aid}.")
+        synthetic[aid] = SyntheticAsset(asset_id=aid, tick_text=params["tick_value"], **values)
     return PipelineConfig(
         mode=raw.get("mode", "ingest" if "input_dir" in raw else "synthetic"),
         out=Path(raw["out"]),
-        seed=int(raw.get("seed", "0")),
         session=session,
-        pool=_parse_bool(raw.get("pool", "true"), "pool"),
-        keep_flagged=_parse_bool(raw.get("keep_flagged", "false"), "keep_flagged"),
-        start_date=date_type.fromisoformat(raw.get("start_date", "2009-06-01")),
-        beta=float(raw["beta"]) if "beta" in raw else None,
-        input_dir=Path(raw["input_dir"]) if "input_dir" in raw else None,
         tick_values=tick_values,
         synthetic=synthetic,
+        **_read_values(raw, _TOP_VALUES),
     )
 
 
@@ -381,15 +408,14 @@ def write_regression_csv(fits: Mapping[str, RegressionFit], path: Union[str, Pat
     write_csv(path, REGRESSION_CSV_HEADER, rows)
 
 
-def _tick_table_rows(
+def _tick_scenarios(
     records: Sequence[DailyRecord],
     fits: Mapping[str, RegressionFit],
     config: PipelineConfig,
     skipped: List[str],
-) -> tuple[List[str], List[List[str]]]:
-    betas = (config.beta,) if config.beta is not None else BETA_PRESETS
-    header = ["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in VERSIONS for b in betas]
-    rows: List[List[str]] = []
+) -> Dict[str, TickScenario]:
+    """Each asset's current regime and fit as a tick scenario, in asset order."""
+    scenarios: Dict[str, TickScenario] = {}
     for aid in sorted({r.asset_id for r in records}):
         recs = [r for r in records if r.asset_id == aid and (config.keep_flagged or not r.eta_flagged)]
         if not recs:
@@ -399,24 +425,16 @@ def _tick_table_rows(
         if eta0 <= 0:
             skipped.append(f"optimal_ticks {aid}: mean zone ratio is zero")
             continue
-        alpha0 = recs[-1].alpha
         fit = fits.get(aid) or fits.get("ALL")
-        m0 = float(np.mean([r.m_trades for r in recs]))
-        sigma0 = float(np.mean([r.sigma_hat for r in recs]))
-        row = [aid, fmt_float(alpha0)]
-        for version in VERSIONS:
-            for beta in betas:
-                try:
-                    scenario = TickScenario(
-                        alpha0=alpha0, eta0=eta0, beta=beta,
-                        p1_0=fit.p1 if fit else None, p2_0=fit.p2 if fit else None,
-                        m0=m0, sigma0=sigma0,
-                    )
-                    row.append(fmt_float(optimal_tick(scenario, version=version)))
-                except TickzoneError:
-                    row.append("")
-        rows.append(row)
-    return header, rows
+        scenarios[aid] = TickScenario(
+            alpha0=recs[-1].alpha,
+            eta0=eta0,
+            p1_0=fit.p1 if fit else None,
+            p2_0=fit.p2 if fit else None,
+            m0=float(np.mean([r.m_trades for r in recs])),
+            sigma0=float(np.mean([r.sigma_hat for r in recs])),
+        )
+    return scenarios
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -454,7 +472,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     dropped = emit_cloud_csv(records, outputs["cloud_adjusted"], lambda r: pooled or fits.get(r.asset_id))
     if dropped:
         skipped.append(f"cloud_adjusted: no fit for {dropped} record(s)")
-    write_csv(outputs["optimal_ticks"], *_tick_table_rows(records, fits, config, skipped))
+    betas = (config.beta,) if config.beta is not None else BETA_PRESETS
+    scenarios = _tick_scenarios(records, fits, config, skipped)
+    write_csv(outputs["optimal_ticks"], *tick_table(scenarios, betas, VERSIONS))
 
     n_files = sum(len(v) for v in files.values())
     for msg in skipped:

@@ -168,20 +168,18 @@ def _unit_exit_times(u: np.ndarray) -> np.ndarray:
     return t
 
 
-def _interval_exits(
+def _interval_walk(
     lo: float, hi: float, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times and sides of ``n`` exits of a standard Brownian motion from (-lo, hi).
+) -> tuple[np.ndarray, list, list, list]:
+    """Sides of ``n`` exits of a standard Brownian motion from (-lo, hi), and what timing them needs.
 
-    Returns (exit_times, exited_at_hi). From a point x the motion first
-    leaves the largest interval centred on x inside (-lo, hi) after c^2 T,
-    with c its half-width and T a unit exit time, on either side with equal
-    odds and independently of T. One of the two sides is a boundary, so at
-    least half of the walks finish each round.
-
-    Only the sides steer the walks. Each round keeps its walks, its c^2 and
-    its survival draws; the unit exit times of all rounds are then inverted
-    in one solve and added to each walk in round order.
+    Returns (exited_at_hi, walks, scales, survivals), the last three with one
+    array per round. From a point x the motion first leaves the largest
+    interval centred on x inside (-lo, hi) after c^2 T, with c its half-width
+    and T a unit exit time, on either side with equal odds and independently
+    of T. One of the two sides is a boundary, so at least half of the walks
+    finish each round. Only the sides steer the walks; each round keeps its
+    live walks, their c^2 and their survival draws.
     """
     x = np.zeros(n)
     at_hi = np.zeros(n, dtype=bool)
@@ -200,6 +198,19 @@ def _interval_exits(
         at_hi[live[done]] = hit_hi[done]
         x[live] = np.where(up, xl + c, xl - c)
         live = live[~done]
+    return at_hi, walks, scales, survivals
+
+
+def _interval_exits(
+    lo: float, hi: float, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and sides of ``n`` exits of a standard Brownian motion from (-lo, hi).
+
+    Returns (exit_times, exited_at_hi). The unit exit times of all rounds of
+    :func:`_interval_walk` are inverted in one solve and added to each walk in
+    round order.
+    """
+    at_hi, walks, scales, survivals = _interval_walk(lo, hi, n, rng)
     # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
     steps = np.concatenate(scales) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
     # bincount adds the steps in the order given, so each walk's in round order

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DomainError, ParameterError
 
@@ -67,10 +67,6 @@ class EtaForecast:
     in_large_tick_regime: bool
     warning: Optional[str] = None
 
-    def __post_init__(self):
-        if self.version not in VERSIONS:
-            raise ParameterError(f"version must be one of {VERSIONS}")
-
 
 def scale_trade_count(m0: float, alpha0: float, alpha: float, beta: float) -> float:
     """Daily trade count under the new tick, M0 * (alpha0/alpha)^beta.
@@ -98,32 +94,34 @@ def check_large_tick_regime(tick_value: float, sigma: float, m_trades: float) ->
     return 0.5 * tick_value >= sigma / math.sqrt(m_trades)
 
 
-def _ratio_power(s: TickScenario) -> float:
-    assert s.alpha is not None
-    return (s.alpha0 / s.alpha) ** (1.0 - 0.5 * s.beta)
+def _coefficients(s: TickScenario, version: int) -> Tuple[float, float]:
+    """The coefficients (p1, p2) of the forecast line of one version.
+
+    Version 1 is the asset's own fit, version 2 a unit slope with the pooled
+    intercept ratio, version 3 the bare power law.
+    """
+    if version == 1:
+        if s.p1_0 is None or s.p1_0 <= 0:
+            raise ParameterError("version 1 needs fit coefficients with p1_0 > 0")
+        return s.p1_0, s.p2_0 if s.p2_0 is not None else 0.0
+    if version == 2:
+        return 1.0, _POOLED_RATIO
+    if version == 3:
+        return 1.0, 0.0
+    raise ParameterError(f"version must be one of {VERSIONS}")
 
 
 def predict_eta(s: TickScenario, version: int = 1) -> EtaForecast:
     """Forecast the zone ratio after moving the tick from alpha0 to alpha.
 
-    Version 1 uses the asset's own fit coefficients, version 2 a pooled
-    intercept ratio of 0.1, version 3 the bare power law. All agree when the
-    tick is unchanged.
+    With r = p2/p1 the forecast line is (eta0 + r) * (alpha0/alpha)^(1 - beta/2) - r,
+    so every version agrees when the tick is unchanged.
     """
-    if version not in VERSIONS:
-        raise ParameterError(f"version must be one of {VERSIONS}")
+    p1, p2 = _coefficients(s, version)
     if s.alpha is None:
         raise ParameterError("scenario needs the candidate tick alpha")
-    pw = _ratio_power(s)
-    if version == 1:
-        if s.p1_0 is None or s.p1_0 <= 0:
-            raise ParameterError("version 1 needs fit coefficients with p1_0 > 0")
-        ratio = (s.p2_0 if s.p2_0 is not None else 0.0) / s.p1_0
-        eta = (s.eta0 + ratio) * pw - ratio
-    elif version == 2:
-        eta = (s.eta0 + _POOLED_RATIO) * pw - _POOLED_RATIO
-    else:
-        eta = s.eta0 * pw
+    ratio = p2 / p1
+    eta = (s.eta0 + ratio) * (s.alpha0 / s.alpha) ** (1.0 - 0.5 * s.beta) - ratio
     warning = None
     if not (0.0 < eta <= 0.5):
         warning = (
@@ -141,24 +139,14 @@ def predict_eta(s: TickScenario, version: int = 1) -> EtaForecast:
 def optimal_tick(s: TickScenario, version: int = 1) -> float:
     """The tick value whose forecast ratio is exactly 1/2.
 
-    Inverts the corresponding forecast version; the exponent 1/(1 - beta/2)
-    requires beta < 2 (already enforced by the scenario).
+    Solves the forecast line of :func:`predict_eta` at 1/2; the exponent
+    1/(1 - beta/2) requires beta < 2 (already enforced by the scenario).
     """
-    if version not in VERSIONS:
-        raise ParameterError(f"version must be one of {VERSIONS}")
-    expo = 1.0 / (1.0 - 0.5 * s.beta)
-    if version == 1:
-        if s.p1_0 is None or s.p1_0 <= 0:
-            raise ParameterError("version 1 needs fit coefficients with p1_0 > 0")
-        p2 = s.p2_0 if s.p2_0 is not None else 0.0
-        base = (s.eta0 * s.p1_0 + p2) / (0.5 * s.p1_0 + p2)
-    elif version == 2:
-        base = (s.eta0 + _POOLED_RATIO) / (0.5 + _POOLED_RATIO)
-    else:
-        base = 2.0 * s.eta0
+    p1, p2 = _coefficients(s, version)
+    base = (s.eta0 * p1 + p2) / (0.5 * p1 + p2)
     if base <= 0:
         raise DomainError("scenario implies a non-positive tick")
-    return s.alpha0 * base**expo
+    return s.alpha0 * base ** (1.0 / (1.0 - 0.5 * s.beta))
 
 
 # --------------------------------------------------------------------- fixture
@@ -214,20 +202,3 @@ def load_reference_assets() -> List[ReferenceAsset]:
         )
     return out
 
-
-def optimal_tick_table(
-    assets: Optional[List[ReferenceAsset]] = None,
-    betas: Tuple[float, ...] = BETA_PRESETS,
-    versions: Tuple[int, ...] = VERSIONS,
-) -> List[Dict]:
-    """Optimal tick per asset for every (version, beta) pair, fixture-driven."""
-    if assets is None:
-        assets = load_reference_assets()
-    table = []
-    for ref in assets:
-        row: Dict = {"asset_id": ref.asset_id, "tick_value": ref.tick_value}
-        for v in versions:
-            for b in betas:
-                row[(v, b)] = optimal_tick(ref.scenario(beta=b), version=v)
-        table.append(row)
-    return table

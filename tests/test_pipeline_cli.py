@@ -39,6 +39,23 @@ synthetic.A2.days = 6
 """
 
 
+# the full `tickzone optimal-tick` table, 11 reference assets x 3 versions x 2 presets
+_REFERENCE_TICK_TABLE = """\
+asset_id,tick_value,v1_beta1,v1_beta0.5,v2_beta1,v2_beta0.5,v3_beta1,v3_beta0.5
+BUS5,7.8125,2.70809932372,3.85513628764,2.4064453125,3.56325859336,1.69653125,2.82252579272
+DJ,5,1.55942856843,2.29950129706,1.66272222222,2.3999552041,1.21032,1.94203390615
+EURO,12.5,3.1161174321,4.95122369682,4.06125,5.90758284357,2.9282,4.75011176838
+SP,12.5,0.251814695827,0.925459431058,0.6328125,1.71061931126,0.06125,0.360612463733
+Bobl 1,5,1.83244395842,2.5606121534,1.88088888889,2.605546103,1.43648,2.17698978184
+Bobl 2,10,1.52932163158,2.85977953736,1.62677777778,2.9800175435,0.80656,1.86677132021
+Bund,10,1.56625501498,2.90563895755,1.57344444444,2.91452381865,0.76176,1.79698909974
+DAX,12.5,4.89176220791,6.68775306918,4.8828125,6.67959354171,3.78125,5.63283373538
+ESX,10,1.30138994026,2.5680588008,0.971361111111,2.11310206715,0.30276,0.971402009869
+Schatz,5,0.7809152,1.45008207985,0.6845,1.32812505513,0.29768,0.762353571882
+CL,10,3.09771755102,4.5781977148,2.98844444444,4.46988954137,2.07936,3.50983303172
+"""
+
+
 def _plane_records(n=6, asset_id="A", alpha=0.01):
     recs = []
     for i in range(n):
@@ -152,6 +169,12 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="expected a boolean"):
             parse_config_text(self._minimal() + "pool = maybe\n")
 
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ParameterError, match="^seed: "):
+            parse_config_text(self._minimal() + "seed = many\n")
+        with pytest.raises(ParameterError, match="^synthetic.A.days: "):
+            parse_config_text(self._minimal() + "synthetic.A.days = 2.5\n")
+
 
 class TestConfigValidation:
     def test_synthetic_asset_bounds(self):
@@ -172,6 +195,13 @@ class TestConfigValidation:
             PipelineConfig(mode="ingest", out=Path("/tmp/x"))
         with pytest.raises(ParameterError, match="synthetic"):
             PipelineConfig(mode="synthetic", out=Path("/tmp/x"))
+
+    def test_beta_outside_zero_two_raises(self):
+        text = _SYNTH_CONFIG.format(out="/tmp/x")
+        assert parse_config_text(text + "beta = 1.5\n").beta == 1.5
+        for bad in ("3", "0", "2", "-0.5", "nan"):
+            with pytest.raises(ParameterError, match=r"beta must lie in \(0, 2\)"):
+                parse_config_text(text + f"beta = {bad}\n")
 
 
 class TestDailyRecordsCsv:
@@ -243,7 +273,7 @@ class TestDailyRecordsCsv:
         shown = repr(head.split(",")) if width <= 40 else f"'{head[:40]}…' ({width} characters)"
         with pytest.raises(IngestError) as err:
             read_daily_records_csv(p)
-        assert str(err.value) == f"{p}:bad header {shown}"
+        assert str(err.value) == f"{p}: bad header {shown}"
 
 class TestEmitCloud:
     def test_raw_cloud_points(self, tmp_path):
@@ -352,6 +382,22 @@ class TestRunPipelineSynthetic:
         assert [r["asset_id"] for r in rows] == ["A1", "A2"]
         v1 = [k for k in rows[0] if k.startswith("v1_")]
         assert v1 and all(r[k] != "" for r in rows for k in v1)
+
+    def test_asset_too_short_to_fit_keeps_only_its_version_1_cells_blank(self, tmp_path):
+        # two days are too few to fit S, and with nothing pooled only its version 1 has no coefficients
+        short = "synthetic.S.tick_value = 0.01\nsynthetic.S.eta = 0.3\n"
+        short += "synthetic.S.sigma = 0.002\nsynthetic.S.days = 2\n"
+        cfg = parse_config_text(_SYNTH_CONFIG.format(out=tmp_path / "short") + short, {"pool": "false"})
+        result = run_pipeline(cfg)
+        assert list(result.fits) == ["A1", "A2"]
+        assert any(msg.startswith("regression S: ") for msg in result.skipped)
+        table = csv.DictReader(result.outputs["optimal_ticks"].read_text().splitlines())
+        rows = {r["asset_id"]: r for r in table}
+        assert list(rows) == ["A1", "A2", "S"]
+        for key in rows["S"]:
+            if key.startswith("v"):
+                assert (rows["S"][key] == "") == key.startswith("v1_"), key
+                assert rows["A1"][key] != ""
 
     def test_rerun_is_byte_identical(self, synth_run, tmp_path):
         cfg, result = synth_run
@@ -492,6 +538,16 @@ class TestCli:
         assert rows[1][0] == "BUS5"
         assert float(rows[1][2]) == pytest.approx(2.7, abs=0.1)
         assert float(rows[1][3]) == pytest.approx(3.8, abs=0.1)
+
+    def test_optimal_tick_prints_the_reference_table(self, capsysbinary):
+        assert cli_main(["optimal-tick"]) == 0
+        assert capsysbinary.readouterr().out == _REFERENCE_TICK_TABLE.replace("\n", "\r\n").encode()
+
+    def test_optimal_tick_bad_beta(self, capsys):
+        assert cli_main(["optimal-tick", "--beta", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta must lie in (0, 2), got 3.0\n"
 
     def test_optimal_tick_unknown_asset(self, capsys):
         rc = cli_main(["optimal-tick", "--asset", "NOPE"])

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from tickzone.errors import DomainError, ParameterError
+from tickzone.pipeline import fmt_float, tick_table
 from tickzone.tick_policy import (
     BETA_PRESETS,
     VERSIONS,
-    EtaForecast,
     TickScenario,
     check_large_tick_regime,
     load_reference_assets,
     optimal_tick,
-    optimal_tick_table,
     predict_eta,
     scale_trade_count,
 )
@@ -149,8 +148,6 @@ class TestPredictEta:
         bare = TickScenario(alpha0=5.0, eta0=0.268, alpha=10.0)
         with pytest.raises(ParameterError):
             predict_eta(bare, version=1)
-        with pytest.raises(ParameterError):
-            EtaForecast(version=9, eta_pred=0.2, in_large_tick_regime=True)
 
 
 class TestOptimalTick:
@@ -221,22 +218,31 @@ class TestReferenceFixture:
         assert (s.p1_0, s.p2_0, s.m0) == (0.91, 0.08, 18531.0)
 
 
+def _reference_scenarios(assets=None):
+    return {a.asset_id: a.scenario() for a in assets or load_reference_assets()}
+
+
 class TestOptimalTickTable:
     def test_spot_values_against_fixture(self):
-        by_id = {row["asset_id"]: row for row in optimal_tick_table()}
-        assert by_id["BUS5"][(1, 1.0)] == pytest.approx(2.7, abs=0.1)
-        assert by_id["BUS5"][(1, 0.5)] == pytest.approx(3.8, abs=0.1)
-        assert by_id["ESX"][(1, 1.0)] == pytest.approx(1.3, abs=0.1)
+        header, rows = tick_table(_reference_scenarios(), BETA_PRESETS, VERSIONS)
+        by_id = {row[0]: dict(zip(header, row)) for row in rows}
+        assert float(by_id["BUS5"]["v1_beta1"]) == pytest.approx(2.7, abs=0.1)
+        assert float(by_id["BUS5"]["v1_beta0.5"]) == pytest.approx(3.8, abs=0.1)
+        assert float(by_id["ESX"]["v1_beta1"]) == pytest.approx(1.3, abs=0.1)
 
     def test_full_grid_shape(self):
-        table = optimal_tick_table()
-        assert len(table) == 11
-        for row in table:
-            keys = [k for k in row if isinstance(k, tuple)]
-            assert sorted(keys) == sorted((v, b) for v in VERSIONS for b in BETA_PRESETS)
+        header, rows = tick_table(_reference_scenarios(), BETA_PRESETS, VERSIONS)
+        assert header == ["asset_id", "tick_value"] + [
+            f"v{v}_beta{b:g}" for v in VERSIONS for b in BETA_PRESETS
+        ]
+        assert len(rows) == 11
+        for row in rows:
+            assert len(row) == len(header) and all(row)
 
     def test_subset_matches_direct_call(self):
         bus5 = next(r for r in load_reference_assets() if r.asset_id == "BUS5")
-        table = optimal_tick_table(assets=[bus5], betas=(1.0,), versions=(1,))
-        assert len(table) == 1
-        assert table[0][(1, 1.0)] == optimal_tick(bus5.scenario(beta=1.0), version=1)
+        header, rows = tick_table(_reference_scenarios([bus5]), (1.0,), (1,))
+        assert header == ["asset_id", "tick_value", "v1_beta1"]
+        v1 = optimal_tick(bus5.scenario(beta=1.0), version=1)
+        assert rows == [["BUS5", fmt_float(bus5.tick_value), fmt_float(v1)]]
+

@@ -134,8 +134,11 @@ class TestReadTradeRows:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
-        with pytest.raises(IngestError, match="empty"):
+        with pytest.raises(IngestError) as err:
             ingest_trades(p, _asset())
+        # an error without a line puts a space after the path, as one with a line does
+        assert str(err.value) == f"{p}: file is empty"
+        assert err.value.line is None
 
     def test_bad_header(self, tmp_path):
         p = _write(tmp_path / "h.csv", ["time,price,qty,bid,ask", "1,100,1,,"])
@@ -224,7 +227,7 @@ class TestReadTradeRows:
         shown = repr(head.split(",")) if width <= 40 else f"'{head[:40]}…' ({width} characters)"
         with pytest.raises(IngestError) as err:
             ingest_trades(p, _asset())
-        assert str(err.value) == f"{p}:bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}"
+        assert str(err.value) == f"{p}: bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}"
 
     def test_parsing_runs_before_the_quote_checks(self, tmp_path):
         # a crossed quote on line 2 and a malformed bid on line 3: every winning row is
