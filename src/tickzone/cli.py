@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from .domain import AssetSpec
 from .equilibrium import equilibrium_report
-from .errors import TickzoneError
+from .errors import MissingFitError, TickzoneError
 from .estimators import build_daily_record, signature_plot
 from .pipeline import (
     fit_groups,
@@ -113,7 +113,11 @@ def _cmd_predict(args) -> int:
         m0=args.m0,
         sigma0=args.sigma0,
     )
-    forecast = predict_eta(scenario, version=args.version)
+    try:
+        forecast = predict_eta(scenario, version=args.version)
+    except MissingFitError:
+        print("error: --version 1 needs --p1 > 0", file=sys.stderr)
+        return 1
     print(f"eta_pred: {fmt_float(forecast.eta_pred)}")
     print(f"in_large_tick_regime: {str(forecast.in_large_tick_regime).lower()}")
     if forecast.warning:

@@ -19,6 +19,10 @@ class ParameterError(TickzoneError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class MissingFitError(ParameterError):
+    """A forecast version needs fit coefficients that the scenario lacks."""
+
+
 class TapeError(ParameterError):
     """A tape row breaks a tape rule; ``row`` is its index and ``message`` the rule."""
 

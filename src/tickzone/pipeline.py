@@ -225,7 +225,7 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
 
 
 def load_config(path: Union[str, Path], overrides: Optional[Mapping[str, str]] = None) -> PipelineConfig:
-    return parse_config_text(Path(path).read_text(), overrides)
+    return parse_config_text(read_text(Path(path)), overrides)
 
 
 @dataclass

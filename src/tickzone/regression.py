@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import CollinearityError, InsufficientDataError, ParameterError
 from .estimators import DailyRecord
@@ -87,7 +87,7 @@ def fit_spread_vol(records: Iterable[DailyRecord], exclude_flagged: bool = True)
     pinv = np.linalg.pinv(x)
     cov = s2 * (pinv @ pinv.T)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    tq = float(stats.t.ppf(0.975, dof))
+    tq = float(special.stdtrit(dof, 0.975))
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss <= 0:
         raise ParameterError("response has zero variance across days")

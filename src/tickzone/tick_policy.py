@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional, Tuple
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, MissingFitError, ParameterError
 
 BETA_PRESETS = (1.0, 0.5)
 VERSIONS = (1, 2, 3)
@@ -102,7 +102,7 @@ def _coefficients(s: TickScenario, version: int) -> Tuple[float, float]:
     """
     if version == 1:
         if s.p1_0 is None or s.p1_0 <= 0:
-            raise ParameterError("version 1 needs fit coefficients with p1_0 > 0")
+            raise MissingFitError("version 1 needs fit coefficients with p1_0 > 0")
         return s.p1_0, s.p2_0 if s.p2_0 is not None else 0.0
     if version == 2:
         return 1.0, _POOLED_RATIO

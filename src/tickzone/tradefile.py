@@ -7,21 +7,22 @@ They are UTF-8 text with unquoted fields and ``\\n``, ``\\r\\n`` or ``\\r`` line
 Prices are parsed exactly against the asset's tick grid, so grid checks and
 spread statistics never depend on binary float rounding.
 
-Both directions work a column at a time; ingest finds a failing row with array
-masks and words its error with the one scalar check of its phase.
+Both directions work a column at a time. Ingest reads each file as one byte
+array, finds a failing row with array masks and words its error with the one
+scalar check of its phase.
 """
 from __future__ import annotations
 
 import bisect
 import contextlib
 import logging
+import re
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime, time, timedelta, timezone
-from itertools import compress, repeat, takewhile
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
@@ -69,7 +70,10 @@ class SessionFilter:
     def __post_init__(self):
         if not (0 <= self.open_seconds < self.close_seconds <= 86400):
             raise ParameterError("session must satisfy 0 <= open < close <= 24:00")
-        ZoneInfo(self.tz)  # fail fast on unknown zones
+        try:
+            ZoneInfo(self.tz)
+        except (ZoneInfoNotFoundError, ValueError):
+            raise ParameterError(f"unknown time zone {self.tz!r}") from None
 
     @classmethod
     def from_text(cls, text: str, tz: str = "UTC") -> "SessionFilter":
@@ -157,119 +161,183 @@ class _TradeColumns(NamedTuple):
     texts: List[tuple]  # price, bid, ask
 
 
-def _distinct(texts: Sequence[str]) -> tuple:
-    index = {v: i for i, v in enumerate(dict.fromkeys(texts))}
-    return list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
-
-
-def _leading_ints(texts: Sequence[str]) -> List[int]:
-    """The integers of ``texts`` up to the first text that is not one."""
-    values: List[int] = []
-    with contextlib.suppress(ValueError):
-        values.extend(map(int, texts))  # keeps what was appended before int() failed
-    return values
-
-
-def _leading_stamps(texts: Sequence[str]) -> np.ndarray:
-    """The timestamps of ``texts`` up to the first text that is not one in range."""
-    values = _leading_ints(texts)
-    try:
-        stamps = np.array(values, dtype=np.int64)
-    except OverflowError:  # a value beyond int64 is out of range too; cut there
-        stamps = np.array(list(takewhile(_STAMP_RANGE.__contains__, values)), dtype=np.int64)
-    return stamps[: _first((stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop))]
-
-
 def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+_COMMA, _LF, _CR, _QUOTE = b",\n\r\""
+_INT_TEXT = re.compile(r"-?[0-9]+")  # a stamp or size, once ASCII spaces and tabs around it are stripped
+_INT_LIMIT = 10**18  # larger magnitudes read as this, which no stamp reaches
+# by k = 0-8: the first k bytes of an 8-byte word, comma padding for the rest, and the last k bytes
+_WORD_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_WORD_PAD = np.uint64(int.from_bytes(b"," * 8, "little")) & ~_WORD_KEEP
+_WORD_TOP = ~_WORD_KEEP[::-1]
+_ZEROS, _SIXES, _HIGH_NIBBLES = (np.uint64(int.from_bytes(c * 8, "little")) for c in (b"0", b"\x06", b"\xf0"))
+
+
+def _ints(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each comma-ended field ``data[start:stop]`` as an integer, and whether it reads as one.
+
+    ``words[i]`` is the 8 bytes from ``data[i]`` on. A field of 1-16 digits is
+    read from the two words that end at its comma, with the bytes before it
+    taken as zeros, 8 digits at a time; any other field is read by
+    :func:`_int_or_shown`. Values beyond ``±10**18`` read as ``±10**18``.
+    """
+    sizes = stops - starts
+    # the bytes of the two words that lie before the field, in the line or the header before it, read as zeros
+    top = _WORD_TOP[np.stack((np.clip(sizes - 8, 0, 8), np.clip(sizes, 0, 8)))]
+    x = words[np.stack((stops - 16, stops - 8))] & top | _ZEROS & ~top
+    # a byte is a digit if its high nibble is 3 and adding 6 keeps it so
+    digits = ((x & _HIGH_NIBBLES) == _ZEROS) & ((x + _SIXES & _HIGH_NIBBLES) == _ZEROS)
+    plain = (sizes > 0) & (sizes <= 16) & digits.all(axis=0)
+    # digit pairs, then quads, then all 8: in a little-endian word the first digit is the low byte
+    x = x & 0x0F0F0F0F0F0F0F0F
+    x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
+    x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
+    x = (x * 10000 + (x >> 32)) & 0xFFFFFFFF
+    values = (x[0] * 10**8 + x[1]).astype(np.int64)
+    for i in np.flatnonzero(~plain).tolist():
+        v = _int_or_shown(data[starts[i] : stops[i]].decode())
+        plain[i] = isinstance(v, int)
+        if plain[i]:
+            values[i] = max(-_INT_LIMIT, min(v, _INT_LIMIT))
+    return values, plain
+
+
+def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple:
+    """The distinct texts of the fields ``data[start:stop]`` in order of first use, and each field's code.
+
+    ``words[i]`` is the 8 bytes from ``data[i]`` on. A field is keyed by its
+    8-byte words, the last one padded with commas, which no field holds. Fields
+    with the same number of words are told apart by one ``np.unique``; fields
+    with different numbers differ in length. Only the distinct texts are decoded.
+    """
+    sizes = stops - starts
+    n_words = np.maximum((sizes + 7) // 8, 1)
+    codes = np.empty(len(starts), dtype=np.intp)
+    firsts: List[int] = []
+    for w in np.flatnonzero(np.bincount(n_words)).tolist():  # one group unless a field is longer than 8 bytes
+        rows = np.flatnonzero(n_words == w)
+        held = sizes[rows] - 8 * (w - 1)
+        keys = words[starts[rows, None] + np.arange(0, 8 * w, 8)]
+        keys[:, -1] = keys[:, -1] & _WORD_KEEP[held] | _WORD_PAD[held]
+        _, first, code = np.unique(keys.view(f"V{8 * w}")[:, 0] if w > 1 else keys[:, 0], True, True)
+        codes[rows] = code + len(firsts)
+        firsts += rows[first].tolist()
+    order = np.argsort(firsts)
+    used = np.array(firsts, dtype=np.intp)[order]
+    return [data[a:b].decode() for a, b in zip(starts[used].tolist(), stops[used].tolist())], np.argsort(order)[codes]
+
+
+def _int_or_shown(field: str) -> Union[int, str]:
+    """A stamp or size field's integer, or the text its error shows.
+
+    The text is the field stripped of whitespace, as ``int()`` reads it, or of
+    only spaces and tabs where other whitespace is all that keeps it from
+    reading as an integer.
+    """
+    text = field.strip(" \t")
+    if _INT_TEXT.fullmatch(text):
+        with contextlib.suppress(ValueError):  # int() reads at most sys.get_int_max_str_digits() digits
+            return int(text)
+        return text
+    return text if _INT_TEXT.fullmatch(field.strip()) else field.strip()
 
 
 def _record_error(rec: List[str], prev_ts: Optional[int]) -> Optional[str]:
     """The first read-check failure of one record, in check order."""
     if len(rec) != 5:
         return f"expected 5 fields, got {len(rec)}"
-    ts_text, price, size_text, _, _ = (f.strip() for f in rec)
-    try:
-        ts = int(ts_text)
-    except ValueError:
-        return f"bad timestamp {show_field(ts_text)}"
+    ts, size = _int_or_shown(rec[0]), _int_or_shown(rec[2])
+    if isinstance(ts, str):
+        return f"bad timestamp {show_field(ts)}"
     if ts not in _STAMP_RANGE:
-        return f"timestamp {show_field(ts_text, str)} out of range"
+        return f"timestamp {show_field(rec[0].strip(), str)} out of range"
     if prev_ts is not None and ts < prev_ts:
         return "timestamps must be non-decreasing"
-    try:
-        size = int(size_text)
-    except ValueError:
-        return f"bad size {show_field(size_text)}"
+    if isinstance(size, str):
+        return f"bad size {show_field(size)}"
     if size < 0:
         return f"negative size {size}"
-    return None if price else "missing price"
+    return None if rec[1].strip() else "missing price"
+
+
+def _read_utf8(path: Path) -> bytes:
+    """The bytes of a UTF-8 file; an unreadable file or a byte that is not UTF-8 is an IngestError."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IngestError(f"cannot read file: {exc.strerror or exc}", path=path) from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[: exc.start]
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            raise IngestError("file is not UTF-8 text", path=path, line=line) from None
+    return data
 
 
 def read_text(path: Path) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 is an IngestError at its line."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].decode("utf-8")
-        line = before.count("\n") + before.count("\r") - before.count("\r\n") + 1
-        raise IngestError("file is not UTF-8 text", path=path, line=line) from None
-
-
-def _lines(path: Path) -> List[str]:
-    """The file's lines, each ended by ``\\n``, ``\\r\\n`` or ``\\r``; a final line end starts no line."""
-    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
-def _columns(rows: List[str]) -> List[List[str]]:
-    """The five field columns of five-field ``rows``, up to the first row that holds a quote."""
-    joined = ",".join(rows)
-    if '"' in joined:  # a quoted row fails where it stands, whatever its comma count
-        return _columns(rows[: next(i for i, row in enumerate(rows) if '"' in row)])
-    fields = joined.split(",") if joined else []
-    return [fields[k::5] for k in range(5)]
+    """The text of a UTF-8 file; an unreadable file or a byte that is not UTF-8 is an IngestError."""
+    return _read_utf8(path).decode("utf-8")
 
 
 def _read_columns(path: Path) -> _TradeColumns:
     """Read one trade file and run the read checks on every row.
 
-    Fields are unquoted, so a row is its line split at commas: each line's
-    comma count gives its field count, and the five-field rows are split all
-    at once, so no list is made per row for the garbage collector to scan.
+    The file is one byte array. Its line ends and commas are found once: a
+    line's comma count gives its field count, and the commas of the five-field
+    rows bound every field. Stamps and sizes are parsed from their digit bytes
+    and price texts keyed by their bytes, in array passes over all rows; only
+    the distinct price texts and a failing row are decoded.
     """
-    recs = _lines(path)
-    if not recs:
+    data = _read_utf8(path)
+    if not data:
         raise IngestError("file is empty", path=path)
-    head = recs.pop(0)
+    # a closing line end, so the last line ends like the others, and slack for 8-byte reads past it
+    buf = np.frombuffer(data + b"\n" + bytes(8), dtype=np.uint8)
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF) | (buf == _CR))
+    kind = buf[seps]
+    keep = (kind != _LF) | (buf[seps - 1] != _CR)  # a \r\n pair ends its line at the \r
+    seps, kind = seps[keep], kind[keep]
+    ends = np.flatnonzero(kind != _COMMA)  # the index in seps of each line's end
+    stops = seps[ends]
+    starts = np.concatenate(([0], stops[:-1] + 1 + ((kind[ends[:-1]] == _CR) & (buf[stops[:-1] + 1] == _LF))))
+    commas = np.diff(ends, prepend=-1) - 1
+
+    head = data[: stops[0]].decode()
     header = head.split(",") if head else []
     if [h.strip() for h in header] != TRADE_CSV_HEADER:
         shown = show_field(head, lambda _: repr(header))
         raise IngestError(f"bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}", path=path)
-    widths = np.fromiter(map(str.count, recs, repeat(",")), np.intp, len(recs)) + 1
-    blank = widths == 1
-    blank[blank] = [not recs[i].strip() for i in np.flatnonzero(blank)]
-    lines = np.flatnonzero(~blank) + 2
-    if blank.any():
-        recs, widths = list(compress(recs, ~blank)), widths[~blank]
-    ts_col, price_col, size_col, bid_col, ask_col = _columns(recs[: _first(widths != 5)])
-    stamps = _leading_stamps(ts_col)
-    price = _distinct(price_col)
+    blank = commas == 0
+    blank[0] = False
+    blank[blank] = [not data[a:b].decode().strip() for a, b in zip(starts[blank].tolist(), stops[blank].tolist())]
+    rows = np.flatnonzero(~blank)[1:]  # line indices of the data rows
+    quoted = np.zeros(len(stops), dtype=bool)
+    quoted[np.searchsorted(stops, np.flatnonzero(buf == _QUOTE))] = True
+    # a row that is not five unquoted fields fails where it stands; the rows before it are split into fields
+    good = rows[: _first((commas[rows] != 4) | quoted[rows])]
+    c0, c1, c2, c3 = (seps[ends[good] - k] for k in (4, 3, 2, 1))
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    stamps, stamp_ok = _ints(data, words, starts[good], c0)
+    sizes, size_ok = _ints(data, words, c1 + 1, c2)
+    price, bid, ask = (_texts(data, words, a + 1, b) for a, b in ((c0, c1), (c2, c3), (c3, stops[good])))
+    stamps = stamps[: _first(~stamp_ok | (stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop))]
     # each mask covers the rows its column parsed for: the earliest first failure is the failing row
     end = min(
         _first(np.diff(stamps, prepend=stamps[:1]) < 0),
-        _first(np.array(_leading_ints(size_col)) < 0),
+        _first(~size_ok | (sizes < 0)),
         _first(np.array([not v.strip() for v in price[0]], dtype=bool)[price[1]]),
     )
-    if end < len(recs):
+    lines = rows + 1
+    if end < len(rows):
         prev_ts = int(stamps[end - 1]) if end else None
-        rec = recs[end]
+        rec = data[starts[rows[end]] : stops[rows[end]]].decode()
         message = "quoted fields are not supported" if '"' in rec else _record_error(rec.split(","), prev_ts)
         raise IngestError(message, path=path, line=int(lines[end]))
-    return _TradeColumns(path, lines, stamps, [price, _distinct(bid_col), _distinct(ask_col)])
+    return _TradeColumns(path, lines, stamps, [price, bid, ask])
 
 
 def _subticks(grid: TickGrid, what: str, text: str) -> Union[int, str]:

@@ -1,6 +1,8 @@
 """Config parsing, the batch pipeline, and the command line front end."""
 import csv
+import errno
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -528,6 +530,28 @@ class TestCli:
         rc = cli_main(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_predict_version_1_without_p1_names_the_flag(self, capsys):
+        rc = cli_main(["predict", "--alpha0", "1", "--eta0", "0.2", "--alpha", "2", "--version", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --version 1 needs --p1 > 0\n"
+
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["estimate", "regress", "pipeline"])
+    def test_unreadable_input_path(self, tmp_path, capsys, make, command):
+        path = tmp_path / "input.csv"
+        if make == "directory":
+            path.mkdir()
+        args = {
+            "estimate": ["estimate", str(path), "--tick-value", "0.01"],
+            "regress": ["regress", "--records", str(path)],
+            "pipeline": ["pipeline", "--config", str(path)],
+        }[command]
+        assert cli_main(args) == 1
+        reason = os.strerror(errno.ENOENT if make == "missing" else errno.EISDIR)
+        assert capsys.readouterr().err == f"error: {path}: cannot read file: {reason}\n"
 
     def test_optimal_tick_single_asset(self, tmp_path, capsys):
         out = tmp_path / "ticks.csv"

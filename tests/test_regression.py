@@ -1,9 +1,14 @@
 """Regression-layer tests: exact planted fits, noise recovery, validation."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tickzone
 from tickzone.errors import CollinearityError, InsufficientDataError, ParameterError
 from tickzone.estimators import DailyRecord
 from tickzone.pipeline import fit_groups
@@ -207,3 +212,19 @@ class TestFitGroups:
         dropped, _ = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=False)
         kept, _ = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=True)
         assert (dropped["A"].n_days, kept["A"].n_days) == (5, 6)
+
+
+def test_interval_quantile_is_the_t_quantile():
+    # the fit takes its 97.5% t quantile from scipy.special, which gives scipy.stats' value bit for bit
+    from scipy import special, stats
+
+    dof = np.arange(1, 5001)
+    assert np.array_equal(special.stdtrit(dof, 0.975), stats.t.ppf(0.975, dof))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of the package's import time and memory, and nothing needs it
+    code = "import sys, tickzone; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(tickzone.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -1,8 +1,11 @@
 """Trade CSV ingest and export: sessions, validation, round trips."""
 import csv
+import errno
 import functools
 import io
+import os
 import tempfile
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -10,19 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+from zoneinfo import ZoneInfo
 
 from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeEvent, TradeTape
-from tickzone.errors import IngestError, ParameterError, TickzoneError
+from tickzone.errors import IngestError, ParameterError, TickzoneError, show_field
 from tickzone.estimators import build_daily_record
 from tickzone.tradefile import (
     _STAMP_RANGE,
     FULL_DAY,
     TRADE_CSV_HEADER,
     SessionFilter,
-    _distinct,
     _first,
-    _leading_ints,
     _read_columns,
     _record_error,
     _TradeColumns,
@@ -67,8 +68,13 @@ class TestSessionFilter:
             SessionFilter(100, 100)
 
     def test_unknown_timezone(self):
-        with pytest.raises(ZoneInfoNotFoundError):
+        with pytest.raises(ParameterError, match="^unknown time zone 'Mars/Olympus'$"):
             SessionFilter(0, 3600, tz="Mars/Olympus")
+
+    def test_time_zone_outside_the_zone_database(self):
+        # zoneinfo refuses a key that climbs out of its search path with a ValueError
+        with pytest.raises(ParameterError, match="^unknown time zone '../etc'$"):
+            SessionFilter.from_text("08:00-09:00", tz="../etc")
 
     def test_open_epoch_ms_utc(self):
         assert FULL_DAY.open_epoch_ms(date(2009, 6, 1)) == _JUN1_UTC_MS
@@ -258,6 +264,61 @@ class TestReadTradeRows:
         session = SessionFilter.from_text("08:00-09:00")
         p = _write(tmp_path / "ts.csv", [_header(), "1000,100.5,1,,", f"{stamp},100.5,1,,", "3000,x,1,,"])
         self._assert_error(p, 3, f"timestamp {stamp} out of range", session=session)
+
+    @pytest.mark.parametrize("column", ["timestamp", "size"])
+    @pytest.mark.parametrize("text", ["+5", "1_000", "\u0661\u0662"])
+    def test_int_forms_outside_the_grammar(self, tmp_path, column, text):
+        # int() reads a plus sign, underscores and non-ASCII digits; a stamp or size may not hold them
+        fields = [str(_JUN1_UTC_MS + 1), "100.5", "1", "", ""]
+        fields[0 if column == "timestamp" else 2] = text
+        p = _write(tmp_path / "n.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", ",".join(fields)])
+        self._assert_error(p, 3, f"bad {column} {text!r}")
+
+    @pytest.mark.parametrize("column", ["timestamp", "size"])
+    def test_int_longer_than_int_reads(self, tmp_path, column):
+        # int() reads at most 4300 digits by default; a longer stamp or size is a bad one
+        fields = [str(_JUN1_UTC_MS + 1), "100.5", "1", "", ""]
+        fields[0 if column == "timestamp" else 2] = "1" * 5000
+        p = _write(tmp_path / "l.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", ",".join(fields)])
+        self._assert_error(p, 3, f"bad {column} {show_field('1' * 5000)}")
+
+    def test_padded_stamp_and_size_are_read(self, tmp_path):
+        rows = [f" \t{_JUN1_UTC_MS}\t ,100.5,\t 3 ,,", f"{_JUN1_UTC_MS + 1},101,-0,,"]
+        p = _write(tmp_path / "pad.csv", [_header()] + rows)
+        assert _read_columns(p).stamps.tolist() == [_JUN1_UTC_MS, _JUN1_UTC_MS + 1]
+        (day,) = ingest_trades(p, _asset())
+        assert list(day.tape.times) == [0.0, 0.001]
+
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_path(self, tmp_path, make):
+        p = tmp_path / "trades.csv"
+        if make == "directory":
+            p.mkdir()
+        reason = os.strerror(errno.ENOENT if make == "missing" else errno.EISDIR)
+        with pytest.raises(IngestError) as err:
+            ingest_trades(p, _asset())
+        assert str(err.value) == f"{p}: cannot read file: {reason}"
+
+    @pytest.mark.parametrize("column, message", [
+        (1, "price: malformed price"), (0, "bad timestamp"), (2, "bad size"),
+    ])
+    def test_wide_field_in_a_long_file_stays_in_memory_bounds(self, tmp_path, column, message):
+        # one 200 kB field among 50k rows: a rows-by-field-width array would take 10 GB
+        lines = [_header()] + [f"{_JUN1_UTC_MS + i},100.5,1,100,100.5" for i in range(50_000)]
+        fields = lines[40_001].split(",")
+        fields[column] = "x" * 200_000
+        lines[40_001] = ",".join(fields)
+        p = _write(tmp_path / "wide.csv", lines)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IngestError) as err:
+                ingest_trades(p, _asset())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 40_002
+        assert str(err.value).startswith(f"{p}:40002: {message} 'xxx")
+        assert peak < 32 * 2**20  # the reader and the tape build take 16-20 MiB here
 
     def test_price_out_of_range(self, tmp_path):
         # a grid check: it applies to in-session rows only, after the read checks
@@ -682,6 +743,33 @@ def test_session_location_across_both_2009_changes(tz, window, tmp_path):
     _assert_located_like_oracle(sorted(stamps), session, tmp_path)
 
 
+def _narrowed_out(text: str) -> bool:
+    """Whether ``int()`` reads ``text`` only through a form the trade-file grammar leaves out.
+
+    Those forms are a ``+`` sign, ``_`` between digits, non-ASCII digits and
+    whitespace other than ASCII spaces and tabs around the number.
+    """
+    return not text.isascii() or "+" in text or "_" in text or text.strip() != text.strip(" \t")
+
+
+def _leading_ints(texts):
+    """The integers of ``texts`` up to the first text that is not one."""
+    values = []
+    for text in texts:
+        if _narrowed_out(text):
+            break
+        try:
+            values.append(int(text))
+        except ValueError:
+            break
+    return values
+
+
+def _distinct(texts):
+    index = {v: i for i, v in enumerate(dict.fromkeys(texts))}
+    return list(index), np.array([index[v] for v in texts], dtype=np.intp)
+
+
 def _csv_module_read_columns(path: Path) -> _TradeColumns:
     """The ``csv.reader`` form of ``_read_columns``, kept as the oracle of the tokenizer."""
     with path.open(newline="") as fh:
@@ -725,7 +813,7 @@ def _columns_or_error(read, path):
 
 
 _LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r"))
-_SCRAPS = st.text("0123456789.,- \n\r", max_size=30)
+_SCRAPS = st.text("0123456789.,- \n\r\t+_\u0661", max_size=30)
 
 
 @st.composite
