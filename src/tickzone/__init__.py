@@ -13,16 +13,11 @@ from .domain import (
     SUBTICKS_PER_TICK,
     AssetSpec,
     TickGrid,
-    TradeEvent,
     TradeTape,
 )
 from .equilibrium import (
-    DEFAULT_WYART_C,
-    EquilibriumReport,
     crossing_probabilities,
-    equilibrium_report,
     first_passage_frequencies,
-    market_maker_pnl,
     market_order_cost,
 )
 from .errors import (
@@ -42,7 +37,6 @@ from .estimators import (
     ETA_FLAG_THRESHOLD,
     AlternationCounts,
     DailyRecord,
-    SignatureCurve,
     SpreadStats,
     build_daily_record,
     count_alternations,
@@ -53,7 +47,6 @@ from .estimators import (
     roll_implicit_measure,
     signature_plot,
     spread_stats,
-    volatility_per_trade,
 )
 from .pipeline import (
     PipelineConfig,
@@ -99,77 +92,3 @@ from .tradefile import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlternationCounts",
-    "AssetSpec",
-    "BETA_PRESETS",
-    "CollinearityError",
-    "DEFAULT_WYART_C",
-    "DailyRecord",
-    "DayTape",
-    "DegenerateTapeError",
-    "DomainError",
-    "ETA_FLAG_THRESHOLD",
-    "EfficientPathSpec",
-    "EquilibriumReport",
-    "EtaForecast",
-    "IngestError",
-    "InsufficientDataError",
-    "MissingFitError",
-    "NO_QUOTE",
-    "OffGridError",
-    "ParameterError",
-    "PartialDataError",
-    "PipelineConfig",
-    "PipelineResult",
-    "PriceChangeSeries",
-    "REGRESSION_CSV_HEADER",
-    "ReferenceAsset",
-    "RegressionFit",
-    "SUBTICKS_PER_TICK",
-    "SessionFilter",
-    "SignatureCurve",
-    "SpreadStats",
-    "SyntheticAsset",
-    "TRADE_CSV_HEADER",
-    "TapeConfig",
-    "TapeError",
-    "TickGrid",
-    "TickScenario",
-    "TickzoneError",
-    "TradeEvent",
-    "TradeTape",
-    "TrueParams",
-    "build_daily_record",
-    "check_large_tick_regime",
-    "count_alternations",
-    "crossing_probabilities",
-    "design_matrix",
-    "empirical_roll_measure",
-    "equilibrium_fill_rate",
-    "equilibrium_report",
-    "estimate_eta",
-    "estimate_integrated_variance",
-    "first_passage_frequencies",
-    "fit_spread_vol",
-    "generate_tape",
-    "ingest_trades",
-    "load_config",
-    "load_reference_assets",
-    "market_maker_pnl",
-    "market_order_cost",
-    "optimal_tick",
-    "parse_config_text",
-    "predict_eta",
-    "read_daily_records_csv",
-    "recover_efficient_prices",
-    "roll_implicit_measure",
-    "run_pipeline",
-    "scale_trade_count",
-    "signature_plot",
-    "simulate_day",
-    "spread_stats",
-    "volatility_per_trade",
-    "write_tape_csv",
-]

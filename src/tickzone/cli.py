@@ -19,13 +19,12 @@ import logging
 import os
 import sys
 from datetime import date as date_type
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
-from .domain import AssetSpec
-from .equilibrium import equilibrium_report
-from .errors import MissingFitError, TickzoneError
+from .domain import AssetSpec, TickGrid
+from .equilibrium import crossing_probabilities, market_order_cost
+from .errors import MissingFitError, ParameterError, TickzoneError
 from .estimators import build_daily_record, signature_plot
 from .pipeline import (
     fit_groups,
@@ -60,12 +59,15 @@ def _add_session_args(p: argparse.ArgumentParser, default: str) -> None:
 
 def _cmd_simulate(args) -> int:
     session = _session(args)
-    asset = AssetSpec(args.asset_id, float(Fraction(args.tick_value)), eta=args.eta)
+    asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value, eta=args.eta)
     horizon = session.length_seconds
     if args.fills == "auto":
         intensity = equilibrium_fill_rate(asset, args.sigma, horizon)
     else:
-        intensity = float(args.fills)
+        try:
+            intensity = float(args.fills)
+        except ValueError:
+            raise ParameterError(f"--fills must be 'auto' or a number, got {args.fills!r}") from None
     spec = EfficientPathSpec(x0=args.x0, volatility=args.sigma, horizon=horizon)
     tape, truth = simulate_day(spec, asset, TapeConfig(trade_intensity=intensity, seed=args.seed))
     day = date_type.fromisoformat(args.day)
@@ -78,7 +80,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    asset = AssetSpec(args.asset_id, float(Fraction(args.tick_value)))
+    asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value)
     day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
     records = []
     for day, tape in day_tapes:
@@ -123,12 +125,12 @@ def _cmd_predict(args) -> int:
     if forecast.warning:
         print(f"warning: {forecast.warning}")
     try:
-        report = equilibrium_report(AssetSpec("TARGET", args.alpha, eta=forecast.eta_pred))
+        p_revert, p_continue = crossing_probabilities(forecast.eta_pred)
     except TickzoneError:
         return 0
-    print(f"p_revert: {fmt_float(report.p_revert)}")
-    print(f"p_continue: {fmt_float(report.p_continue)}")
-    print(f"market_order_cost: {fmt_float(report.market_order_cost)}")
+    print(f"p_revert: {fmt_float(p_revert)}")
+    print(f"p_continue: {fmt_float(p_continue)}")
+    print(f"market_order_cost: {fmt_float(market_order_cost(forecast.eta_pred, args.alpha))}")
     return 0
 
 
@@ -147,7 +149,7 @@ def _cmd_optimal_tick(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    asset = AssetSpec(args.asset_id, float(Fraction(args.tick_value)))
+    asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value)
     day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
     rows = []
     for day, tape in day_tapes:
@@ -156,7 +158,7 @@ def _cmd_signature(args) -> int:
         except TickzoneError as exc:
             print(f"skipped: {asset.asset_id} {day.isoformat()}: {exc}", file=sys.stderr)
             continue
-        rows += [[day.isoformat(), lag, fmt_float(curve.points[lag])] for lag in sorted(curve.points)]
+        rows += [[day.isoformat(), lag, fmt_float(rv)] for lag, rv in curve.items()]
     write_csv(args.out, ["date", "lag", "realized_variance"], rows)
     return 0 if rows else 1
 

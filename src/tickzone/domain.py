@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,13 +45,6 @@ class AssetSpec:
             raise ParameterError(f"tick_value must be > 0, got {self.tick_value!r}")
         if self.eta is not None and not (0.0 < self.eta <= 1.0):
             raise ParameterError(f"eta must lie in (0, 1], got {self.eta!r}")
-
-    @property
-    def implicit_spread(self) -> float:
-        """Width of the buy/sell band, ``2 * eta * tick_value``."""
-        if self.eta is None:
-            raise ParameterError(f"asset {self.asset_id} has no eta set")
-        return 2.0 * self.eta * self.tick_value
 
     def require_eta(self) -> float:
         if self.eta is None:
@@ -100,13 +93,6 @@ class TickGrid:
             raise OffGridError(f"price {show_field(text, str)} is out of range for tick {self.tick_text}")
         return int(q)
 
-    def subticks_from_currency(self, x: float) -> int:
-        """Convert a float price known to sit on the lattice."""
-        q = round(x / self.quantum)
-        if abs(x - q * self.quantum) > 1e-9 * self.tick_value:
-            raise OffGridError(f"price {x!r} is not on the sub-tick lattice")
-        return q
-
     def currency(self, q) -> float:
         """Sub-ticks to float currency. Accepts scalars or arrays."""
         if isinstance(q, np.ndarray):
@@ -117,14 +103,6 @@ class TickGrid:
         """Sub-ticks to an exact decimal string."""
         d = Decimal(int(q)) * Decimal(self.tick_text) / Decimal(SUBTICKS_PER_TICK)
         return format(d.normalize(), "f")
-
-    def on_tick(self, q: int) -> bool:
-        return q % SUBTICKS_PER_TICK == 0
-
-    def tick_index(self, q: int) -> int:
-        if not self.on_tick(q):
-            raise OffGridError(f"{q} sub-ticks is not a whole tick")
-        return q // SUBTICKS_PER_TICK
 
     def nearest_tick_index(self, x: float) -> int:
         """Index of the grid point nearest to ``x``; exact halves round down."""
@@ -144,16 +122,6 @@ def _first_fault(mask: np.ndarray, message: str) -> None:
     """Raise a TapeError at the first row where ``mask`` is set."""
     if mask.any():
         raise TapeError(message, int(np.argmax(mask)))
-
-
-@dataclass(frozen=True)
-class TradeEvent:
-    """One trade with its pre-trade quotes, for building small tapes."""
-
-    time: float
-    price: float
-    pre_bid: Optional[float]
-    pre_ask: Optional[float]
 
 
 class TradeTape:
@@ -193,26 +161,6 @@ class TradeTape:
         self.opening_price_q = int(opening_price_q)
         self.direction = np.sign(self._validate()).astype(np.int8)
         self._change_idx: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------ build
-
-    @classmethod
-    def from_events(
-        cls,
-        asset: AssetSpec,
-        events: Sequence[TradeEvent],
-        session_length: float,
-        opening_price: float,
-        grid: Optional[TickGrid] = None,
-    ) -> "TradeTape":
-        """Build a tape from scalar events (mainly for tests and small data)."""
-        g = grid if grid is not None else TickGrid(asset.tick_value)
-        times = [e.time for e in events]
-        price_q = [g.subticks_from_currency(e.price) for e in events]
-        bid_q = [NO_QUOTE if e.pre_bid is None else g.subticks_from_currency(e.pre_bid) for e in events]
-        ask_q = [NO_QUOTE if e.pre_ask is None else g.subticks_from_currency(e.pre_ask) for e in events]
-        opening_q = g.subticks_from_currency(opening_price)
-        return cls(asset, times, price_q, bid_q, ask_q, session_length, opening_q, grid=g)
 
     def _validate(self) -> np.ndarray:
         """Check the tape; returns each trade's price move in sub-ticks."""
@@ -281,9 +229,6 @@ class TradeTape:
     @property
     def opening_price(self) -> float:
         return self.grid.currency(self.opening_price_q)
-
-    def prices(self) -> np.ndarray:
-        return self.grid.currency(self.price_q)
 
     def quote_mask(self) -> np.ndarray:
         """True where both pre-trade quotes are present."""

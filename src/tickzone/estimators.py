@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class AlternationCounts:
     def __post_init__(self):
         if self.n_alternations < 0 or self.n_continuations < 0:
             raise ParameterError("counts must be >= 0")
-
-    @property
-    def total(self) -> int:
-        return self.n_alternations + self.n_continuations
 
 
 def count_alternations(directions) -> AlternationCounts:
@@ -104,41 +100,16 @@ def estimate_integrated_variance(xhat) -> float:
     return float(d @ d)
 
 
-def volatility_per_trade(sigma_hat: float, m_trades: int) -> float:
-    """Period volatility spread over trades, sigma / sqrt(M)."""
-    if sigma_hat < 0:
-        raise ParameterError("sigma_hat must be >= 0")
-    if m_trades < 1:
-        raise ParameterError(f"m_trades must be >= 1, got {m_trades}")
-    return sigma_hat / math.sqrt(m_trades)
-
-
-@dataclass(frozen=True)
-class SignatureCurve:
-    """Realized variance of the sampled traded price, per coarsening lag."""
-
-    samples_per_second: float
-    points: dict
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.array(sorted(self.points))
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([self.points[d] for d in sorted(self.points)])
-
-
-def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: int = 50) -> SignatureCurve:
-    """Realized variance against the sampling lag.
+def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: int = 50) -> Dict[int, float]:
+    """Realized variance against the sampling lag, as ``{lag: realized_variance}``.
 
     The traded price is sampled on the grid j / samples_per_second with
     previous-tick interpolation (the opening price before the first trade).
     For each lag the realized variance sums squared increments of every
-    ``lag``-th sample.
+    ``lag``-th sample. The lags run from 1 to ``lag_max`` in increasing order.
     """
-    if samples_per_second <= 0:
-        raise ParameterError("samples_per_second must be > 0")
+    if not 0 < samples_per_second < math.inf:
+        raise ParameterError(f"samples_per_second must be finite and > 0, got {samples_per_second!r}")
     if lag_max < 1:
         raise ParameterError("lag_max must be >= 1")
     if len(tape) == 0:
@@ -153,11 +124,11 @@ def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: in
     ladder = np.concatenate(([tape.opening_price], tape.change_prices))
     idx = np.searchsorted(tape.change_times, grid_times, side="right")
     sampled = ladder[idx]
-    points = {}
+    points: Dict[int, float] = {}
     for lag in range(1, lag_max + 1):
         d = np.diff(sampled[::lag])
         points[lag] = float(d @ d)
-    return SignatureCurve(samples_per_second=samples_per_second, points=points)
+    return points
 
 
 def roll_implicit_measure(eta: float, tick_value: float) -> float:

@@ -25,14 +25,13 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import date as date_type
 from datetime import timedelta
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import AssetSpec
-from .equilibrium import crossing_probabilities
+from .domain import AssetSpec, TickGrid
+from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import IngestError, ParameterError, TickzoneError, show_field
 from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
@@ -103,7 +102,7 @@ class SyntheticAsset:
     def __post_init__(self):
         if self.days < 1:
             raise ParameterError(f"{self.asset_id}: days must be >= 1")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ParameterError(f"{self.asset_id}: sigma must be > 0")
         if not 0.0 <= self.sigma_jitter < 1.0:
             raise ParameterError(f"{self.asset_id}: sigma_jitter must lie in [0, 1)")
@@ -256,7 +255,7 @@ def _synthesize(config: PipelineConfig) -> Dict[str, List[Path]]:
     horizon = config.session.length_seconds
     for ai, aid in enumerate(sorted(config.synthetic)):
         syn = config.synthetic[aid]
-        asset = AssetSpec(aid, float(Fraction(syn.tick_text)), eta=syn.eta)
+        asset = AssetSpec(aid, TickGrid(syn.tick_text).tick_value, eta=syn.eta)
         jitter_rng = np.random.default_rng([config.seed, 0x5117E5, ai])
         asset_dir = trade_dir / aid
         asset_dir.mkdir(parents=True, exist_ok=True)
@@ -300,7 +299,7 @@ def _discover(config: PipelineConfig, skipped: List[str]) -> tuple[Dict[str, Lis
 
 
 def _daily_diagnostics(r: DailyRecord) -> List[str]:
-    cost = r.alpha * (0.5 - r.eta_hat)
+    cost = market_order_cost(r.eta_hat, r.alpha)
     try:
         p_revert, p_continue = crossing_probabilities(r.eta_hat)
         return [fmt_float(cost), fmt_float(p_revert), fmt_float(p_continue)]
@@ -452,7 +451,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     records: List[DailyRecord] = []
     for aid in sorted(files):
-        asset = AssetSpec(aid, float(Fraction(ticks[aid])))
+        asset = AssetSpec(aid, TickGrid(ticks[aid]).tick_value)
         for day, tape in ingest_trades(files[aid], asset, session=config.session, tick_text=ticks[aid]):
             try:
                 records.append(build_daily_record(tape, date=day.isoformat()))

@@ -66,11 +66,13 @@ class EfficientPathSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not math.isfinite(self.x0):
+            raise ParameterError(f"x0 must be finite, got {self.x0!r}")
+        if not self.horizon > 0:
             raise ParameterError(f"horizon must be > 0, got {self.horizon!r}")
         _, vols = _schedule_pieces(self.volatility)
-        if np.any(vols < 0):
-            raise ParameterError("volatility must be >= 0 everywhere")
+        if not np.all(np.isfinite(vols) & (vols >= 0)):
+            raise ParameterError(f"volatility must be finite and >= 0 everywhere, got {self.volatility!r}")
 
 
 def _variance_clock(spec: EfficientPathSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +280,8 @@ class TapeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trade_intensity < 0:
-            raise ParameterError("trade_intensity must be >= 0")
+        if not (math.isfinite(self.trade_intensity) and self.trade_intensity >= 0):
+            raise ParameterError(f"trade_intensity must be finite and >= 0, got {self.trade_intensity!r}")
 
 
 @dataclass(frozen=True)

@@ -46,18 +46,18 @@ class TickScenario:
     sigma0: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ParameterError(f"alpha0 must be > 0, got {self.alpha0!r}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha!r}")
-        if self.eta0 <= 0:
-            raise ParameterError(f"eta0 must be > 0, got {self.eta0!r}")
+        if not 0 < self.alpha0 < math.inf:
+            raise ParameterError(f"alpha0 must be finite and > 0, got {self.alpha0!r}")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        if not 0 < self.eta0 < math.inf:
+            raise ParameterError(f"eta0 must be finite and > 0, got {self.eta0!r}")
         if not (0.0 < self.beta < 2.0):
             raise DomainError(f"beta must lie in (0, 2), got {self.beta!r}")
-        if self.m0 is not None and self.m0 < 1:
-            raise ParameterError("m0 must be >= 1")
-        if self.sigma0 is not None and self.sigma0 < 0:
-            raise ParameterError("sigma0 must be >= 0")
+        if self.m0 is not None and not 1 <= self.m0 < math.inf:
+            raise ParameterError(f"m0 must be finite and >= 1, got {self.m0!r}")
+        if self.sigma0 is not None and not 0 <= self.sigma0 < math.inf:
+            raise ParameterError(f"sigma0 must be finite and >= 0, got {self.sigma0!r}")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import settings
 
 from tickzone import (
+    NO_QUOTE,
     AssetSpec,
     EfficientPathSpec,
     TapeConfig,
+    TickGrid,
     TradeTape,
     TrueParams,
     simulate_day,
@@ -29,6 +31,18 @@ from tickzone import (
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def tape_from_rows(asset: AssetSpec, rows, session_length: float, opening_price: float) -> TradeTape:
+    """A tape from (time, price, bid, ask) rows; a quote of None is absent."""
+    grid = TickGrid(asset.tick_value)
+
+    def q(x):
+        return NO_QUOTE if x is None else grid.subticks_from_text(str(x))
+
+    times = [r[0] for r in rows]
+    price_q, bid_q, ask_q = ([q(r[k]) for r in rows] for k in (1, 2, 3))
+    return TradeTape(asset, times, price_q, bid_q, ask_q, session_length, q(opening_price), grid=grid)
 
 
 class SimDay(NamedTuple):

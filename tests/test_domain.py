@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import tape_from_rows
 from tickzone import (
     NO_QUOTE,
     SUBTICKS_PER_TICK,
@@ -10,7 +11,6 @@ from tickzone import (
     ParameterError,
     TapeError,
     TickGrid,
-    TradeEvent,
     TradeTape,
 )
 
@@ -18,10 +18,6 @@ from tickzone import (
 # ---------------------------------------------------------------- AssetSpec
 
 class TestAssetSpec:
-    def test_implicit_spread_is_band_width(self):
-        asset = AssetSpec("A", 0.01, eta=0.25)
-        assert asset.implicit_spread == pytest.approx(2 * 0.25 * 0.01, rel=1e-15)
-
     def test_eta_bounds(self):
         AssetSpec("A", 1.0, eta=1.0)  # closed upper end allowed
         with pytest.raises(ParameterError):
@@ -43,8 +39,6 @@ class TestAssetSpec:
         asset = AssetSpec("A", 1.0)
         with pytest.raises(ParameterError):
             asset.require_eta()
-        with pytest.raises(ParameterError):
-            _ = asset.implicit_spread
 
 
 # ----------------------------------------------------------------- TickGrid
@@ -64,9 +58,9 @@ class TestTickGrid:
     def test_half_tick_is_on_lattice_but_not_on_tick(self):
         grid = TickGrid("0.01")
         q = grid.subticks_from_text("100.005")
-        assert not grid.on_tick(q)
-        with pytest.raises(OffGridError):
-            grid.tick_index(q)
+        assert q == 10000 * SUBTICKS_PER_TICK + SUBTICKS_PER_TICK // 2
+        with pytest.raises(TapeError, match="off the tick grid"):
+            TradeTape(AssetSpec("A", 0.01), [1.0], [q], [NO_QUOTE], [NO_QUOTE], 10.0, 0, grid=grid)
 
     def test_sub_lattice_price_rejected(self):
         grid = TickGrid("0.01")
@@ -93,15 +87,6 @@ class TestTickGrid:
         assert hash(TickGrid(0.01)) == hash(TickGrid("0.01"))
         assert TickGrid("0.01") != TickGrid("0.02")
 
-    def test_subticks_from_currency(self):
-        grid = TickGrid("0.25")
-        assert grid.subticks_from_currency(100.25) == 401 * SUBTICKS_PER_TICK
-        # 100.26 still sits on the millionth-of-a-tick lattice; a price
-        # between lattice points does not
-        assert grid.subticks_from_currency(100.26) == 401040000
-        with pytest.raises(OffGridError):
-            grid.subticks_from_currency(100.25 + grid.quantum / 3)
-
     def test_currency_scalar_and_array(self):
         grid = TickGrid("0.01")
         assert grid.currency(SUBTICKS_PER_TICK) == pytest.approx(0.01)
@@ -118,25 +103,25 @@ class TestTickGrid:
     def test_large_tick_text(self):
         grid = TickGrid("7.8125")
         q = grid.subticks_from_text("109.375")  # 14 ticks
-        assert grid.tick_index(q) == 14
+        assert q == 14 * SUBTICKS_PER_TICK
         assert grid.text(q) == "109.375"
 
 
 # ---------------------------------------------------------------- TradeTape
 
-def _events():
-    # open at 100, one up move, a fill, one down move
+def _rows():
+    # (time, price, bid, ask): open at 100, one up move, a fill, one down move
     return [
-        TradeEvent(time=0.5, price=100.0, pre_bid=100.0, pre_ask=101.0),
-        TradeEvent(time=1.0, price=101.0, pre_bid=100.0, pre_ask=101.0),
-        TradeEvent(time=2.5, price=101.0, pre_bid=101.0, pre_ask=102.0),
-        TradeEvent(time=3.0, price=100.0, pre_bid=100.0, pre_ask=101.0),
+        (0.5, 100.0, 100.0, 101.0),
+        (1.0, 101.0, 100.0, 101.0),
+        (2.5, 101.0, 101.0, 102.0),
+        (3.0, 100.0, 100.0, 101.0),
     ]
 
 
-def _tape(**kw):
+def _tape():
     asset = AssetSpec("T", 1.0, eta=0.25)
-    return TradeTape.from_events(asset, _events(), session_length=10.0, opening_price=100.0, **kw)
+    return tape_from_rows(asset, _rows(), session_length=10.0, opening_price=100.0)
 
 
 def _fault(price_q, bid_q=None, ask_q=None, times=None, opening_q=0):
@@ -166,16 +151,13 @@ class TestTradeTape:
         assert np.allclose(tape.change_prices, [101.0, 100.0])
         assert list(tape.change_directions) == [1, -1]
         assert tape.opening_price == pytest.approx(100.0)
-        assert np.allclose(tape.prices(), [100.0, 101.0, 101.0, 100.0])
+        assert np.allclose(tape.grid.currency(tape.price_q), [100.0, 101.0, 101.0, 100.0])
         assert tape.quote_mask().all()
 
     def test_event_round_trip(self):
         tape = _tape()
-        events = _events()
-        assert list(tape.times) == [e.time for e in events]
-        assert list(tape.prices()) == [e.price for e in events]
-        assert list(tape.grid.currency(tape.bid_q)) == [e.pre_bid for e in events]
-        assert list(tape.grid.currency(tape.ask_q)) == [e.pre_ask for e in events]
+        columns = (tape.times,) + tuple(tape.grid.currency(c) for c in (tape.price_q, tape.bid_q, tape.ask_q))
+        assert list(zip(*columns)) == _rows()
 
     def test_direction_follows_the_prices(self):
         assert list(_tape().direction) == [0, 1, 0, -1]
@@ -187,8 +169,7 @@ class TestTradeTape:
 
     def test_missing_quotes_round_trip(self):
         asset = AssetSpec("T", 1.0, eta=0.25)
-        events = [TradeEvent(time=1.0, price=100.0, pre_bid=None, pre_ask=None)]
-        tape = TradeTape.from_events(asset, events, session_length=2.0, opening_price=100.0)
+        tape = tape_from_rows(asset, [(1.0, 100.0, None, None)], session_length=2.0, opening_price=100.0)
         assert tape.bid_q[0] == NO_QUOTE
         assert not tape.quote_mask().any()
 

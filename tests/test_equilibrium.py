@@ -1,20 +1,15 @@
-"""Post-change exit odds, order costs, and the maker/taker balance."""
+"""Post-change exit odds and the cost of a market order."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tickzone.domain import AssetSpec
-from tickzone.equilibrium import (
-    DEFAULT_WYART_C,
-    EquilibriumReport,
-    crossing_probabilities,
-    equilibrium_report,
-    first_passage_frequencies,
-    market_maker_pnl,
-    market_order_cost,
-)
+from tickzone.equilibrium import crossing_probabilities, first_passage_frequencies, market_order_cost
 from tickzone.errors import ParameterError
+from tickzone.estimators import DailyRecord
+from tickzone.pipeline import _daily_diagnostics, fmt_float
 
 
 class TestCrossingProbabilities:
@@ -46,88 +41,53 @@ class TestCrossingProbabilities:
 
 class TestMarketOrderCost:
     def test_hand_values(self):
-        assert market_order_cost(AssetSpec("X", 1.0, eta=0.25)) == pytest.approx(0.25)
-        assert market_order_cost(AssetSpec("X", 1.0, eta=0.5)) == 0.0
-        assert market_order_cost(AssetSpec("X", 0.5, eta=0.1)) == pytest.approx(0.2)
+        assert market_order_cost(0.25, 1.0) == pytest.approx(0.25)
+        assert market_order_cost(0.5, 1.0) == 0.0
+        assert market_order_cost(0.1, 0.5) == pytest.approx(0.2)
 
     def test_sign_flips_above_half(self):
-        assert market_order_cost(AssetSpec("X", 1.0, eta=0.8)) < 0
+        assert market_order_cost(0.8, 1.0) < 0
 
     def test_decreasing_in_eta(self):
-        costs = [market_order_cost(AssetSpec("X", 1.0, eta=e)) for e in np.linspace(0.05, 0.95, 19)]
+        costs = [market_order_cost(e, 1.0) for e in np.linspace(0.05, 0.95, 19)]
         assert all(a > b for a, b in zip(costs, costs[1:]))
-
-    def test_requires_eta(self):
-        with pytest.raises(ParameterError):
-            market_order_cost(AssetSpec("X", 1.0))
 
     def test_matches_exit_lottery(self):
         # price the taker's bet directly: win one zone width plus half a tick
         # on a reversion, lose the same on a continuation
         rng = np.random.default_rng(41)
         n = 400_000
+        tick = 1.0
         for eta in (0.1, 0.25, 0.4):
-            asset = AssetSpec("X", 1.0, eta=eta)
             p_rev, _ = crossing_probabilities(eta)
-            stake = (0.5 + eta) * asset.tick_value
+            stake = (0.5 + eta) * tick
             payoff = np.where(rng.random(n) < p_rev, stake, -stake)
             tol = 4.0 * stake / math.sqrt(n)
-            assert float(payoff.mean()) == pytest.approx(market_order_cost(asset), abs=tol)
-
-
-class TestMarketMakerPnl:
-    def test_break_even_spread_is_exact_zero(self):
-        for c in (1.0, 1.5, 2.0):
-            for sigma in (0.3, 0.017, 2.5):
-                assert market_maker_pnl(c * sigma, sigma, c=c) == 0.0
-
-    def test_hand_value(self):
-        assert market_maker_pnl(1.0, 0.3, c=2.0) == pytest.approx(0.2)
-
-    def test_closure(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            s = float(rng.uniform(0.01, 2.0))
-            sig = float(rng.uniform(0.0, 1.0))
-            c = float(rng.uniform(1.0, 2.0))
-            assert market_maker_pnl(s, sig, c=c) == pytest.approx(0.5 * (s - c * sig), rel=1e-12, abs=1e-15)
-
-    def test_default_charge_is_conservative(self):
-        assert DEFAULT_WYART_C == 2.0
-        assert market_maker_pnl(1.0, 0.4) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            market_maker_pnl(0.0, 0.1)
-        with pytest.raises(ParameterError):
-            market_maker_pnl(1.0, -0.1)
-        for bad_c in (0.9, 2.1):
-            with pytest.raises(ParameterError):
-                market_maker_pnl(1.0, 0.1, c=bad_c)
+            assert float(payoff.mean()) == pytest.approx(market_order_cost(eta, tick), abs=tol)
 
 
 class TestEquilibriumReport:
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ParameterError):
-            EquilibriumReport(eta=0.25, p_revert=0.6, p_continue=0.5, market_order_cost=0.25)
+    """The diagnostics a daily record carries: market-order cost and the two crossing probabilities."""
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_probabilities_must_sum_to_one(self, eta):
+        p_revert, p_continue = crossing_probabilities(eta)
+        assert abs(p_revert + p_continue - 1.0) <= 1e-12
 
     def test_report_fields(self):
-        asset = AssetSpec("X", 1.0, eta=0.25)
-        rep = equilibrium_report(asset)
-        assert rep.eta == 0.25
-        assert rep.p_revert == pytest.approx(2.0 / 3.0)
-        assert rep.p_continue == pytest.approx(1.0 / 3.0)
-        assert rep.market_order_cost == pytest.approx(0.25)
-        assert rep.maker_pnl_per_trade is None
-
-    def test_report_with_maker_pnl(self):
-        asset = AssetSpec("X", 1.0, eta=0.25)
-        rep = equilibrium_report(asset, sigma_per_trade=0.3, c=1.5)
-        assert rep.maker_pnl_per_trade == pytest.approx(market_maker_pnl(1.0, 0.3, c=1.5))
+        record = DailyRecord("d", "X", eta_hat=0.25, alpha=1.0, sigma_hat=0.1, m_trades=10,
+                             avg_spread=1.0, frac_one_tick=100.0)
+        assert _daily_diagnostics(record) == [fmt_float(0.25), fmt_float(2.0 / 3.0), fmt_float(1.0 / 3.0)]
 
     def test_construction_valid_across_ratios(self):
         for eta in np.linspace(0.02, 1.0, 25):
-            equilibrium_report(AssetSpec("X", 0.01, eta=float(eta)))
+            record = DailyRecord("d", "X", eta_hat=float(eta), alpha=0.01, sigma_hat=0.1, m_trades=10,
+                                 avg_spread=0.01, frac_one_tick=100.0)
+            assert all(_daily_diagnostics(record))
+        # a kept day outside (0, 1] still gets its cost, with no crossing odds
+        flagged = DailyRecord("d", "X", eta_hat=2.5, alpha=0.5, sigma_hat=0.1, m_trades=10,
+                              avg_spread=0.5, frac_one_tick=100.0)
+        assert _daily_diagnostics(flagged) == [fmt_float(-1.0), "", ""]
 
 
 class TestFirstPassageFrequencies:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tickzone.domain import AssetSpec, TradeEvent, TradeTape
+from conftest import tape_from_rows
+from tickzone.domain import AssetSpec, TradeTape
 from tickzone.errors import (
     DegenerateTapeError,
     DomainError,
@@ -18,7 +19,6 @@ from tickzone.estimators import (
     ETA_FLAG_THRESHOLD,
     AlternationCounts,
     DailyRecord,
-    SignatureCurve,
     build_daily_record,
     count_alternations,
     empirical_roll_measure,
@@ -28,7 +28,6 @@ from tickzone.estimators import (
     roll_implicit_measure,
     signature_plot,
     spread_stats,
-    volatility_per_trade,
 )
 from tickzone.regression import fit_spread_vol
 
@@ -40,12 +39,12 @@ def _asset(tick=0.5, eta=0.25):
 def _tape_from_moves(directions, tick=0.5, opening=100.0):
     """One trade per move, one second apart, one-tick quotes under the print."""
     a = _asset(tick)
-    events = []
+    rows = []
     price = opening
     for i, d in enumerate(directions):
         price += d * tick
-        events.append(TradeEvent(float(i + 1), price, price - tick, price))
-    return TradeTape.from_events(a, events, session_length=len(directions) + 1.0, opening_price=opening)
+        rows.append((float(i + 1), price, price - tick, price))
+    return tape_from_rows(a, rows, session_length=len(directions) + 1.0, opening_price=opening)
 
 
 class TestCountAlternations:
@@ -65,7 +64,8 @@ class TestCountAlternations:
 
     def test_counts_sum_to_changes_minus_one(self):
         d = [1, -1, -1, 1, 1, 1, -1]
-        assert count_alternations(d).total == len(d) - 1
+        c = count_alternations(d)
+        assert c.n_alternations + c.n_continuations == len(d) - 1
 
     def test_needs_two_changes(self):
         with pytest.raises(InsufficientDataError):
@@ -142,52 +142,48 @@ class TestIntegratedVariance:
             estimate_integrated_variance([100.0])
 
 
-def test_volatility_per_trade():
-    assert volatility_per_trade(2.0, 400) == pytest.approx(0.1)
-    with pytest.raises(ParameterError):
-        volatility_per_trade(-1.0, 10)
-    with pytest.raises(ParameterError):
-        volatility_per_trade(1.0, 0)
-
-
 class TestSignaturePlot:
     def _single_jump_tape(self):
         a = _asset(tick=0.5)
-        events = [
-            TradeEvent(2.0, 100.0, 99.5, 100.0),
-            TradeEvent(10.3, 100.5, 100.0, 100.5),
-            TradeEvent(70.0, 100.5, 100.0, 100.5),
+        rows = [
+            (2.0, 100.0, 99.5, 100.0),
+            (10.3, 100.5, 100.0, 100.5),
+            (70.0, 100.5, 100.0, 100.5),
         ]
-        return TradeTape.from_events(a, events, session_length=100.0, opening_price=100.0)
+        return tape_from_rows(a, rows, session_length=100.0, opening_price=100.0)
 
     def test_constant_tape_is_flat_zero(self):
         a = _asset()
-        events = [TradeEvent(5.0, 100.0, 99.5, 100.0)]
-        tape = TradeTape.from_events(a, events, session_length=60.0, opening_price=100.0)
+        rows = [(5.0, 100.0, 99.5, 100.0)]
+        tape = tape_from_rows(a, rows, session_length=60.0, opening_price=100.0)
         curve = signature_plot(tape, samples_per_second=1.0, lag_max=50)
-        assert np.all(curve.values == 0.0)
+        assert set(curve.values()) == {0.0}
 
     def test_single_jump_counts_once_at_every_lag(self):
         # any sampling stride crosses the lone jump exactly once
         curve = signature_plot(self._single_jump_tape(), samples_per_second=1.0, lag_max=50)
-        assert np.all(curve.values == pytest.approx(0.25))
+        assert list(curve.values()) == pytest.approx([0.25] * 50)
 
     def test_lags_and_values_sorted(self):
-        curve = SignatureCurve(1.0, {3: 30.0, 1: 10.0, 2: 20.0})
-        assert list(curve.lags) == [1, 2, 3]
-        assert list(curve.values) == [10.0, 20.0, 30.0]
+        # the lags come in increasing order, each with its own realized variance
+        tape = self._single_jump_tape()
+        curve = signature_plot(tape, samples_per_second=1.0, lag_max=3)
+        assert list(curve) == [1, 2, 3]
+        for lag, rv in curve.items():
+            assert rv == signature_plot(tape, samples_per_second=1.0, lag_max=lag)[lag]
 
     def test_previous_tick_sampling_before_first_trade(self):
         # grid points before the first change read the opening price
         tape = self._single_jump_tape()
         curve = signature_plot(tape, samples_per_second=0.5, lag_max=2)
         # samples at t = 0,2,...: eleven points below 10.3s would all be opening
-        assert curve.points[1] == pytest.approx(0.25)
+        assert curve[1] == pytest.approx(0.25)
 
     def test_validation(self):
         tape = self._single_jump_tape()
-        with pytest.raises(ParameterError):
-            signature_plot(tape, samples_per_second=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                signature_plot(tape, samples_per_second=bad)
         with pytest.raises(ParameterError):
             signature_plot(tape, lag_max=0)
         with pytest.raises(InsufficientDataError):
@@ -238,23 +234,23 @@ class TestSpreadStats:
 
     def test_mixed_widths(self):
         a = _asset(tick=0.5)
-        events = [
-            TradeEvent(1.0, 100.0, 99.5, 100.0),
-            TradeEvent(2.0, 100.0, 99.5, 100.5),
+        rows = [
+            (1.0, 100.0, 99.5, 100.0),
+            (2.0, 100.0, 99.5, 100.5),
         ]
-        tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
+        tape = tape_from_rows(a, rows, session_length=10.0, opening_price=100.0)
         avg, frac = spread_stats(tape)
         assert avg == pytest.approx(0.75)
         assert frac == 50.0
 
     def test_missing_quotes_reported_with_rows(self):
         a = _asset(tick=0.5)
-        events = [
-            TradeEvent(1.0, 100.0, 99.5, 100.0),
-            TradeEvent(2.0, 100.0, None, None),
-            TradeEvent(3.0, 100.0, None, 100.5),
+        rows = [
+            (1.0, 100.0, 99.5, 100.0),
+            (2.0, 100.0, None, None),
+            (3.0, 100.0, None, 100.5),
         ]
-        tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
+        tape = tape_from_rows(a, rows, session_length=10.0, opening_price=100.0)
         with pytest.raises(PartialDataError) as err:
             spread_stats(tape)
         assert list(err.value.rows) == [1, 2]
@@ -336,12 +332,12 @@ class TestBuildDailyRecord:
 
     def test_error_keeps_its_data(self):
         a = _asset(tick=0.5)
-        events = [
-            TradeEvent(1.0, 100.5, 100.0, 100.5),
-            TradeEvent(2.0, 100.0, None, None),
-            TradeEvent(3.0, 100.5, 100.0, 100.5),
+        rows = [
+            (1.0, 100.5, 100.0, 100.5),
+            (2.0, 100.0, None, None),
+            (3.0, 100.5, 100.0, 100.5),
         ]
-        tape = TradeTape.from_events(a, events, session_length=10.0, opening_price=100.0)
+        tape = tape_from_rows(a, rows, session_length=10.0, opening_price=100.0)
         with pytest.raises(PartialDataError, match=r"^TST 2009-06-03: missing quotes on rows 1$") as err:
             build_daily_record(tape, date="2009-06-03")
         assert err.value.rows == [1]
@@ -379,8 +375,9 @@ class TestBuildDailyRecord:
 @settings(max_examples=50, deadline=None)
 def test_counts_invariant_under_sign_flip(moves):
     d = np.array(moves)
-    assert count_alternations(d) == count_alternations(-d)
-    assert count_alternations(d).total == len(d) - 1
+    c = count_alternations(d)
+    assert c == count_alternations(-d)
+    assert c.n_alternations + c.n_continuations == len(d) - 1
 
 
 @given(

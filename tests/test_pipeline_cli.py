@@ -637,3 +637,64 @@ class TestCli:
         rc = cli_main(["pipeline", "--config", str(cfg)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+_SYNTH_KEYS = {
+    "session": "08:00-08:10", "synthetic.A.tick_value": "0.01", "synthetic.A.eta": "0.25",
+    "synthetic.A.sigma": "0.002", "synthetic.A.days": "1",
+}
+_SIMULATE = ["simulate", "--eta", "0.25", "--session", "08:00-08:10"]
+
+
+def _synth(key, value):
+    return {**_SYNTH_KEYS, f"synthetic.A.{key}": value}
+
+
+# (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file
+@pytest.mark.parametrize(
+    "args, config, named",
+    [
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--tick-value", "abc"], None, "tick value 'abc'",
+                     id="simulate --tick-value abc"),
+        pytest.param(["estimate", "{csv}", "--tick-value", "abc"], None, "tick value 'abc'",
+                     id="estimate --tick-value abc"),
+        pytest.param(["signature", "{csv}", "--tick-value", "abc"], None, "tick value 'abc'",
+                     id="signature --tick-value abc"),
+        pytest.param(["pipeline"], _synth("tick_value", "abc"), "tick value 'abc'",
+                     id="synthetic.A.tick_value = abc"),
+        pytest.param(["pipeline"], {"input_dir": "{inputs}", "tick_value.A": "abc"}, "tick value 'abc'",
+                     id="tick_value.A = abc"),
+        pytest.param(_SIMULATE + ["--sigma", "nan"], None, "volatility", id="simulate --sigma nan"),
+        pytest.param(_SIMULATE + ["--sigma", "inf"], None, "volatility", id="simulate --sigma inf"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "inf"], None, "x0", id="simulate --x0 inf"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "nan"], None, "trade_intensity",
+                     id="simulate --fills nan"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "abc"], None, "--fills",
+                     id="simulate --fills abc"),
+        pytest.param(["pipeline"], _synth("x0", "nan"), "x0", id="synthetic.A.x0 = nan"),
+        pytest.param(["pipeline"], _synth("sigma", "nan"), "sigma", id="synthetic.A.sigma = nan"),
+        pytest.param(["pipeline"], _synth("sigma", "inf"), "volatility", id="synthetic.A.sigma = inf"),
+        pytest.param(["pipeline"], _synth("fills", "nan"), "trade_intensity",
+                     id="synthetic.A.fills = nan"),
+        pytest.param(["predict", "--alpha0", "5", "--eta0", "nan", "--alpha", "10", "--version", "3"], None,
+                     "eta0", id="predict --eta0 nan"),
+        pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--version", "3", "--m0", "nan"],
+                     None, "m0", id="predict --m0 nan"),
+    ],
+)
+def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    (inputs / "A").mkdir(parents=True)
+    (inputs / "A" / "day.csv").write_bytes(sim_csv.read_bytes())
+    args = [a.replace("{csv}", str(sim_csv)) for a in args]
+    if args[0] == "simulate":
+        args += ["--out", str(tmp_path / "sim.csv")]
+    if config is not None:
+        lines = [f"out = {tmp_path / 'run'}"] + [f"{k} = {v}" for k, v in config.items()]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("\n".join(lines).replace("{inputs}", str(inputs)) + "\n")
+        args += ["--config", str(cfg)]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err and err.count("\n") == 1

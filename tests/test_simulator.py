@@ -29,7 +29,7 @@ class TestEfficientPath:
         assert truth.n_price_changes == 0
         assert truth.integrated_variance == 0.0
         assert len(tape) > 0
-        assert np.all(tape.prices() == 100.0)
+        assert np.all(tape.grid.currency(tape.price_q) == 100.0)
 
     def test_increment_variance_matches_sigma(self):
         # the latent price at its barrier hits is a martingale whose squared
@@ -275,7 +275,7 @@ class TestGenerateTape:
         # the first file row never counts as a change; the tape opens there
         assert tape.n_changes == 1
         assert tape.opening_price == pytest.approx(101.0)
-        assert np.allclose(tape.prices(), [101.0, 100.0])
+        assert np.allclose(tape.grid.currency(tape.price_q), [101.0, 100.0])
 
     def test_fill_count_is_poisson(self):
         cfg = TapeConfig(trade_intensity=10.0, seed=2)
@@ -315,7 +315,7 @@ class TestGenerateTape:
         tape = generate_tape(PriceChangeSeries([], [], [], []), cfg, self.asset(), 100.0, 100.0)
         assert tape.n_changes == 0
         assert len(tape) > 0
-        assert np.all(tape.prices() == 100.0)
+        assert np.all(tape.grid.currency(tape.price_q) == 100.0)
 
     def test_validation(self):
         with pytest.raises(ParameterError, match="horizon"):
@@ -372,7 +372,7 @@ class TestSimulateDay:
         asset = AssetSpec("A", 1.0, eta=0.5)
         spec = EfficientPathSpec(x0=100.5, volatility=0.0, horizon=10.0)
         tape, _ = simulate_day(spec, asset, TapeConfig(trade_intensity=0.5, seed=0))
-        assert np.all(tape.prices() == 100.0)
+        assert np.all(tape.grid.currency(tape.price_q) == 100.0)
 
     def test_truth_bookkeeping(self, sim_days):
         for eta, (tape, truth) in sim_days.days.items():

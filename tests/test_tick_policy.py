@@ -24,16 +24,18 @@ def _bobl():
 
 class TestTickScenario:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            TickScenario(alpha0=0.0, eta0=0.2)
-        with pytest.raises(ParameterError):
-            TickScenario(alpha0=1.0, eta0=0.2, alpha=-1.0)
-        with pytest.raises(ParameterError):
-            TickScenario(alpha0=1.0, eta0=0.0)
-        with pytest.raises(ParameterError):
-            TickScenario(alpha0=1.0, eta0=0.2, m0=0)
-        with pytest.raises(ParameterError):
-            TickScenario(alpha0=1.0, eta0=0.2, sigma0=-1.0)
+        # out of range, not a number or infinite: each value is named in its error
+        bad_values = {
+            "alpha0": (0.0, math.nan, math.inf),
+            "alpha": (-1.0, math.nan, math.inf),
+            "eta0": (0.0, math.nan, math.inf),
+            "m0": (0, math.nan, math.inf),
+            "sigma0": (-1.0, math.nan, math.inf),
+        }
+        for name, values in bad_values.items():
+            for bad in values:
+                with pytest.raises(ParameterError, match=f"^{name} must"):
+                    TickScenario(**{"alpha0": 1.0, "eta0": 0.2, name: bad})
 
     def test_count_elasticity_range(self):
         for bad in (0.0, 2.0, 2.5, -1.0):

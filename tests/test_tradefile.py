@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from zoneinfo import ZoneInfo
 
-from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeEvent, TradeTape
+from conftest import tape_from_rows
+from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
 from tickzone.errors import IngestError, ParameterError, TickzoneError, show_field
 from tickzone.estimators import build_daily_record
 from tickzone.tradefile import (
@@ -101,7 +102,7 @@ class TestSessionFilter:
         (day,) = ingest_trades(p, _asset(), session=session)
         assert day.date == date(2009, 6, 1)
         assert list(day.tape.times) == [0.0, 3600.0]
-        assert list(day.tape.prices()) == [100.5, 101.0]
+        assert list(day.tape.grid.currency(day.tape.price_q)) == [100.5, 101.0]
 
     def test_print_at_midnight_opens_a_session_that_opens_at_0000(self, tmp_path):
         jun2 = _JUN1_UTC_MS + 86_400_000
@@ -110,7 +111,7 @@ class TestSessionFilter:
             days = ingest_trades(p, _asset(), session=session)
             assert [d.date for d in days][-1] == date(2009, 6, 2)
             assert list(days[-1].tape.times) == [0.0]
-            assert list(days[-1].tape.prices()) == [101.0]
+            assert list(days[-1].tape.grid.currency(days[-1].tape.price_q)) == [101.0]
 
 
 class TestReadTradeRows:
@@ -125,7 +126,7 @@ class TestReadTradeRows:
         assert day.date == date(1970, 1, 1)
         tape = day.tape
         assert list(tape.times) == [1.0, 2.0]
-        assert list(tape.prices()) == [100.5, 100.5]
+        assert list(tape.grid.currency(tape.price_q)) == [100.5, 100.5]
         assert (tape.grid.text(tape.bid_q[0]), tape.grid.text(tape.ask_q[0])) == ("100", "100.5")
         assert (tape.bid_q[1], tape.ask_q[1]) == (NO_QUOTE, NO_QUOTE)
         # the blank line still counts: the row after it is line 4
@@ -386,7 +387,7 @@ class TestIngestTrades:
         p = _day_file(tmp_path, "ms.csv", [(5.0, 100.5), (5.0, 101.0)], session=session)
         tape = ingest_trades(p, _asset(), session=session)[0].tape
         assert np.all(np.diff(tape.times) > 0)
-        assert list(tape.prices()) == [100.5, 101.0]
+        assert list(tape.grid.currency(tape.price_q)) == [100.5, 101.0]
         assert tape.times[1] == pytest.approx(5.001)
 
     def test_empty_session_warns_and_skips(self, tmp_path, caplog):
@@ -447,13 +448,13 @@ class TestIngestTrades:
 class TestWriteRoundTrip:
     def _tape(self, tick=0.5):
         a = _asset(tick)
-        events = [
-            TradeEvent(1.0, 100.5, 100.0, 100.5),
-            TradeEvent(2.5, 101.0, 100.5, 101.0),
-            TradeEvent(3.75, 101.5, 101.0, 101.5),
-            TradeEvent(9.001, 101.0, 101.0, 101.5),
+        rows = [
+            (1.0, 100.5, 100.0, 100.5),
+            (2.5, 101.0, 100.5, 101.0),
+            (3.75, 101.5, 101.0, 101.5),
+            (9.001, 101.0, 101.0, 101.5),
         ]
-        return TradeTape.from_events(a, events, session_length=3600.0, opening_price=100.5)
+        return tape_from_rows(a, rows, session_length=3600.0, opening_price=100.5)
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00", tz="Europe/Berlin")
@@ -487,11 +488,11 @@ class TestWriteRoundTrip:
 
     def test_missing_quotes_round_trip_blank(self, tmp_path):
         a = _asset()
-        events = [
-            TradeEvent(1.0, 100.5, None, None),
-            TradeEvent(2.0, 100.5, 100.0, 100.5),
+        rows = [
+            (1.0, 100.5, None, None),
+            (2.0, 100.5, 100.0, 100.5),
         ]
-        tape = TradeTape.from_events(a, events, session_length=60.0, opening_price=100.5)
+        tape = tape_from_rows(a, rows, session_length=60.0, opening_price=100.5)
         out = tmp_path / "nq.csv"
         write_tape_csv(tape, out, date(2009, 6, 1), FULL_DAY)
         text = out.read_text().splitlines()
@@ -502,11 +503,11 @@ class TestWriteRoundTrip:
 
     def test_awkward_tick_prints_exact_decimals(self, tmp_path):
         a = AssetSpec("BUS", 7.8125, eta=0.2)
-        events = [
-            TradeEvent(1.0, 101.5625, None, None),
-            TradeEvent(2.0, 109.375, 101.5625, 109.375),
+        rows = [
+            (1.0, 101.5625, None, None),
+            (2.0, 109.375, 101.5625, 109.375),
         ]
-        tape = TradeTape.from_events(a, events, session_length=60.0, opening_price=101.5625)
+        tape = tape_from_rows(a, rows, session_length=60.0, opening_price=101.5625)
         out = tmp_path / "frac.csv"
         write_tape_csv(tape, out, date(2009, 6, 1), FULL_DAY)
         body = out.read_text()
