@@ -25,7 +25,7 @@ from typing import List, Optional
 from .domain import AssetSpec, TickGrid
 from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import MissingFitError, ParameterError, TickzoneError
-from .estimators import build_daily_record, signature_plot
+from .estimators import build_daily_record, check_sampling, signature_plot
 from .pipeline import (
     fit_groups,
     fmt_float,
@@ -149,6 +149,7 @@ def _cmd_optimal_tick(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    check_sampling(args.samples_per_second, args.lag_max)  # a bad value is an error, not a skip per day
     asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value)
     day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
     rows = []

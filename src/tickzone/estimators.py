@@ -100,6 +100,14 @@ def estimate_integrated_variance(xhat) -> float:
     return float(d @ d)
 
 
+def check_sampling(samples_per_second: float, lag_max: int) -> None:
+    """The range checks of :func:`signature_plot`'s sampling grid, which do not depend on the tape."""
+    if not 0 < samples_per_second < math.inf:
+        raise ParameterError(f"samples_per_second must be finite and > 0, got {samples_per_second!r}")
+    if lag_max < 1:
+        raise ParameterError("lag_max must be >= 1")
+
+
 def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: int = 50) -> Dict[int, float]:
     """Realized variance against the sampling lag, as ``{lag: realized_variance}``.
 
@@ -108,10 +116,7 @@ def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: in
     For each lag the realized variance sums squared increments of every
     ``lag``-th sample. The lags run from 1 to ``lag_max`` in increasing order.
     """
-    if not 0 < samples_per_second < math.inf:
-        raise ParameterError(f"samples_per_second must be finite and > 0, got {samples_per_second!r}")
-    if lag_max < 1:
-        raise ParameterError("lag_max must be >= 1")
+    check_sampling(samples_per_second, lag_max)
     if len(tape) == 0:
         raise InsufficientDataError("empty tape")
     span = tape.session_length * samples_per_second

@@ -395,8 +395,11 @@ def equilibrium_fill_rate(asset: AssetSpec, sigma: float, horizon: float) -> flo
     alpha = asset.tick_value
     if sigma <= 0 or horizon <= 0:
         raise ParameterError("sigma and horizon must be > 0")
-    target = (sigma / (eta * alpha)) ** 2
-    changes = sigma**2 / (2.0 * eta * alpha**2)
+    try:
+        target = (sigma / (eta * alpha)) ** 2
+        changes = sigma**2 / (2.0 * eta * alpha**2)
+    except OverflowError:
+        raise ParameterError(f"sigma {sigma!r} is too large: its fill rate overflows a float") from None
     return max(0.0, target - changes)
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 import bisect
 import contextlib
 import logging
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime, time, timedelta, timezone
@@ -166,6 +168,7 @@ def _first(mask: np.ndarray) -> int:
 
 
 _COMMA, _LF, _CR, _QUOTE = b",\n\r\""
+_SLACK = b"\n" + bytes(8)  # a closing line end, so the last line ends like the others, and room for 8-byte reads past it
 _INT_TEXT = re.compile(r"-?[0-9]+")  # a stamp or size, once ASCII spaces and tabs around it are stripped
 _INT_LIMIT = 10**18  # larger magnitudes read as this, which no stamp reaches
 # by k = 0-8: the first k bytes of an 8-byte word, comma padding for the rest, and the last k bytes
@@ -184,17 +187,27 @@ def _ints(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray)
     :func:`_int_or_shown`. Values beyond ``±10**18`` read as ``±10**18``.
     """
     sizes = stops - starts
+    # each pass works on x in place, with t as its one scratch array
+    x = words[np.stack((stops - 16, stops - 8))]
+    t = _WORD_TOP[np.stack((np.clip(sizes - 8, 0, 8), np.clip(sizes, 0, 8)))]
     # the bytes of the two words that lie before the field, in the line or the header before it, read as zeros
-    top = _WORD_TOP[np.stack((np.clip(sizes - 8, 0, 8), np.clip(sizes, 0, 8)))]
-    x = words[np.stack((stops - 16, stops - 8))] & top | _ZEROS & ~top
+    x &= t
+    np.invert(t, out=t)
+    t &= _ZEROS
+    x |= t
     # a byte is a digit if its high nibble is 3 and adding 6 keeps it so
-    digits = ((x & _HIGH_NIBBLES) == _ZEROS) & ((x + _SIXES & _HIGH_NIBBLES) == _ZEROS)
+    digits = np.bitwise_and(x, _HIGH_NIBBLES, out=t) == _ZEROS
+    np.add(x, _SIXES, out=t)
+    t &= _HIGH_NIBBLES
+    digits &= t == _ZEROS
     plain = (sizes > 0) & (sizes <= 16) & digits.all(axis=0)
     # digit pairs, then quads, then all 8: in a little-endian word the first digit is the low byte
-    x = x & 0x0F0F0F0F0F0F0F0F
-    x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
-    x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
-    x = (x * 10000 + (x >> 32)) & 0xFFFFFFFF
+    x &= 0x0F0F0F0F0F0F0F0F
+    for shift, scale, keep in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10000, 0xFFFFFFFF)):
+        np.right_shift(x, shift, out=t)
+        x *= scale
+        x += t
+        x &= keep
     values = (x[0] * 10**8 + x[1]).astype(np.int64)
     for i in np.flatnonzero(~plain).tolist():
         v = _int_or_shown(data[starts[i] : stops[i]].decode())
@@ -209,24 +222,32 @@ def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray
 
     ``words[i]`` is the 8 bytes from ``data[i]`` on. A field is keyed by its
     8-byte words, the last one padded with commas, which no field holds. Fields
-    with the same number of words are told apart by one ``np.unique``; fields
-    with different numbers differ in length. Only the distinct texts are decoded.
+    with the same number of words are told apart by one sort of their keys;
+    fields with different numbers differ in length. Only the distinct texts are
+    decoded.
     """
     sizes = stops - starts
     n_words = np.maximum((sizes + 7) // 8, 1)
-    codes = np.empty(len(starts), dtype=np.intp)
+    codes = np.empty(len(starts), dtype=starts.dtype)
     firsts: List[int] = []
     for w in np.flatnonzero(np.bincount(n_words)).tolist():  # one group unless a field is longer than 8 bytes
         rows = np.flatnonzero(n_words == w)
         held = sizes[rows] - 8 * (w - 1)
-        keys = words[starts[rows, None] + np.arange(0, 8 * w, 8)]
-        keys[:, -1] = keys[:, -1] & _WORD_KEEP[held] | _WORD_PAD[held]
-        _, first, code = np.unique(keys.view(f"V{8 * w}")[:, 0] if w > 1 else keys[:, 0], True, True)
-        codes[rows] = code + len(firsts)
-        firsts += rows[first].tolist()
+        keys = words[starts[rows, None] + np.arange(0, 8 * w, 8, dtype=starts.dtype)]
+        last = keys[:, -1]
+        last &= _WORD_KEEP[held]
+        last |= _WORD_PAD[held]
+        del held, last  # the view would keep the unsorted keys alive
+        keys = keys.view(f"V{8 * w}")[:, 0] if w > 1 else keys[:, 0]
+        perm = np.argsort(keys)
+        keys = keys[perm]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        codes[rows[perm]] = np.cumsum(new, dtype=codes.dtype) + (len(firsts) - 1)
+        firsts += rows[np.minimum.reduceat(perm, np.flatnonzero(new))].tolist()
     order = np.argsort(firsts)
     used = np.array(firsts, dtype=np.intp)[order]
-    return [data[a:b].decode() for a, b in zip(starts[used].tolist(), stops[used].tolist())], np.argsort(order)[codes]
+    texts = [data[a:b].decode() for a, b in zip(starts[used].tolist(), stops[used].tolist())]
+    return texts, np.argsort(order).astype(codes.dtype)[codes]
 
 
 def _int_or_shown(field: str) -> Union[int, str]:
@@ -262,10 +283,16 @@ def _record_error(rec: List[str], prev_ts: Optional[int]) -> Optional[str]:
     return None if rec[1].strip() else "missing price"
 
 
-def _read_utf8(path: Path) -> bytes:
-    """The bytes of a UTF-8 file; an unreadable file or a byte that is not UTF-8 is an IngestError."""
+def _read_utf8(path: Path, slack: bytes = b"") -> bytearray:
+    """The bytes of a UTF-8 file, read into one buffer that ends in ``slack``.
+
+    An unreadable file or a byte that is not UTF-8 is an IngestError.
+    """
     try:
-        data = path.read_bytes()
+        with path.open("rb") as f:
+            data = bytearray(os.fstat(f.fileno()).st_size + len(slack))
+            n = f.readinto(data)
+            data[n:] = (f.read() if n == len(data) else b"") + slack  # a file longer than its stated size
     except OSError as exc:
         raise IngestError(f"cannot read file: {exc.strerror or exc}", path=path) from None
     if not data.isascii():
@@ -290,20 +317,23 @@ def _read_columns(path: Path) -> _TradeColumns:
     line's comma count gives its field count, and the commas of the five-field
     rows bound every field. Stamps and sizes are parsed from their digit bytes
     and price texts keyed by their bytes, in array passes over all rows; only
-    the distinct price texts and a failing row are decoded.
+    the distinct price texts and a failing row are decoded. Bounds and codes
+    are int32 in a file under 2 GiB, and the separator arrays are dropped once
+    the field bounds are known.
     """
-    data = _read_utf8(path)
-    if not data:
+    data = _read_utf8(path, _SLACK)
+    if len(data) == len(_SLACK):
         raise IngestError("file is empty", path=path)
-    # a closing line end, so the last line ends like the others, and slack for 8-byte reads past it
-    buf = np.frombuffer(data + b"\n" + bytes(8), dtype=np.uint8)
-    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF) | (buf == _CR))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    index = np.int32 if len(buf) < 2**31 else np.int64
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF) | (buf == _CR)).astype(index)
     kind = buf[seps]
     keep = (kind != _LF) | (buf[seps - 1] != _CR)  # a \r\n pair ends its line at the \r
     seps, kind = seps[keep], kind[keep]
-    ends = np.flatnonzero(kind != _COMMA)  # the index in seps of each line's end
+    ends = np.flatnonzero(kind != _COMMA).astype(index)  # the index in seps of each line's end
     stops = seps[ends]
-    starts = np.concatenate(([0], stops[:-1] + 1 + ((kind[ends[:-1]] == _CR) & (buf[stops[:-1] + 1] == _LF))))
+    after = stops[:-1] + 1
+    starts = np.concatenate(([0], after + ((kind[ends[:-1]] == _CR) & (buf[after] == _LF))), dtype=index)
     commas = np.diff(ends, prepend=-1) - 1
 
     head = data[: stops[0]].decode()
@@ -314,21 +344,24 @@ def _read_columns(path: Path) -> _TradeColumns:
     blank = commas == 0
     blank[0] = False
     blank[blank] = [not data[a:b].decode().strip() for a, b in zip(starts[blank].tolist(), stops[blank].tolist())]
-    rows = np.flatnonzero(~blank)[1:]  # line indices of the data rows
+    rows = np.flatnonzero(~blank)[1:].astype(index)  # line indices of the data rows
     quoted = np.zeros(len(stops), dtype=bool)
     quoted[np.searchsorted(stops, np.flatnonzero(buf == _QUOTE))] = True
     # a row that is not five unquoted fields fails where it stands; the rows before it are split into fields
     good = rows[: _first((commas[rows] != 4) | quoted[rows])]
     c0, c1, c2, c3 = (seps[ends[good] - k] for k in (4, 3, 2, 1))
+    del seps, kind, ends, commas, quoted, blank
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     stamps, stamp_ok = _ints(data, words, starts[good], c0)
-    sizes, size_ok = _ints(data, words, c1 + 1, c2)
-    price, bid, ask = (_texts(data, words, a + 1, b) for a, b in ((c0, c1), (c2, c3), (c3, stops[good])))
     stamps = stamps[: _first(~stamp_ok | (stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop))]
+    sizes, size_ok = _ints(data, words, c1 + 1, c2)
+    bad_size = _first(~size_ok | (sizes < 0))
+    del stamp_ok, sizes, size_ok
+    price, bid, ask = (_texts(data, words, a + 1, b) for a, b in ((c0, c1), (c2, c3), (c3, stops[good])))
     # each mask covers the rows its column parsed for: the earliest first failure is the failing row
     end = min(
         _first(np.diff(stamps, prepend=stamps[:1]) < 0),
-        _first(~size_ok | (sizes < 0)),
+        bad_size,
         _first(np.array([not v.strip() for v in price[0]], dtype=bool)[price[1]]),
     )
     lines = rows + 1
@@ -362,7 +395,7 @@ def _parse_column(
     Returns (sub-ticks, len(rows), None), or (None, first failing row, its message).
     """
     values, codes = column
-    row_codes = codes[rows]
+    row_codes = codes[rows].astype(np.intp)  # numpy indexes faster with intp than with the int32 codes
     used = np.zeros(len(values), dtype=bool)
     used[row_codes] = True
     cells = [_subticks(grid, what, v) if u else 0 for v, u in zip(values, used.tolist())]
@@ -395,6 +428,12 @@ def _build_day_tape(
         raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows[exc.row]])) from None
 
 
+def _read_located(path: Path, session: SessionFilter) -> tuple[_TradeColumns, Dict[date_type, np.ndarray]]:
+    """One file's columns and its in-session rows per local date."""
+    cols = _read_columns(path)
+    return cols, session.rows_by_day(cols.stamps)
+
+
 def ingest_trades(
     paths: Union[str, Path, Sequence[Union[str, Path]]],
     asset: AssetSpec,
@@ -403,6 +442,9 @@ def ingest_trades(
 ) -> List[DayTape]:
     """Ingest one or more trade files into per-day tapes.
 
+    The files are read and their sessions located in a thread pool with one
+    worker per CPU, and taken up in path order: the first file in that order
+    that fails raises, and an earlier file's warning is logged before it.
     Every row of every file passes the read checks first. Rows outside the
     session window are then dropped. When several files cover the same day
     (different contract maturities), the file with the most in-session
@@ -418,12 +460,14 @@ def ingest_trades(
     if abs(grid.tick_value - asset.tick_value) > 1e-12 * asset.tick_value:
         raise ParameterError(f"tick_text {tick_text!r} disagrees with asset tick {asset.tick_value!r}")
 
+    ordered = sorted(Path(p) for p in paths)
     per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
-    for p in sorted(Path(p) for p in paths):
-        cols = _read_columns(p)
-        per_file.append((cols, session.rows_by_day(cols.stamps)))
-        if not per_file[-1][1]:
-            logger.warning("%s: no trades inside session %s", p, session.label())
+    # the array passes release the GIL; map yields the files in path order, so the first bad one raises
+    with ThreadPoolExecutor(max(1, min(len(ordered), os.cpu_count() or 1))) as pool:
+        for cols, by_day in pool.map(_read_located, ordered, [session] * len(ordered)):
+            if not by_day:
+                logger.warning("%s: no trades inside session %s", cols.path, session.label())
+            per_file.append((cols, by_day))
 
     out: List[DayTape] = []
     for day in sorted({d for _, by_day in per_file for d in by_day}):

@@ -676,6 +676,12 @@ def _synth(key, value):
         pytest.param(["pipeline"], _synth("sigma", "inf"), "volatility", id="synthetic.A.sigma = inf"),
         pytest.param(["pipeline"], _synth("fills", "nan"), "trade_intensity",
                      id="synthetic.A.fills = nan"),
+        pytest.param(_SIMULATE + ["--sigma", "1e200"], None, "sigma", id="simulate --sigma 1e200"),
+        pytest.param(["pipeline"], _synth("sigma", "1e200"), "sigma", id="synthetic.A.sigma = 1e200"),
+        pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "0"], None,
+                     "samples_per_second", id="signature --samples-per-second 0"),
+        pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,
+                     "samples_per_second", id="signature --samples-per-second nan"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "nan", "--alpha", "10", "--version", "3"], None,
                      "eta0", id="predict --eta0 nan"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--version", "3", "--m0", "nan"],

@@ -444,6 +444,67 @@ class TestIngestTrades:
         with pytest.raises(ParameterError, match="disagrees"):
             ingest_trades(p, _asset(tick=0.5), tick_text="0.25")
 
+    def test_first_bad_file_in_path_order_raises(self, tmp_path):
+        # the later path is quick to fail; the earlier one fails only on its last row
+        lines = [_header()] + [f"{_JUN1_UTC_MS + i},100.5,1,," for i in range(20_001)]
+        lines[-1] = lines[-1].replace(",1,", ",y,")
+        slow = _write(tmp_path / "a.csv", lines)
+        quick = _write(tmp_path / "b.csv", [_header(), "x,100.5,1,,"])
+        with pytest.raises(IngestError) as err:
+            ingest_trades([quick, slow], _asset())
+        assert str(err.value) == f"{slow}:20002: bad size 'y'"
+
+    def test_warning_of_an_earlier_file_comes_before_a_later_error(self, tmp_path, caplog):
+        session = SessionFilter.from_text("08:00-09:00")
+        outside = _day_file(tmp_path, "a.csv", [(7200.0, 100.5)], session=session)
+        bad = _write(tmp_path / "b.csv", [_header(), "x,100.5,1,,"])
+        with caplog.at_level("WARNING"), pytest.raises(IngestError, match="bad timestamp") as err:
+            ingest_trades([bad, outside], _asset(), session=session)
+        assert err.value.path == bad
+        assert [r.message for r in caplog.records] == [f"{outside}: no trades inside session 08:00-09:00"]
+
+    def test_many_files_read_like_one_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(7)
+        paths = []
+        for d in range(5):
+            day = date(2009, 6, 1) + timedelta(days=d)
+            # a back month on alternate days, which wins the day it trades most
+            for name, n in (("M", 3_000), ("U", 4_000 if d == 3 else 500 if d % 2 else 0)):
+                if n:
+                    ticks = 201 + np.cumsum(rng.integers(-1, 2, n))
+                    rows = [(float(s), t / 2) for s, t in zip(np.sort(rng.uniform(0, 80_000, n)), ticks.tolist())]
+                    paths.append(_day_file(tmp_path, f"{name}_{d}.csv", rows, day=day))
+        got = ingest_trades(paths, _asset())
+        singles = [{d.date: d.tape for d in ingest_trades(p, _asset())} for p in sorted(paths)]
+        want = {}
+        for by_day in singles:
+            for day, tape in by_day.items():
+                if day not in want or len(tape) > len(want[day]):
+                    want[day] = tape
+        assert [d.date for d in got] == sorted(want)
+        for day, tape in got:
+            for col in ("times", "price_q", "bid_q", "ask_q"):
+                assert np.array_equal(getattr(tape, col), getattr(want[day], col))
+            assert (tape.session_length, tape.opening_price_q) == (want[day].session_length, want[day].opening_price_q)
+        assert len(got[3].tape) == 4_000
+
+    def test_a_file_takes_at_most_five_times_its_size(self, tmp_path):
+        # a front-month day of a DAX-like future: 46k one-tick moves with one-tick quotes, 1.7 MB
+        ticks = 8_000 + np.cumsum(np.random.default_rng(0).integers(-1, 2, 46_000))
+        lines = [_header()] + [
+            f"{_JUN1_UTC_MS + 1_800 * i},{t / 2:g},{1 + i % 7},{(t - 1) / 2:g},{t / 2:g}"
+            for i, t in enumerate(ticks.tolist())
+        ]
+        p = _write(tmp_path / "day.csv", lines)
+        tracemalloc.start()
+        try:
+            days = ingest_trades(p, _asset())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(days[0].tape) == 46_000
+        assert peak <= 5 * p.stat().st_size
+
 
 class TestWriteRoundTrip:
     def _tape(self, tick=0.5):
