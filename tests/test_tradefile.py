@@ -489,7 +489,7 @@ class TestIngestTrades:
         assert len(got[3].tape) == 4_000
 
     def test_a_file_takes_at_most_five_times_its_size(self, tmp_path):
-        # a front-month day of a DAX-like future: 46k one-tick moves with one-tick quotes, 1.7 MB
+        # a front-month day of a DAX-like future: 46k one-tick moves with one-tick quotes, 1.6 MB
         ticks = 8_000 + np.cumsum(np.random.default_rng(0).integers(-1, 2, 46_000))
         lines = [_header()] + [
             f"{_JUN1_UTC_MS + 1_800 * i},{t / 2:g},{1 + i % 7},{(t - 1) / 2:g},{t / 2:g}"
