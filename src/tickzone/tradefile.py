@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import logging
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -103,10 +103,11 @@ class SessionFilter:
     def rows_by_day(self, stamps: np.ndarray) -> Dict[date_type, np.ndarray]:
         """Indices of the in-session stamps per local date, for non-decreasing UTC stamps.
 
-        The UTC offset is piecewise constant. It is read at the first stamp of
-        each UTC day and at the last stamp; where two readings differ, the
-        first stamp with the new offset is found by bisection. Rows keep file
-        order within a date even where a change at local midnight steps back.
+        The UTC offset is piecewise constant. It is read at the first and last
+        stamp of each UTC day, so a gap between days, however long, lies
+        between two readings; where two readings differ, the first stamp with
+        the new offset is found by bisection. Rows keep file order within a
+        date even where a change at local midnight steps back.
         """
         zone = ZoneInfo(self.tz)
 
@@ -116,7 +117,8 @@ class SessionFilter:
 
         if len(stamps) == 0:
             return {}
-        samples = [0, *(np.flatnonzero(np.diff(stamps // _DAY_MS)) + 1).tolist(), len(stamps) - 1]
+        firsts = np.flatnonzero(np.diff(stamps // _DAY_MS)) + 1
+        samples = sorted({0, *firsts.tolist(), *(firsts - 1).tolist(), len(stamps) - 1})
         starts, offsets = [0], [offset(0)]
         for a, b in zip(samples, samples[1:]):
             if offset(b) != offsets[-1]:
@@ -182,15 +184,17 @@ def _ints(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray)
     """Each comma-ended field ``data[start:stop]`` as an integer, and whether it reads as one.
 
     ``words[i]`` is the 8 bytes from ``data[i]`` on. A field of 1-16 digits is
-    read from the two words that end at its comma, with the bytes before it
-    taken as zeros, 8 digits at a time; any other field is read by
-    :func:`_int_or_shown`. Values beyond ``±10**18`` read as ``±10**18``.
+    read from the two words that end at its comma (one word while no field is
+    longer than 8 bytes), with the bytes before it taken as zeros, 8 digits at
+    a time; any other field is read by :func:`_int_or_shown`. Values beyond
+    ``±10**18`` read as ``±10**18``.
     """
     sizes = stops - starts
+    back = (8,) if sizes.max(initial=0) <= 8 else (16, 8)  # where each word starts, counted back from the comma
     # each pass works on x in place, with t as its one scratch array
-    x = words[np.stack((stops - 16, stops - 8))]
-    t = _WORD_TOP[np.stack((np.clip(sizes - 8, 0, 8), np.clip(sizes, 0, 8)))]
-    # the bytes of the two words that lie before the field, in the line or the header before it, read as zeros
+    x = words[np.stack([stops - k for k in back], dtype=np.intp)]
+    t = _WORD_TOP.take(np.stack([np.clip(sizes + (8 - k), 0, 8) for k in back]))
+    # the bytes of the words that lie before the field, in the line or the header before it, read as zeros
     x &= t
     np.invert(t, out=t)
     t &= _ZEROS
@@ -208,7 +212,9 @@ def _ints(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray)
         x *= scale
         x += t
         x &= keep
-    values = (x[0] * 10**8 + x[1]).astype(np.int64)
+    values = x[-1].astype(np.int64)
+    if len(back) == 2:
+        values += x[0].astype(np.int64) * 10**8
     for i in np.flatnonzero(~plain).tolist():
         v = _int_or_shown(data[starts[i] : stops[i]].decode())
         plain[i] = isinstance(v, int)
@@ -227,13 +233,17 @@ def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray
     decoded.
     """
     sizes = stops - starts
-    n_words = np.maximum((sizes + 7) // 8, 1)
-    codes = np.empty(len(starts), dtype=starts.dtype)
+    if sizes.max(initial=0) > 8:
+        n_words = np.maximum((sizes + 7) // 8, 1)
+        widths = np.flatnonzero(np.bincount(n_words)).tolist()
+    else:  # every field is one word
+        widths = [1] if len(sizes) else []
+    codes = np.empty(len(starts), dtype=np.intp)
     firsts: List[int] = []
-    for w in np.flatnonzero(np.bincount(n_words)).tolist():  # one group unless a field is longer than 8 bytes
-        rows = np.flatnonzero(n_words == w)
-        held = sizes[rows] - 8 * (w - 1)
-        keys = words[starts[rows, None] + np.arange(0, 8 * w, 8, dtype=starts.dtype)]
+    for w in widths:
+        rows = np.arange(len(starts)) if len(widths) == 1 else np.flatnonzero(n_words == w)
+        held = (sizes[rows] - 8 * (w - 1)).astype(np.intp)
+        keys = words[starts[rows].astype(np.intp)[:, None] + np.arange(0, 8 * w, 8)]
         last = keys[:, -1]
         last &= _WORD_KEEP[held]
         last |= _WORD_PAD[held]
@@ -242,12 +252,12 @@ def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray
         perm = np.argsort(keys)
         keys = keys[perm]
         new = np.concatenate(([True], keys[1:] != keys[:-1]))
-        codes[rows[perm]] = np.cumsum(new, dtype=codes.dtype) + (len(firsts) - 1)
+        codes[rows[perm]] = np.cumsum(new) + (len(firsts) - 1)
         firsts += rows[np.minimum.reduceat(perm, np.flatnonzero(new))].tolist()
     order = np.argsort(firsts)
     used = np.array(firsts, dtype=np.intp)[order]
     texts = [data[a:b].decode() for a, b in zip(starts[used].tolist(), stops[used].tolist())]
-    return texts, np.argsort(order).astype(codes.dtype)[codes]
+    return texts, np.argsort(order).astype(starts.dtype)[codes]
 
 
 def _int_or_shown(field: str) -> Union[int, str]:
@@ -326,14 +336,21 @@ def _read_columns(path: Path) -> _TradeColumns:
         raise IngestError("file is empty", path=path)
     buf = np.frombuffer(data, dtype=np.uint8)
     index = np.int32 if len(buf) < 2**31 else np.int64
-    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF) | (buf == _CR)).astype(index)
+    # a comma, \n or \r is a byte of at most ','; so is a space, tab or quote, which the next mask drops
+    seps = np.flatnonzero(buf[: -len(_SLACK) + 1] <= _COMMA).astype(index)
     kind = buf[seps]
-    keep = (kind != _LF) | (buf[seps - 1] != _CR)  # a \r\n pair ends its line at the \r
-    seps, kind = seps[keep], kind[keep]
+    keep = (kind == _COMMA) | (kind == _LF) | (kind == _CR)
+    has_cr = _CR in data
+    if has_cr:
+        keep &= (kind != _LF) | (buf[seps - 1] != _CR)  # a \r\n pair ends its line at the \r
+    if not keep.all():
+        seps, kind = seps[keep], kind[keep]
     ends = np.flatnonzero(kind != _COMMA).astype(index)  # the index in seps of each line's end
     stops = seps[ends]
-    after = stops[:-1] + 1
-    starts = np.concatenate(([0], after + ((kind[ends[:-1]] == _CR) & (buf[after] == _LF))), dtype=index)
+    starts = stops[:-1] + 1
+    if has_cr:
+        starts += (kind[ends[:-1]] == _CR) & (buf[starts] == _LF)
+    starts = np.concatenate(([0], starts), dtype=index)
     commas = np.diff(ends, prepend=-1) - 1
 
     head = data[: stops[0]].decode()
@@ -341,23 +358,32 @@ def _read_columns(path: Path) -> _TradeColumns:
     if [h.strip() for h in header] != TRADE_CSV_HEADER:
         shown = show_field(head, lambda _: repr(header))
         raise IngestError(f"bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}", path=path)
-    blank = commas == 0
-    blank[0] = False
-    blank[blank] = [not data[a:b].decode().strip() for a, b in zip(starts[blank].tolist(), stops[blank].tolist())]
-    rows = np.flatnonzero(~blank)[1:].astype(index)  # line indices of the data rows
-    quoted = np.zeros(len(stops), dtype=bool)
-    quoted[np.searchsorted(stops, np.flatnonzero(buf == _QUOTE))] = True
-    # a row that is not five unquoted fields fails where it stands; the rows before it are split into fields
-    good = rows[: _first((commas[rows] != 4) | quoted[rows])]
-    c0, c1, c2, c3 = (seps[ends[good] - k] for k in (4, 3, 2, 1))
-    del seps, kind, ends, commas, quoted, blank
+    n = len(stops) - int(starts[-1] == stops[-1])  # the closing line end adds an empty line to a file ending in one
+    if _QUOTE not in data and (commas[:n] == 4).all():
+        # every line is five unquoted fields, so none is blank or fails, and seps holds five bounds a line
+        rows = np.arange(1, n, dtype=index)
+        c0, c1, c2, c3 = seps[: 5 * n].reshape(n, 5)[1:, :4].T
+        first, last = starts[1:n], stops[1:n]
+    else:
+        blank = commas == 0
+        blank[0] = False
+        blank[blank] = [not data[a:b].decode().strip() for a, b in zip(starts[blank].tolist(), stops[blank].tolist())]
+        rows = np.flatnonzero(~blank)[1:].astype(index)  # line indices of the data rows
+        quoted = np.zeros(len(stops), dtype=bool)
+        quoted[np.searchsorted(stops, np.flatnonzero(buf == _QUOTE))] = True
+        # a row that is not five unquoted fields fails where it stands; the rows before it are split into fields
+        good = rows[: _first((commas[rows] != 4) | quoted[rows])]
+        c0, c1, c2, c3 = (seps[ends[good] - k] for k in (4, 3, 2, 1))
+        first, last = starts[good], stops[good]
+        del blank, quoted, good
+    del seps, kind, ends, commas
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-    stamps, stamp_ok = _ints(data, words, starts[good], c0)
+    stamps, stamp_ok = _ints(data, words, first, c0)
     stamps = stamps[: _first(~stamp_ok | (stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop))]
     sizes, size_ok = _ints(data, words, c1 + 1, c2)
     bad_size = _first(~size_ok | (sizes < 0))
     del stamp_ok, sizes, size_ok
-    price, bid, ask = (_texts(data, words, a + 1, b) for a, b in ((c0, c1), (c2, c3), (c3, stops[good])))
+    price, bid, ask = (_texts(data, words, a + 1, b) for a, b in ((c0, c1), (c2, c3), (c3, last)))
     # each mask covers the rows its column parsed for: the earliest first failure is the failing row
     end = min(
         _first(np.diff(stamps, prepend=stamps[:1]) < 0),
@@ -388,7 +414,7 @@ def _subticks(grid: TickGrid, what: str, text: str) -> Union[int, str]:
 
 
 def _parse_column(
-    grid: TickGrid, what: str, column: tuple, rows: np.ndarray
+    subticks: Callable[[str, str], Union[int, str]], what: str, column: tuple, rows: np.ndarray
 ) -> tuple[Optional[np.ndarray], int, Optional[str]]:
     """Sub-ticks of the rows' cells, parsing each distinct text they use once.
 
@@ -398,7 +424,7 @@ def _parse_column(
     row_codes = codes[rows].astype(np.intp)  # numpy indexes faster with intp than with the int32 codes
     used = np.zeros(len(values), dtype=bool)
     used[row_codes] = True
-    cells = [_subticks(grid, what, v) if u else 0 for v, u in zip(values, used.tolist())]
+    cells = [subticks(what, v) if u else 0 for v, u in zip(values, used.tolist())]
     i = _first(np.array([isinstance(c, str) for c in cells])[row_codes])
     if i < len(rows):
         return None, i, cells[row_codes[i]]
@@ -406,11 +432,11 @@ def _parse_column(
 
 
 def _build_day_tape(
-    asset: AssetSpec, grid: TickGrid, day: date_type, cols: _TradeColumns, rows: np.ndarray,
-    session: SessionFilter,
+    asset: AssetSpec, grid: TickGrid, subticks: Callable[[str, str], Union[int, str]], day: date_type,
+    cols: _TradeColumns, rows: np.ndarray, session: SessionFilter,
 ) -> TradeTape:
     # the tape itself checks the quotes and the moves
-    parsed = [_parse_column(grid, what, column, rows) for what, column in zip(("price", "bid", "ask"), cols.texts)]
+    parsed = [_parse_column(subticks, what, column, rows) for what, column in zip(("price", "bid", "ask"), cols.texts)]
     _, i, message = min(parsed, key=lambda p: p[1])  # on a tie, price before bid before ask
     if message is not None:
         raise IngestError(message, path=cols.path, line=int(cols.lines[rows[i]]))
@@ -428,12 +454,6 @@ def _build_day_tape(
         raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows[exc.row]])) from None
 
 
-def _read_located(path: Path, session: SessionFilter) -> tuple[_TradeColumns, Dict[date_type, np.ndarray]]:
-    """One file's columns and its in-session rows per local date."""
-    cols = _read_columns(path)
-    return cols, session.rows_by_day(cols.stamps)
-
-
 def ingest_trades(
     paths: Union[str, Path, Sequence[Union[str, Path]]],
     asset: AssetSpec,
@@ -442,9 +462,8 @@ def ingest_trades(
 ) -> List[DayTape]:
     """Ingest one or more trade files into per-day tapes.
 
-    The files are read and their sessions located in a thread pool with one
-    worker per CPU, and taken up in path order: the first file in that order
-    that fails raises, and an earlier file's warning is logged before it.
+    The files are read one at a time in path order: the first file in that
+    order that fails raises, and an earlier file's warning is logged before it.
     Every row of every file passes the read checks first. Rows outside the
     session window are then dropped. When several files cover the same day
     (different contract maturities), the file with the most in-session
@@ -460,15 +479,14 @@ def ingest_trades(
     if abs(grid.tick_value - asset.tick_value) > 1e-12 * asset.tick_value:
         raise ParameterError(f"tick_text {tick_text!r} disagrees with asset tick {asset.tick_value!r}")
 
-    ordered = sorted(Path(p) for p in paths)
     per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
-    # the array passes release the GIL; map yields the files in path order, so the first bad one raises
-    with ThreadPoolExecutor(max(1, min(len(ordered), os.cpu_count() or 1))) as pool:
-        for cols, by_day in pool.map(_read_located, ordered, [session] * len(ordered)):
-            if not by_day:
-                logger.warning("%s: no trades inside session %s", cols.path, session.label())
-            per_file.append((cols, by_day))
+    for p in sorted(Path(p) for p in paths):
+        cols = _read_columns(p)
+        per_file.append((cols, session.rows_by_day(cols.stamps)))
+        if not per_file[-1][1]:
+            logger.warning("%s: no trades inside session %s", p, session.label())
 
+    subticks = functools.cache(functools.partial(_subticks, grid))  # the asset's days share most of their texts
     out: List[DayTape] = []
     for day in sorted({d for _, by_day in per_file for d in by_day}):
         candidates = [(cols, by_day[day]) for cols, by_day in per_file if day in by_day]
@@ -479,5 +497,5 @@ def ingest_trades(
                 "%s %s: kept %s with %d trades, discarded %d other file(s)",
                 asset.asset_id, day, best.path, len(rows), len(candidates) - 1,
             )
-        out.append(DayTape(date=day, tape=_build_day_tape(asset, grid, day, best, rows, session)))
+        out.append(DayTape(date=day, tape=_build_day_tape(asset, grid, subticks, day, best, rows, session)))
     return out
