@@ -69,7 +69,6 @@ from .simulator import (
     TapeConfig,
     TrueParams,
     equilibrium_fill_rate,
-    generate_tape,
     simulate_day,
 )
 from .tick_policy import (

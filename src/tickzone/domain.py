@@ -118,6 +118,12 @@ class TickGrid:
         return f"TickGrid({self.tick_text})"
 
 
+def strictly_increasing_seconds(ms: np.ndarray) -> np.ndarray:
+    """Seconds of non-decreasing millisecond stamps; a print sharing a stamp is pushed a millisecond forward."""
+    ramp = np.arange(len(ms), dtype=np.int64)
+    return (np.maximum.accumulate(ms - ramp) + ramp) / 1000.0
+
+
 def _first_fault(mask: np.ndarray, message: str) -> None:
     """Raise a TapeError at the first row where ``mask`` is set."""
     if mask.any():

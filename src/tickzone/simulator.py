@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special
 
-from .domain import SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
+from .domain import SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
 from .errors import ParameterError
 
 Schedule = Union[float, Sequence[Tuple[float, float]]]
@@ -86,14 +86,6 @@ def _variance_clock(spec: EfficientPathSpec) -> tuple[np.ndarray, np.ndarray]:
     times = np.append(starts[keep], spec.horizon)
     variance = np.concatenate(([0.0], np.cumsum(vols[keep] ** 2 * np.diff(times))))
     return times, variance
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if rng is None:
-        return np.random.default_rng(0)
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 # Odd numbers 2k+1 and signs (-1)^k of the first five theta-series terms. On
@@ -248,24 +240,14 @@ def _change_sequence(
     return times[:n], np.cumprod(np.concatenate(turns)[:n]).astype(np.int8)
 
 
-class PriceChangeSeries:
+class PriceChangeSeries(NamedTuple):
     """Traded-price moves as columns: when, to what, which way, and where the
     efficient price was (the barrier value) when each happened."""
 
-    def __init__(self, times, new_prices, directions, efficient_prices):
-        self.times = np.asarray(times, dtype=np.float64)
-        self.new_prices = np.asarray(new_prices, dtype=np.float64)
-        self.directions = np.asarray(directions, dtype=np.int8)
-        self.efficient_prices = np.asarray(efficient_prices, dtype=np.float64)
-        n = len(self.times)
-        if not (len(self.new_prices) == len(self.directions) == len(self.efficient_prices) == n):
-            raise ParameterError("price change columns must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __repr__(self):
-        return f"PriceChangeSeries(n={len(self)})"
+    times: np.ndarray
+    new_prices: np.ndarray
+    directions: np.ndarray
+    efficient_prices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -295,96 +277,6 @@ class TrueParams:
     price_changes: PriceChangeSeries = field(repr=False, default=None)
 
 
-def _strictly_increasing_ms(times: np.ndarray) -> np.ndarray:
-    """Quantize seconds to milliseconds; colliding stamps are pushed forward."""
-    ms = np.round(times * 1000.0).astype(np.int64)
-    if len(ms) > 1:
-        ramp = np.arange(len(ms), dtype=np.int64)
-        ms = np.maximum.accumulate(ms - ramp) + ramp
-    return ms
-
-
-def generate_tape(
-    changes: PriceChangeSeries,
-    cfg: TapeConfig,
-    asset: AssetSpec,
-    horizon: float,
-    opening_price: float,
-    rng=None,
-) -> TradeTape:
-    """Merge price changes with Poisson fill trades into a trade tape.
-
-    Every trade carries the one-tick quote bracket consistent with the side
-    it hit: a trade that moves the price up prints at the ask, one that moves
-    it down prints at the bid, and a fill prints at whichever side the next
-    price move will take out. Times are recorded at millisecond resolution.
-
-    The tape is the vendor-file view of the day: a trade file alone cannot
-    show whether its first row moved the price, so the first row is always
-    recorded as a non-change and the tape opens at that row's price. The
-    model-true change sequence stays available in ``changes``.
-    """
-    if horizon <= 0:
-        raise ParameterError("horizon must be > 0")
-    grid = TickGrid(asset.tick_value)
-    k_open = grid.nearest_tick_index(opening_price)
-    if abs(opening_price - k_open * asset.tick_value) > 1e-9 * asset.tick_value:
-        raise ParameterError(f"opening price {opening_price!r} is not on the tick grid")
-    if len(changes) and (changes.times[0] < 0 or changes.times[-1] > horizon + 1e-9):
-        raise ParameterError("price change times must lie within [0, horizon]")
-
-    gen = _as_rng(cfg.seed if rng is None else rng)
-    n_fill = int(gen.poisson(cfg.trade_intensity * horizon)) if cfg.trade_intensity > 0 else 0
-    fill_times = np.sort(gen.random(n_fill)) * horizon if n_fill else np.empty(0)
-
-    ch_ticks = np.round(changes.new_prices / asset.tick_value).astype(np.int64)
-    n_ch = len(changes)
-    all_times = np.concatenate([changes.times, fill_times])
-    order = np.argsort(all_times, kind="stable")
-    times = all_times[order]
-    is_change = order < n_ch
-
-    ticks = np.empty(len(times), dtype=np.int64)
-    if n_ch:
-        ticks[is_change] = ch_ticks
-        # a fill repeats the last changed price before it, or the opening price
-        last_change = np.searchsorted(changes.times, times[~is_change], side="right") - 1
-        fill_ticks = np.where(last_change >= 0, ch_ticks[np.maximum(last_change, 0)], k_open)
-        ticks[~is_change] = fill_ticks
-    else:
-        ticks[:] = k_open
-
-    # quote bracket per trade: was this print at the ask or at the bid?
-    if n_ch:
-        nxt = np.searchsorted(changes.times, times, side="left")
-        next_dir = np.where(nxt < n_ch, changes.directions[np.minimum(nxt, n_ch - 1)], -changes.directions[-1])
-    else:
-        next_dir = np.ones(len(times), dtype=np.int8)
-    at_ask = next_dir < 0
-    at_ask[is_change] = changes.directions > 0
-
-    price_q = ticks * SUBTICKS_PER_TICK
-    bid_q = np.where(at_ask, price_q - SUBTICKS_PER_TICK, price_q)
-    ask_q = np.where(at_ask, price_q, price_q + SUBTICKS_PER_TICK)
-
-    # vendor-view convention: the tape opens at its first row, so that row never counts as a change
-    opening_q = int(price_q[0]) if len(times) else k_open * SUBTICKS_PER_TICK
-
-    ms = _strictly_increasing_ms(times)
-    t_canon = ms / 1000.0
-    session_length = max(horizon, float(t_canon[-1]) if len(t_canon) else horizon)
-    return TradeTape(
-        asset=asset,
-        times=t_canon,
-        price_q=price_q,
-        bid_q=bid_q,
-        ask_q=ask_q,
-        session_length=session_length,
-        opening_price_q=opening_q,
-        grid=grid,
-    )
-
-
 def equilibrium_fill_rate(asset: AssetSpec, sigma: float, horizon: float) -> float:
     """Fill intensity making volatility per trade match the implicit spread.
 
@@ -403,6 +295,11 @@ def equilibrium_fill_rate(asset: AssetSpec, sigma: float, horizon: float) -> flo
     return max(0.0, target - changes)
 
 
+# Most trades one day may expect. A change costs about 285 B of peak memory,
+# so a day stays under about 3 GB; the largest reference day has 118,530 trades.
+_MAX_TRADES = 10**7
+
+
 def simulate_day(
     path_spec: EfficientPathSpec,
     asset: AssetSpec,
@@ -411,29 +308,60 @@ def simulate_day(
     """Simulate one asset-day end to end, deterministically in ``cfg.seed``.
 
     The seed is split into independent streams for the price changes and
-    the fill trades. The day opens at the grid point nearest to the path
-    start (exact halves round down), which lies strictly inside the band.
+    the Poisson fill trades. The day opens at the grid point nearest to the
+    path start (exact halves round down), which lies strictly inside the band.
+    Every print sits on a one-tick quote: a change at the ask if it moved the
+    price up and at the bid if down, a fill at the prevailing price on the
+    side the next change takes out. Times are whole milliseconds. As in a
+    vendor file, the first row never counts as a change and the tape opens at
+    its price; the model-true changes are in ``TrueParams.price_changes``.
+    A day that expects more than ``_MAX_TRADES`` trades is a ParameterError.
     """
     eta = asset.require_eta()
     alpha = asset.tick_value
-    change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    horizon = path_spec.horizon
     knot_t, knot_v = _variance_clock(path_spec)
     knot_b = knot_v / alpha**2
-    k0 = TickGrid(alpha).nearest_tick_index(path_spec.x0)
+    expected = float(knot_b[-1]) / (2.0 * eta) + cfg.trade_intensity * horizon
+    if not expected <= _MAX_TRADES:
+        raise ParameterError(f"a day of {expected:.3g} expected trades is more than the limit of {_MAX_TRADES:.0e}")
+    change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    grid = TickGrid(alpha)
+    k0 = grid.nearest_tick_index(path_spec.x0)
     business, directions = _change_sequence(path_spec.x0 / alpha - k0, eta, float(knot_b[-1]), change_rng)
     # invert the business clock; a change never falls in a zero-volatility piece
     piece = np.searchsorted(knot_b, business, side="right") - 1
     rate = np.diff(knot_b) / np.diff(knot_t)
     times = knot_t[piece] + (business - knot_b[piece]) / rate[piece]
     ticks = k0 + np.cumsum(directions, dtype=np.int64)
+
+    fill_times = np.sort(fill_rng.random(fill_rng.poisson(cfg.trade_intensity * horizon))) * horizon
+    # a fill repeats the last changed price before it, on the side the next change takes out
+    fill_ticks = np.concatenate(([k0], ticks))[np.searchsorted(times, fill_times, side="right")]
+    next_moves = np.append(directions, -directions[-1] if len(directions) else 1)
+    fill_at_ask = next_moves[np.searchsorted(times, fill_times, side="left")] < 0
+    # merged by time; on a tie the change prints first
+    all_times = np.concatenate([times, fill_times])
+    order = np.argsort(all_times, kind="stable")
+    seconds = strictly_increasing_seconds(np.round(all_times[order] * 1000.0).astype(np.int64))
+    price_q = np.concatenate([ticks, fill_ticks])[order] * SUBTICKS_PER_TICK
+    bid_q = price_q - np.concatenate([directions > 0, fill_at_ask])[order] * SUBTICKS_PER_TICK
+    tape = TradeTape(
+        asset=asset,
+        times=seconds,
+        price_q=price_q,
+        bid_q=bid_q,
+        ask_q=bid_q + SUBTICKS_PER_TICK,
+        session_length=max(horizon, seconds[-1]) if len(seconds) else horizon,
+        opening_price_q=price_q[0] if len(price_q) else k0 * SUBTICKS_PER_TICK,
+        grid=grid,
+    )
     barriers = (ticks + directions * (eta - 0.5)) * alpha
-    changes = PriceChangeSeries(times, ticks * alpha, directions, barriers)
-    tape = generate_tape(changes, cfg, asset, path_spec.horizon, k0 * alpha, rng=fill_rng)
     truth = TrueParams(
         eta=eta,
         tick_value=alpha,
         integrated_variance=float(knot_v[-1]),
-        n_price_changes=len(changes),
-        price_changes=changes,
+        n_price_changes=len(times),
+        price_changes=PriceChangeSeries(times, ticks * alpha, directions, barriers),
     )
     return tape, truth

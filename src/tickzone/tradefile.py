@@ -28,7 +28,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
+from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
 from .errors import IngestError, OffGridError, ParameterError, TapeError, show_field
 
 logger = logging.getLogger(__name__)
@@ -169,7 +169,7 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
-_COMMA, _LF, _CR, _QUOTE = b",\n\r\""
+_COMMA, _LF, _CR = b",\n\r"
 _SLACK = b"\n" + bytes(8)  # a closing line end, so the last line ends like the others, and room for 8-byte reads past it
 _INT_TEXT = re.compile(r"-?[0-9]+")  # a stamp or size, once ASCII spaces and tabs around it are stripped
 _INT_LIMIT = 10**18  # larger magnitudes read as this, which no stamp reaches
@@ -224,12 +224,13 @@ def _ints(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray)
 
 
 def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple:
-    """The distinct texts of the fields ``data[start:stop]`` in order of first use, and each field's code.
+    """The distinct texts of the fields ``data[start:stop]``, and each field's code.
 
     ``words[i]`` is the 8 bytes from ``data[i]`` on. A field is keyed by its
     8-byte words, the last one padded with commas, which no field holds. Fields
     with the same number of words are told apart by one sort of their keys;
-    fields with different numbers differ in length. Only the distinct texts are
+    fields with different numbers differ in length. The texts come in that
+    order, by number of words and then by key. Only the distinct texts are
     decoded.
     """
     sizes = stops - starts
@@ -238,8 +239,8 @@ def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray
         widths = np.flatnonzero(np.bincount(n_words)).tolist()
     else:  # every field is one word
         widths = [1] if len(sizes) else []
-    codes = np.empty(len(starts), dtype=np.intp)
-    firsts: List[int] = []
+    codes = np.empty(len(starts), dtype=starts.dtype)
+    used: List[int] = []  # a field of each distinct text
     for w in widths:
         rows = np.arange(len(starts)) if len(widths) == 1 else np.flatnonzero(n_words == w)
         held = (sizes[rows] - 8 * (w - 1)).astype(np.intp)
@@ -252,12 +253,10 @@ def _texts(data: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray
         perm = np.argsort(keys)
         keys = keys[perm]
         new = np.concatenate(([True], keys[1:] != keys[:-1]))
-        codes[rows[perm]] = np.cumsum(new) + (len(firsts) - 1)
-        firsts += rows[np.minimum.reduceat(perm, np.flatnonzero(new))].tolist()
-    order = np.argsort(firsts)
-    used = np.array(firsts, dtype=np.intp)[order]
+        codes[rows[perm]] = np.cumsum(new) + (len(used) - 1)
+        used += rows[perm[new]].tolist()
     texts = [data[a:b].decode() for a, b in zip(starts[used].tolist(), stops[used].tolist())]
-    return texts, np.argsort(order).astype(starts.dtype)[codes]
+    return texts, codes
 
 
 def _int_or_shown(field: str) -> Union[int, str]:
@@ -358,25 +357,18 @@ def _read_columns(path: Path) -> _TradeColumns:
     if [h.strip() for h in header] != TRADE_CSV_HEADER:
         shown = show_field(head, lambda _: repr(header))
         raise IngestError(f"bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}", path=path)
-    n = len(stops) - int(starts[-1] == stops[-1])  # the closing line end adds an empty line to a file ending in one
-    if _QUOTE not in data and (commas[:n] == 4).all():
-        # every line is five unquoted fields, so none is blank or fails, and seps holds five bounds a line
-        rows = np.arange(1, n, dtype=index)
-        c0, c1, c2, c3 = seps[: 5 * n].reshape(n, 5)[1:, :4].T
-        first, last = starts[1:n], stops[1:n]
-    else:
-        blank = commas == 0
-        blank[0] = False
-        blank[blank] = [not data[a:b].decode().strip() for a, b in zip(starts[blank].tolist(), stops[blank].tolist())]
-        rows = np.flatnonzero(~blank)[1:].astype(index)  # line indices of the data rows
-        quoted = np.zeros(len(stops), dtype=bool)
-        quoted[np.searchsorted(stops, np.flatnonzero(buf == _QUOTE))] = True
-        # a row that is not five unquoted fields fails where it stands; the rows before it are split into fields
-        good = rows[: _first((commas[rows] != 4) | quoted[rows])]
-        c0, c1, c2, c3 = (seps[ends[good] - k] for k in (4, 3, 2, 1))
-        first, last = starts[good], stops[good]
-        del blank, quoted, good
-    del seps, kind, ends, commas
+    # a blank line (the closing line end adds one to a file ending in a line end) is skipped with its line end
+    blank = commas == 0  # not the header, which has four commas
+    blank[blank] = [not data[a:b].decode().strip() for a, b in zip(starts[blank].tolist(), stops[blank].tolist())]
+    rows = np.flatnonzero(~blank)[1:].astype(index)  # line indices of the data rows
+    seps = np.delete(seps, ends[blank])
+    # a row that is not five unquoted fields fails where it stands; each row before it holds five separators
+    quote = data.find(b'"')
+    failed = min(_first(~blank & (commas != 4)), len(stops) if quote < 0 else int(np.searchsorted(stops, quote)))
+    good = int(np.searchsorted(rows, failed))
+    c0, c1, c2, c3, last = seps[5 : 5 * (good + 1)].reshape(good, 5).T
+    first = starts[rows[:good]]
+    del seps, kind, ends, commas, blank
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     stamps, stamp_ok = _ints(data, words, first, c0)
     stamps = stamps[: _first(~stamp_ok | (stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop))]
@@ -441,13 +433,11 @@ def _build_day_tape(
     if message is not None:
         raise IngestError(message, path=cols.path, line=int(cols.lines[rows[i]]))
     price_q, bid_q, ask_q = (q for q, _, _ in parsed)
-    # identical-millisecond prints are pushed forward to keep times strict
-    ramp = np.arange(len(rows), dtype=np.int64)
-    ms = np.maximum.accumulate(cols.stamps[rows] - session.open_epoch_ms(day) - ramp) + ramp
-    session_length = max(session.length_seconds, ms[-1] / 1000.0)
+    times = strictly_increasing_seconds(cols.stamps[rows] - session.open_epoch_ms(day))
+    session_length = max(session.length_seconds, times[-1])
     try:
         return TradeTape(
-            asset, ms / 1000.0, price_q, bid_q, ask_q,
+            asset, times, price_q, bid_q, ask_q,
             session_length=session_length, opening_price_q=int(price_q[0]), grid=grid,
         )
     except TapeError as exc:

@@ -678,6 +678,13 @@ def _synth(key, value):
                      id="synthetic.A.fills = nan"),
         pytest.param(_SIMULATE + ["--sigma", "1e200"], None, "sigma", id="simulate --sigma 1e200"),
         pytest.param(["pipeline"], _synth("sigma", "1e200"), "sigma", id="synthetic.A.sigma = 1e200"),
+        pytest.param(_SIMULATE + ["--sigma", "1e100"], None, "expected trades", id="simulate --sigma 1e100"),
+        pytest.param(["pipeline"], _synth("sigma", "1e100"), "expected trades", id="synthetic.A.sigma = 1e100"),
+        # about 4.8e7 changes and 6e8 fills over the 10-minute session
+        pytest.param(_SIMULATE + ["--sigma", "2", "--fills", "0"], None, "4.8e+07 expected trades",
+                     id="simulate --sigma 2 --fills 0"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "1e6"], None, "6e+08 expected trades",
+                     id="simulate --sigma 0.003 --fills 1e6"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "0"], None,
                      "samples_per_second", id="signature --samples-per-second 0"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,

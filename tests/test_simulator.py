@@ -9,14 +9,13 @@ from tickzone import (
     AssetSpec,
     EfficientPathSpec,
     ParameterError,
-    PriceChangeSeries,
     TapeConfig,
     equilibrium_fill_rate,
-    generate_tape,
     simulate_day,
 )
 from tickzone import simulator
-from tickzone.simulator import _interval_exits, _strictly_increasing_ms, _unit_exit_times
+from tickzone.domain import strictly_increasing_seconds
+from tickzone.simulator import _interval_exits, _unit_exit_times
 
 
 # ------------------------------------------------------------ latent price
@@ -220,7 +219,7 @@ class TestApplyUncertaintyZones:
         asset = AssetSpec("A", 1.0, eta=0.25)
         spec = EfficientPathSpec(x0=100.0, volatility=[(0.0, 0.0), (20.0, 1.0)], horizon=10.0)
         _, truth = simulate_day(spec, asset, TapeConfig(seed=0))
-        assert len(truth.price_changes) == 0
+        assert len(truth.price_changes.times) == 0
         assert truth.integrated_variance == 0.0
 
     def test_crossings_sit_exactly_on_barriers(self, sim_days):
@@ -253,105 +252,97 @@ class TestApplyUncertaintyZones:
         assert np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
-    def test_series_column_validation(self):
-        with pytest.raises(ParameterError, match="equal length"):
-            PriceChangeSeries([1.0], [100.0, 101.0], [1], [0.0])
-
 
 # ------------------------------------------------------------- tape assembly
 
-def _changes():
-    # up to 101 at t=10 across the barrier 100.75, back to 100 at t=30 across 100.25
-    return PriceChangeSeries([10.0, 30.0], [101.0, 100.0], [1, -1], [100.75, 100.25])
+def _day(sigma, fills, seed, horizon=100.0):
+    """A simulated day on a tick of 1, and its change sequence."""
+    spec = EfficientPathSpec(x0=100.0, volatility=sigma, horizon=horizon)
+    tape, truth = simulate_day(spec, AssetSpec("A", 1.0, eta=0.25), TapeConfig(trade_intensity=fills, seed=seed))
+    return tape, truth.price_changes
 
 
 class TestGenerateTape:
-    def asset(self):
-        return AssetSpec("A", 1.0, eta=0.25)
+    """How simulate_day dresses its price changes into a tape."""
 
     def test_no_fills_keeps_only_changes(self):
-        tape = generate_tape(_changes(), TapeConfig(trade_intensity=0.0), self.asset(), 100.0, 100.0)
-        assert len(tape) == 2
+        tape, changes = _day(sigma=0.3, fills=0.0, seed=1)
+        assert len(tape) == len(changes.times) > 2
         # the first file row never counts as a change; the tape opens there
-        assert tape.n_changes == 1
-        assert tape.opening_price == pytest.approx(101.0)
-        assert np.allclose(tape.grid.currency(tape.price_q), [101.0, 100.0])
+        assert tape.n_changes == len(tape) - 1
+        assert tape.opening_price == changes.new_prices[0]
+        assert np.array_equal(tape.grid.currency(tape.price_q), changes.new_prices)
 
     def test_fill_count_is_poisson(self):
-        cfg = TapeConfig(trade_intensity=10.0, seed=2)
-        tape = generate_tape(_changes(), cfg, self.asset(), 1000.0, 100.0)
-        n_fills = len(tape) - 2
+        tape, changes = _day(sigma=0.1, fills=10.0, seed=2, horizon=1000.0)
+        n_fills = len(tape) - len(changes.times)
         assert abs(n_fills - 10_000) <= 300  # 3 sigma
 
     def test_fills_print_at_prevailing_price(self):
-        cfg = TapeConfig(trade_intensity=1.0, seed=3)
-        tape = generate_tape(_changes(), cfg, self.asset(), 100.0, 100.0)
+        tape, changes = _day(sigma=0.3, fills=1.0, seed=3)
         # a fill repeats the price, so the tape moves only where the series does
-        assert len(tape) > 2 and tape.opening_price == 100.0
-        assert list(tape.change_prices) == [101.0, 100.0]
-        assert np.allclose(tape.change_times, [10.0, 30.0], atol=0.002)
+        assert len(tape) > len(changes.times) > 2 and tape.opening_price == 100.0
+        assert np.array_equal(tape.change_prices, changes.new_prices)
+        assert np.allclose(tape.change_times, changes.times, atol=0.002)
 
     def test_quotes_bracket_every_trade_at_one_tick(self):
-        cfg = TapeConfig(trade_intensity=1.0, seed=4)
-        tape = generate_tape(_changes(), cfg, self.asset(), 100.0, 100.0)
+        tape, changes = _day(sigma=0.3, fills=1.0, seed=4)
         assert tape.quote_mask().all()
-        spread = tape.ask_q - tape.bid_q
-        assert np.all(spread == spread[0])
-        assert tape.grid.currency(int(spread[0])) == pytest.approx(1.0)
+        assert np.all(tape.ask_q - tape.bid_q == tape.grid.subticks_from_text("1"))
         # prints happen on a quote, never inside the bracket
-        at_bid = tape.price_q == tape.bid_q
         at_ask = tape.price_q == tape.ask_q
-        assert np.all(at_bid | at_ask)
+        assert np.all(at_ask | (tape.price_q == tape.bid_q))
+        # a fill prints on the side the next change takes out; after the last one, a reversal
+        fills = np.flatnonzero(tape.direction == 0)[1:]
+        next_move = np.append(changes.directions, -changes.directions[-1])[
+            np.searchsorted(changes.times, tape.times[fills])
+        ]
+        assert len(fills) > 10 and np.array_equal(at_ask[fills], next_move < 0)
 
     def test_changes_print_on_the_side_they_moved(self):
-        tape = generate_tape(_changes(), TapeConfig(), self.asset(), 100.0, 100.0)
+        tape, _ = _day(sigma=0.3, fills=1.0, seed=5)
         up = tape.direction > 0
-        assert np.all(tape.price_q[up] == tape.ask_q[up])
+        assert up.any() and np.all(tape.price_q[up] == tape.ask_q[up])
         down = tape.direction < 0
-        assert np.all(tape.price_q[down] == tape.bid_q[down])
+        assert down.any() and np.all(tape.price_q[down] == tape.bid_q[down])
 
     def test_empty_change_series(self):
-        cfg = TapeConfig(trade_intensity=0.5, seed=1)
-        tape = generate_tape(PriceChangeSeries([], [], [], []), cfg, self.asset(), 100.0, 100.0)
-        assert tape.n_changes == 0
+        tape, changes = _day(sigma=0.0, fills=0.5, seed=1)
+        assert len(changes.times) == 0 and tape.n_changes == 0
         assert len(tape) > 0
         assert np.all(tape.grid.currency(tape.price_q) == 100.0)
 
     def test_validation(self):
-        with pytest.raises(ParameterError, match="horizon"):
-            generate_tape(_changes(), TapeConfig(), self.asset(), 0.0, 100.0)
-        with pytest.raises(ParameterError, match="tick grid"):
-            generate_tape(_changes(), TapeConfig(), self.asset(), 100.0, 100.5)
-        with pytest.raises(ParameterError, match="within"):
-            generate_tape(_changes(), TapeConfig(), self.asset(), 20.0, 100.0)
         with pytest.raises(ParameterError, match=">= 0"):
             TapeConfig(trade_intensity=-1.0)
+        # 1e8 expected fills are refused before anything is drawn
+        with pytest.raises(ParameterError, match="1e\\+08 expected trades"):
+            _day(sigma=0.0, fills=1e6, seed=0)
 
     def test_millisecond_times_strictly_increasing(self):
-        cfg = TapeConfig(trade_intensity=2000.0, seed=5)  # force collisions
-        tape = generate_tape(_changes(), cfg, self.asset(), 40.0, 100.0)
+        tape, _ = _day(sigma=0.3, fills=2000.0, seed=5, horizon=40.0)  # force collisions
         assert np.all(np.diff(tape.times) > 0)
         ms = np.round(tape.times * 1000).astype(np.int64)
         assert np.all(np.diff(ms) >= 1)
+        assert tape.session_length > 40.0  # the pushed prints run past the horizon
 
 
 def test_ms_canonicalization_bumps_collisions():
-    ms = _strictly_increasing_ms(np.array([0.0, 0.0, 0.0005, 0.001]))
+    ms = strictly_increasing_seconds(np.array([0, 0, 0, 1])) * 1000.0
     assert list(ms) == [0, 1, 2, 3]
 
 
 def test_ms_canonicalization_is_idempotent():
     rng = np.random.default_rng(0)
-    t = np.sort(rng.random(500) * 2.0)
-    once = _strictly_increasing_ms(t)
-    twice = _strictly_increasing_ms(once / 1000.0)
+    t = np.sort(rng.integers(0, 2000, 500))
+    once = np.round(strictly_increasing_seconds(t) * 1000.0).astype(np.int64)
+    twice = np.round(strictly_increasing_seconds(once) * 1000.0).astype(np.int64)
     assert np.array_equal(once, twice)
     assert np.all(np.diff(once) >= 1)
 
 
 def test_ms_canonicalization_keeps_strict_inputs():
-    t = np.array([0.001, 0.004, 0.009])
-    assert list(_strictly_increasing_ms(t)) == [1, 4, 9]
+    assert list(strictly_increasing_seconds(np.array([1, 4, 9]))) == [0.001, 0.004, 0.009]
 
 
 # ------------------------------------------------------------- whole-day run
@@ -378,7 +369,7 @@ class TestSimulateDay:
         for eta, (tape, truth) in sim_days.days.items():
             assert truth.eta == eta
             assert truth.tick_value == pytest.approx(0.01)
-            assert truth.n_price_changes == len(truth.price_changes)
+            assert truth.n_price_changes == len(truth.price_changes.times)
             # the tape drops only the first-row change flag
             assert tape.n_changes == truth.n_price_changes - 1
             assert truth.integrated_variance > 0

@@ -874,7 +874,8 @@ def _columns_or_error(read, path):
         cols = read(path)
     except IngestError as exc:
         return exc.line, str(exc)
-    return cols.lines.tolist(), cols.stamps.tolist(), [(values, codes.tolist()) for values, codes in cols.texts]
+    texts = [[values[c] for c in codes.tolist()] for values, codes in cols.texts]  # each row's text
+    return cols.lines.tolist(), cols.stamps.tolist(), texts
 
 
 _LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r"))
