@@ -144,7 +144,10 @@ def _cmd_optimal_tick(args) -> int:
             return 1
         assets = [a for a in assets if a.asset_id in wanted]
     scenarios = {a.asset_id: a.scenario() for a in assets}
-    write_csv(args.out, *tick_table(scenarios, args.beta or BETA_PRESETS, args.version or VERSIONS))
+    skipped: List[str] = []
+    write_csv(args.out, *tick_table(scenarios, args.beta or BETA_PRESETS, args.version or VERSIONS, skipped))
+    for msg in skipped:
+        print(f"skipped: {msg}", file=sys.stderr)
     return 0
 
 

@@ -56,12 +56,13 @@ def fmt_float(v: float) -> str:
 
 
 def tick_table(
-    scenarios: Mapping[str, TickScenario], betas: Sequence[float], versions: Sequence[int]
+    scenarios: Mapping[str, TickScenario], betas: Sequence[float], versions: Sequence[int], skipped: List[str]
 ) -> Tuple[List[str], List[List[str]]]:
     """Header and rows of an optimal-tick table: one row per asset, one cell per (version, beta).
 
     A cell is blank where its version gives no tick, as version 1 without a
-    fit does; a beta outside (0, 2) raises.
+    fit does, and ``skipped`` gets a line naming the cell and the cause; a
+    beta outside (0, 2) raises.
     """
     header = ["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in versions for b in betas]
     rows = []
@@ -72,8 +73,9 @@ def tick_table(
             for s in at_betas:
                 try:
                     row.append(fmt_float(optimal_tick(s, version=v)))
-                except TickzoneError:
+                except TickzoneError as exc:
                     row.append("")
+                    skipped.append(f"optimal_ticks {aid} v{v} beta{s.beta:g}: {exc}")
         rows.append(row)
     return header, rows
 
@@ -473,7 +475,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         skipped.append(f"cloud_adjusted: no fit for {dropped} record(s)")
     betas = (config.beta,) if config.beta is not None else BETA_PRESETS
     scenarios = _tick_scenarios(records, fits, config, skipped)
-    write_csv(outputs["optimal_ticks"], *tick_table(scenarios, betas, VERSIONS))
+    write_csv(outputs["optimal_ticks"], *tick_table(scenarios, betas, VERSIONS, skipped))
 
     n_files = sum(len(v) for v in files.values())
     for msg in skipped:

@@ -20,6 +20,13 @@ times a unit exit time, and all the unit exit times of one batch of walks
 come from one inversion of the theta-series distribution. Business time maps
 back to clock time through the piecewise-linear integrated variance, so a
 zero-volatility stretch gets no changes.
+
+The inversion sums 4 terms of the long-time series and 3 of the short-time
+one. Each series is used on its own side of t = 1/2, where the first term
+left out is below 1e-21 of the partial sum: under half an ulp, so neither it
+nor any later term could change a double. The short-time series needs erfc
+only at arguments of 1 and above, which Cody's rational approximations give
+in numpy.
 """
 from __future__ import annotations
 
@@ -28,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import special
 
 from .domain import SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
 from .errors import ParameterError
@@ -73,6 +79,12 @@ class EfficientPathSpec:
         _, vols = _schedule_pieces(self.volatility)
         if not np.all(np.isfinite(vols) & (vols >= 0)):
             raise ParameterError(f"volatility must be finite and >= 0 everywhere, got {self.volatility!r}")
+        with np.errstate(over="ignore"):
+            variance = _variance_clock(self)[1][-1]
+        if not np.isfinite(variance):
+            raise ParameterError(
+                f"volatility {self.volatility!r} over {self.horizon!r} s has an integrated variance beyond the float range"
+            )
 
 
 def _variance_clock(spec: EfficientPathSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -88,10 +100,17 @@ def _variance_clock(spec: EfficientPathSpec) -> tuple[np.ndarray, np.ndarray]:
     return times, variance
 
 
-# Odd numbers 2k+1 and signs (-1)^k of the first five theta-series terms. On
-# its own side of t = 1/2 either series below then errs by less than 1e-25.
-_ODD = 2.0 * np.arange(5) + 1.0
-_SIGN = (-1.0) ** np.arange(5)
+def _theta_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd numbers 2k+1 and signs (-1)^k of the first ``n`` theta-series terms."""
+    k = np.arange(n)
+    return 2.0 * k + 1.0, (-1.0) ** k
+
+
+# Terms each series keeps. On its own side of t = 1/2 the first term left out
+# is below 1e-21 of the partial sum (exp(-81 pi^2 t / 8) / 9 of exp(-pi^2 t / 8),
+# and erfc(7z) of erfc(z) for z >= 1), so it and every later one round away.
+_LONG_TERMS = _theta_terms(4)
+_SHORT_TERMS = _theta_terms(3)
 
 
 def _series(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -100,23 +119,92 @@ def _series(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     Each element is rounded the same wherever it sits in the array; a BLAS
     product may round an element by its place.
     """
-    return sum(w * term for w, term in zip(weights, terms))
+    out = weights[0] * terms[0]
+    for w, term in zip(weights[1:], terms[1:]):
+        out += w * term
+    return out
+
+
+def _horner(coefs: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """coefs[0] x^n + coefs[1] x^(n-1) + ... + coefs[n] by Horner's rule."""
+    out = coefs[0] * x
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+# W. J. Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23 (1969) 631-637, as in his CALERF: erfc(z) = exp(-z^2) P(z) / Q(z)
+# on [0.46875, 4], and exp(-z^2) (1/sqrt(pi) - w R(w) / S(w)) / z with w = 1/z^2 above.
+_CODY_P = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+           6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+           1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_CODY_Q = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_CODY_R = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_CODY_S = (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _erfcx(z: np.ndarray) -> np.ndarray:
+    """exp(z^2) erfc(z) for z >= 0.46875, elementwise: the rational part of Cody's erfc."""
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    near = flat <= 4.0
+    i = np.flatnonzero(near)
+    y = flat[i]
+    out[i] = _horner(_CODY_P, y) / _horner(_CODY_Q, y)
+    i = np.flatnonzero(~near)
+    y = flat[i]
+    w = 1.0 / (y * y)
+    out[i] = (_INV_SQRT_PI - w * _horner(_CODY_R, w) / _horner(_CODY_S, w)) / y
+    return out.reshape(z.shape)
+
+
+def _exp_minus_square(z: np.ndarray) -> np.ndarray:
+    """exp(-z^2) as Cody takes it: exp(-s^2) exp(-(z - s)(z + s)) with s = z cut to sixteenths.
+
+    s^2 is exact, so the rounding of z^2 never enters an exponent as large as z^2;
+    times :func:`_erfcx` this is erfc(z) to within 1e-15 relative.
+    """
+    s = np.trunc(z * 16.0) / 16.0
+    return np.exp(-s * s) * np.exp(-(z - s) * (z + s))
 
 
 def _long_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(T > t) for the unit exit time T, and its derivative in t."""
-    e = np.exp(-np.outer(_ODD**2, t) * (math.pi**2 / 8.0))
-    survival = (4.0 / math.pi) * _series(_SIGN / _ODD, e)
-    density = (math.pi / 2.0) * _series(_SIGN * _ODD, e)
+    odd, sign = _LONG_TERMS
+    e = np.exp(-(odd[:, None] ** 2 * t) * (math.pi**2 / 8.0))
+    survival = (4.0 / math.pi) * _series(sign / odd, e)
+    density = (math.pi / 2.0) * _series(sign * odd, e)
     return np.log(survival), -density / survival
 
 
 def _short_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(T <= t) for the unit exit time T, and its derivative in t."""
-    z = np.outer(_ODD, 1.0 / np.sqrt(2.0 * t))
-    cdf = 2.0 * _series(_SIGN, special.erfc(z))
-    density = 2.0 * _series(_SIGN * _ODD, np.exp(-z * z)) / np.sqrt(2.0 * math.pi * t**3)
+    odd, sign = _SHORT_TERMS
+    z = odd[:, None] * (1.0 / np.sqrt(2.0 * t))
+    gauss = _exp_minus_square(z)
+    cdf = 2.0 * _series(sign, gauss * _erfcx(z))
+    density = 2.0 * _series(sign * odd, gauss) / np.sqrt(2.0 * math.pi * t**3)
     return np.log(cdf), density / cdf
+
+
+# R. E. Odeh and J. O. Evans, algorithm AS 70, Applied Statistics 23 (1974) 96-97:
+# with v = sqrt(-2 log p), v + P(v) / Q(v) is the normal upper-tail quantile of p
+# to within 1.5e-8 for 1e-20 < p <= 1/2.
+_AS70_P = (-0.453642210148e-4, -0.204231210245e-1, -0.342242088547, -1.0, -0.322232431088)
+_AS70_Q = (0.38560700634e-2, 0.103537752850, 0.531103462366, 0.588581570495, 0.993484626060e-1)
+
+
+def _normal_upper_quantile(p: np.ndarray) -> np.ndarray:
+    v = np.sqrt(-2.0 * np.log(p))
+    return v + _horner(_AS70_P, v) / _horner(_AS70_Q, v)
 
 
 _SURVIVAL_AT_HALF = float(np.exp(_long_time_tail(np.array([0.5]))[0][0]))
@@ -127,16 +215,21 @@ def _newton(tail, t: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     Both log tails are monotone and concave in t (the unit exit time is a sum
     of independent exponentials), so from a start where tail(t) < target
-    every step moves toward the root and, up to rounding, not past it. Each
-    element stops at its own first small step, so that, with the tails'
-    elementwise sums, its root does not depend on the rest of the batch.
+    every step moves toward the root and, up to rounding, not past it. A
+    start a little past the root is safe too: the tangent there lies above
+    the tail, so one step lands short of the root, and the rest approach it
+    from there. Each element stops at its own first small step, so that,
+    with the tails' elementwise sums, its root does not depend on the rest
+    of the batch.
     """
     todo = np.arange(len(t))
     for _ in range(100):
-        value, slope = tail(t[todo])
+        now = t[todo]
+        value, slope = tail(now)
         step = (value - target[todo]) / slope
-        t[todo] -= step
-        todo = todo[np.abs(step) > 1e-13 * t[todo]]
+        now -= step
+        t[todo] = now
+        todo = todo[np.abs(step) > 1e-13 * now]
         if not len(todo):
             break
     return t
@@ -149,7 +242,9 @@ def _unit_exit_times(u: np.ndarray) -> np.ndarray:
     long-time series of log P(T > t) when the root lies beyond 1/2 and the
     short-time series of log P(T <= t) below it. It starts where the series'
     first term alone hits the target; the omitted terms lower either tail,
-    so the start lies where tail(t) < target.
+    so that point lies where tail(t) < target. The short branch finds it
+    through the normal quantile of AS 70, whose error of up to 1e-8 may put
+    a start just past the root; one step then lands short of it.
     """
     t = np.empty_like(u)
     long = u < _SURVIVAL_AT_HALF
@@ -158,7 +253,8 @@ def _unit_exit_times(u: np.ndarray) -> np.ndarray:
         t[long] = _newton(_long_time_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
     if not long.all():
         q = 1.0 - u[~long]
-        t[~long] = _newton(_short_time_tail, 0.5 / special.erfcinv(q / 2.0) ** 2, np.log(q))
+        # the first term 2 erfc(1 / sqrt(2t)) is the chance that |N| > 1 / sqrt(t) for a standard normal N
+        t[~long] = _newton(_short_time_tail, _normal_upper_quantile(q / 4.0) ** -2.0, np.log(q))
     return t
 
 
@@ -321,7 +417,10 @@ def simulate_day(
     alpha = asset.tick_value
     horizon = path_spec.horizon
     knot_t, knot_v = _variance_clock(path_spec)
-    knot_b = knot_v / alpha**2
+    # a variance past the float range in squared ticks (or 0 / 0 where the tick's square
+    # underflows) gives an inf or NaN count, which the bound below rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        knot_b = knot_v / alpha**2
     expected = float(knot_b[-1]) / (2.0 * eta) + cfg.trade_intensity * horizon
     if not expected <= _MAX_TRADES:
         raise ParameterError(f"a day of {expected:.3g} expected trades is more than the limit of {_MAX_TRADES:.0e}")

@@ -3,14 +3,19 @@ import csv
 import errno
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickzone.cli import main as cli_main
-from tickzone.errors import IngestError, ParameterError
+from tickzone.errors import IngestError, ParameterError, TickzoneError
 from tickzone.estimators import DailyRecord
 from tickzone.pipeline import (
+    _SYN_KEYS,
+    _TOP_KEYS,
     CLOUD_CSV_HEADER,
     DAILY_CSV_HEADER,
     PipelineConfig,
@@ -23,6 +28,7 @@ from tickzone.pipeline import (
     write_daily_records_csv,
 )
 from tickzone.regression import REGRESSION_CSV_HEADER, fit_spread_vol
+from tickzone.tick_policy import load_reference_assets
 
 _SYNTH_CONFIG = """
 # two simulated assets, one hour each day
@@ -176,6 +182,28 @@ class TestParseConfig:
             parse_config_text(self._minimal() + "seed = many\n")
         with pytest.raises(ParameterError, match="^synthetic.A.days: "):
             parse_config_text(self._minimal() + "synthetic.A.days = 2.5\n")
+
+
+# every key a config may set, with one synthetic asset A
+_CONFIG_KEYS = sorted(_TOP_KEYS) + [f"synthetic.A.{k}" for k in sorted(_SYN_KEYS)] + ["tick_value.A"]
+# one line of text: no character that str.splitlines breaks at
+_ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+_EDGE_VALUES = st.sampled_from([
+    "nan", "-inf", "1e400", "-1", "0", "9" * 5000, "1_0", "auto", "yes", "Europe/Berlin", "../UTC", "\x00",
+    "08:00-09:00", "09:00-08:00", "24:00-25:00", "2009-02-30", "ingest", "synthetic", "0.01", "1e-400",
+])
+
+
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.one_of(_ONE_LINE, _EDGE_VALUES), min_size=1))
+@settings(max_examples=300, deadline=None)
+def test_config_text_gives_a_config_or_a_tickzone_error(values):
+    lines = {"out": "run", "synthetic.A.tick_value": "0.01", "synthetic.A.eta": "0.25", "synthetic.A.sigma": "0.002"}
+    text = "".join(f"{key} = {value}\n" for key, value in {**lines, **values}.items())
+    try:
+        config = parse_config_text(text)
+    except TickzoneError:
+        return
+    assert isinstance(config, PipelineConfig)
 
 
 class TestConfigValidation:
@@ -400,6 +428,9 @@ class TestRunPipelineSynthetic:
             if key.startswith("v"):
                 assert (rows["S"][key] == "") == key.startswith("v1_"), key
                 assert rows["A1"][key] != ""
+        cause = "version 1 needs fit coefficients with p1_0 > 0"
+        blank = [msg for msg in result.skipped if msg.startswith("optimal_ticks ")]
+        assert blank == [f"optimal_ticks S v1 beta{b}: {cause}" for b in ("1", "0.5")]
 
     def test_rerun_is_byte_identical(self, synth_run, tmp_path):
         cfg, result = synth_run
@@ -567,6 +598,17 @@ class TestCli:
         assert cli_main(["optimal-tick"]) == 0
         assert capsysbinary.readouterr().out == _REFERENCE_TICK_TABLE.replace("\n", "\r\n").encode()
 
+    def test_optimal_tick_names_the_cause_of_a_blank_cell(self, monkeypatch, capsys):
+        # eta0 p1 + p2 = 0.15 * 0.366 - 0.074 < 0: the version-1 line gives no positive tick
+        bus5 = next(a for a in load_reference_assets() if a.asset_id == "BUS5")
+        a3 = replace(bus5, asset_id="A3", eta=0.15, p1=0.366, p2=-0.074)
+        monkeypatch.setattr("tickzone.cli.load_reference_assets", lambda: [a3])
+        assert cli_main(["optimal-tick"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("A3,7.8125,,,")
+        cause = "scenario implies a non-positive tick"
+        assert captured.err == "".join(f"skipped: optimal_ticks A3 v1 beta{b}: {cause}\n" for b in ("1", "0.5"))
+
     def test_optimal_tick_bad_beta(self, capsys):
         assert cli_main(["optimal-tick", "--beta", "3"]) == 1
         captured = capsys.readouterr()
@@ -685,6 +727,14 @@ def _synth(key, value):
                      id="simulate --sigma 2 --fills 0"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "1e6"], None, "6e+08 expected trades",
                      id="simulate --sigma 0.003 --fills 1e6"),
+        # sigma^2 times the 600-s session overflows a float; so does sigma^2 alone at 1e200
+        pytest.param(_SIMULATE + ["--sigma", "1e153", "--fills", "0"], None, "volatility 1e+153",
+                     id="simulate --sigma 1e153 --fills 0"),
+        pytest.param(_SIMULATE + ["--sigma", "1e200", "--fills", "0"], None, "volatility 1e+200",
+                     id="simulate --sigma 1e200 --fills 0"),
+        # a finite variance that overflows once divided by the squared tick
+        pytest.param(_SIMULATE + ["--sigma", "1e140", "--fills", "0", "--tick-value", "1e-20"], None,
+                     "inf expected trades", id="simulate --sigma 1e140 --fills 0 --tick-value 1e-20"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "0"], None,
                      "samples_per_second", id="signature --samples-per-second 0"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,

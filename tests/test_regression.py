@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from tickzone.pipeline import fit_groups
 from tickzone.regression import (
     REGRESSION_CSV_HEADER,
     RegressionFit,
+    _t_quantile,
     design_matrix,
     fit_spread_vol,
 )
@@ -214,17 +216,71 @@ class TestFitGroups:
         assert (dropped["A"].n_days, kept["A"].n_days) == (5, 6)
 
 
-def test_interval_quantile_is_the_t_quantile():
-    # the fit takes its 97.5% t quantile from scipy.special, which gives scipy.stats' value bit for bit
-    from scipy import special, stats
+def test_interval_quantile_matches_scipy():
+    # scipy is the oracle here only; at dof 6 its own value lies 21 ulps from the true
+    # quantile, and test_interval_quantile_brackets_the_root checks that dof exactly
+    from scipy import stats
 
-    dof = np.arange(1, 5001)
-    assert np.array_equal(special.stdtrit(dof, 0.975), stats.t.ppf(0.975, dof))
+    dof = np.arange(1, 10_001)
+    ours = np.array([_t_quantile(int(d)) for d in dof])
+    ulps = np.abs(ours - stats.t.ppf(0.975, dof)) / np.spacing(ours)
+    assert set(dof[ulps > 4].tolist()) <= {6}
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of the package's import time and memory, and nothing needs it
-    code = "import sys, tickzone; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("dof", range(2, 21, 2))
+def test_interval_quantile_brackets_the_root(dof):
+    # for even dof the upper tail is 1/2 - sin(th)/2 * sum_{j < dof/2} C(2j, j) / 4^j cos(th)^2j
+    # (Abramowitz & Stegun 26.7.4), with sin(th)^2 = t^2 / (dof + t^2) and cos(th)^2 = dof / (dof + t^2):
+    # whether it exceeds 1 - 0.975 is decided exactly in rationals
+    alpha = 1 - Fraction(0.975)
+
+    def tail_above_alpha(t):
+        t2 = Fraction(t) ** 2
+        c = dof / (dof + t2)
+        s = sum(Fraction(math.comb(2 * j, j), 4**j) * c**j for j in range(dof // 2))
+        return (1 - 2 * alpha) ** 2 > t2 / (dof + t2) * s * s
+
+    t = _t_quantile(dof)
+    assert tail_above_alpha(math.nextafter(t, 0.0)) and not tail_above_alpha(math.nextafter(t, math.inf))
+
+
+def test_interval_quantile_for_large_dof():
+    # the normal quantile plus the first two terms in 1/dof of the expansion in
+    # Abramowitz & Stegun 26.7.5; the next one is below 2e-18 from dof 10^6 on
+    z = 1.959963984540054
+    for dof in (10**6, 10**8, 10**12):
+        expansion = z + (z**3 + z) / (4 * dof) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * dof**2)
+        assert _t_quantile(dof) == pytest.approx(expansion, rel=1e-15, abs=0)
+
+
+# the README's round trip, run with scipy made unimportable: the program must not need it
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from tickzone.cli import main
+
+with open("synth.cfg", "w") as fh:
+    fh.write("out = run\\nseed = 3\\nsession = 08:00-09:00\\nsynthetic.A1.tick_value = 0.01\\n"
+             "synthetic.A1.eta = 0.25\\nsynthetic.A1.sigma = 0.002\\nsynthetic.A1.days = 5\\n")
+commands = [
+    ["simulate", "--eta", "0.25", "--sigma", "0.003", "--session", "08:00-16:00", "--day", "2009-06-01",
+     "--seed", "1", "--out", "day1.csv"],
+    ["estimate", "day1.csv", "--tick-value", "0.01", "--session", "08:00-16:00", "--out", "daily.csv"],
+    ["signature", "day1.csv", "--tick-value", "0.01", "--session", "08:00-16:00", "--out", "sig.csv"],
+    ["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "0.91", "--p2", "0.08"],
+    ["optimal-tick", "--asset", "Bobl 1", "--asset", "Bund", "--out", "ticks.csv"],
+    ["pipeline", "--config", "synth.cfg"],
+    ["regress", "--records", "run/daily_records.csv", "--out", "fit.csv"],
+]
+codes = {args[0]: main(args) for args in commands}
+print(codes, file=sys.stderr)
+"""
+
+
+def test_round_trip_runs_without_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(tickzone.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, cwd=tmp_path, capture_output=True,
+                         text=True, check=True)
+    codes = "{'simulate': 0, 'estimate': 0, 'signature': 0, 'predict': 0, 'optimal-tick': 0, 'pipeline': 0, 'regress': 0}"
+    assert out.stderr.splitlines()[-1] == codes
+    assert (tmp_path / "run" / "regression.csv").exists() and (tmp_path / "fit.csv").exists()

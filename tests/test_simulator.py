@@ -106,6 +106,27 @@ class TestExactExits:
         for ui, ti in zip(u, t):
             assert abs(_theta_survival(float(ti)) - ui) <= 1e-13 + 1e-12 * ui
 
+    @pytest.mark.parametrize("lo, hi, bound", [(1.0, 6.5, 4.2e-15), (6.5, 26.5, 6e-14)])
+    def test_erfc_against_math(self, lo, hi, bound):
+        # the bounds are what scipy.special.erfc measures on the same grids
+        z = np.linspace(lo, hi, 200_001)
+        want = np.array([math.erfc(v) for v in z])
+        got = simulator._exp_minus_square(z) * simulator._erfcx(z)
+        assert np.max(np.abs(got / want - 1.0)) <= bound
+
+    def test_trimmed_series_round_like_five_terms(self, monkeypatch):
+        # the terms each tail leaves out round away: roots and tails match five-term sums bit for bit
+        u = np.random.default_rng(13).random(100_000) + 2.0**-55
+        t = _unit_exit_times(u)
+        long = t > 0.5
+        tails = simulator._long_time_tail(t[long]), simulator._short_time_tail(t[~long])
+        monkeypatch.setattr(simulator, "_LONG_TERMS", simulator._theta_terms(5))
+        monkeypatch.setattr(simulator, "_SHORT_TERMS", simulator._theta_terms(5))
+        assert np.array_equal(_unit_exit_times(u), t)
+        five = simulator._long_time_tail(t[long]), simulator._short_time_tail(t[~long])
+        for got, want in zip(tails, five):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     @pytest.mark.parametrize("lo, hi", [(0.2, 1.0), (0.5, 1.0), (0.37, 0.91)])
     def test_exit_moments_and_sides(self, lo, hi):
         # closed forms for an exit from (-lo, hi): E tau = lo hi,

@@ -226,25 +226,39 @@ def _reference_scenarios(assets=None):
 
 class TestOptimalTickTable:
     def test_spot_values_against_fixture(self):
-        header, rows = tick_table(_reference_scenarios(), BETA_PRESETS, VERSIONS)
+        header, rows = tick_table(_reference_scenarios(), BETA_PRESETS, VERSIONS, [])
         by_id = {row[0]: dict(zip(header, row)) for row in rows}
         assert float(by_id["BUS5"]["v1_beta1"]) == pytest.approx(2.7, abs=0.1)
         assert float(by_id["BUS5"]["v1_beta0.5"]) == pytest.approx(3.8, abs=0.1)
         assert float(by_id["ESX"]["v1_beta1"]) == pytest.approx(1.3, abs=0.1)
 
     def test_full_grid_shape(self):
-        header, rows = tick_table(_reference_scenarios(), BETA_PRESETS, VERSIONS)
+        skipped = []
+        header, rows = tick_table(_reference_scenarios(), BETA_PRESETS, VERSIONS, skipped)
         assert header == ["asset_id", "tick_value"] + [
             f"v{v}_beta{b:g}" for v in VERSIONS for b in BETA_PRESETS
         ]
-        assert len(rows) == 11
+        assert len(rows) == 11 and not skipped
         for row in rows:
             assert len(row) == len(header) and all(row)
 
     def test_subset_matches_direct_call(self):
         bus5 = next(r for r in load_reference_assets() if r.asset_id == "BUS5")
-        header, rows = tick_table(_reference_scenarios([bus5]), (1.0,), (1,))
+        header, rows = tick_table(_reference_scenarios([bus5]), (1.0,), (1,), [])
         assert header == ["asset_id", "tick_value", "v1_beta1"]
         v1 = optimal_tick(bus5.scenario(beta=1.0), version=1)
         assert rows == [["BUS5", fmt_float(bus5.tick_value), fmt_float(v1)]]
+
+    def test_blank_cell_names_its_cause(self):
+        # eta0 p1 + p2 = 0.15 * 0.366 - 0.074 < 0: the version-1 line gives no positive tick
+        scenario = TickScenario(alpha0=0.01, eta0=0.15, p1_0=0.366, p2_0=-0.074)
+        skipped = []
+        header, rows = tick_table({"A3": scenario}, BETA_PRESETS, VERSIONS, skipped)
+        cells = dict(zip(header, rows[0]))
+        assert cells["v1_beta1"] == cells["v1_beta0.5"] == ""
+        assert all(cells[f"v{v}_beta{b:g}"] for v in (2, 3) for b in BETA_PRESETS)
+        assert skipped == [
+            "optimal_ticks A3 v1 beta1: scenario implies a non-positive tick",
+            "optimal_ticks A3 v1 beta0.5: scenario implies a non-positive tick",
+        ]
 
