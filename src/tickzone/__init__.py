@@ -17,7 +17,6 @@ from .domain import (
 )
 from .equilibrium import (
     crossing_probabilities,
-    first_passage_frequencies,
     market_order_cost,
 )
 from .errors import (

@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from .errors import ParameterError
-from .simulator import _interval_walk
 
 
 def crossing_probabilities(eta: float) -> Tuple[float, float]:
@@ -35,21 +32,3 @@ def market_order_cost(eta: float, tick_value: float) -> float:
     """
     return tick_value * (0.5 - eta)
 
-
-def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple[float, float]:
-    """Monte Carlo check of the crossing probabilities.
-
-    Samples exact exits of driftless Brownian paths from a fresh crossing,
-    with barriers 2*eta ticks below and one tick above, and reports the
-    fraction absorbed at each side. The odds depend on neither the tick value
-    nor the volatility, so both are one. The sampler walks on symmetric
-    intervals, leaving each on either side with equal odds, so it never uses
-    the gambler's-ruin odds that it checks.
-    """
-    if not (0.0 < eta <= 1.0):
-        raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
-    continued = _interval_walk(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))[0]
-    n_up = int(np.count_nonzero(continued))
-    return (n_trials - n_up) / n_trials, n_up / n_trials

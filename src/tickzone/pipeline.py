@@ -62,9 +62,12 @@ def tick_table(
 
     A cell is blank where its version gives no tick, as version 1 without a
     fit does, and ``skipped`` gets a line naming the cell and the cause; a
-    beta outside (0, 2) raises.
+    beta outside (0, 2), or two betas with one ``{b:g}`` label, raises.
     """
-    header = ["asset_id", "tick_value"] + [f"v{v}_beta{b:g}" for v in versions for b in betas]
+    labels = [f"{b:g}" for b in betas]
+    if len(set(labels)) < len(labels):
+        raise ParameterError(f"betas {list(betas)!r} share a column label in {labels!r}")
+    header = ["asset_id", "tick_value"] + [f"v{v}_beta{b}" for v in versions for b in labels]
     rows = []
     for aid, scenario in scenarios.items():
         at_betas = [replace(scenario, beta=b) for b in betas]

@@ -26,7 +26,17 @@ one. Each series is used on its own side of t = 1/2, where the first term
 left out is below 1e-21 of the partial sum: under half an ulp, so neither it
 nor any later term could change a double. The short-time series needs erfc
 only at arguments of 1 and above, which Cody's rational approximations give
-in numpy.
+in numpy. Each side takes the number of steps that a closed-form bound on
+the error of its start fixes, with S(1/2) = P(T > 1/2) between them:
+
+- For u < S(1/2), x = exp(-pi^2 t / 8) solves x - x^9/3 + x^25/5 - x^49/7 =
+  pi u / 4 = c, by products alone. The start c + c^9/3 is off by about 5e-5
+  relative at t = 1/2, less beyond (like x^16). A Newton step squares the
+  relative error and scales it by at most 12 x^8 < 0.09: to 2e-10, then 5e-21.
+- Otherwise z = 1/sqrt(2t) solves erfc z - erfc 3z + erfc 5z = q/2 = (1 - u)/2.
+  AS 70 gives the root of erfc z = q/2 to 1e-8; the omitted erfc(3z) shifts
+  it by about 5e-5 at z = 1, less above (like exp(-8 z^2)). Halley's error
+  shrinks with the cube: to 2e-14 after one step, under 1e-40 after two.
 """
 from __future__ import annotations
 
@@ -36,7 +46,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
+from .domain import _MAX_SUBTICKS, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
 from .errors import ParameterError
 
 Schedule = Union[float, Sequence[Tuple[float, float]]]
@@ -107,13 +117,13 @@ def _theta_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Terms each series keeps. On its own side of t = 1/2 the first term left out
-# is below 1e-21 of the partial sum (exp(-81 pi^2 t / 8) / 9 of exp(-pi^2 t / 8),
-# and erfc(7z) of erfc(z) for z >= 1), so it and every later one round away.
+# is below 1e-21 of the partial sum (x^81 / 9 of x, and erfc(7z) of erfc(z)
+# for z >= 1), so it and every later one round away.
 _LONG_TERMS = _theta_terms(4)
 _SHORT_TERMS = _theta_terms(3)
 
 
-def _series(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _series(weights: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
     """sum_k weights[k] * terms[k], one elementwise product and sum per term.
 
     Each element is rounded the same wherever it sits in the array; a BLAS
@@ -122,6 +132,16 @@ def _series(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     out = weights[0] * terms[0]
     for w, term in zip(weights[1:], terms[1:]):
         out += w * term
+    return out
+
+
+def _theta_powers(x: np.ndarray, n: int) -> list:
+    """x^((2k+1)^2) for k < ``n`` by products alone: each is the one before times x^(8k)."""
+    x8 = np.square(np.square(x * x))
+    out, step = [x], x8
+    for _ in range(n - 1):
+        out.append(out[-1] * step)
+        step = step * x8
     return out
 
 
@@ -176,25 +196,6 @@ def _exp_minus_square(z: np.ndarray) -> np.ndarray:
     return np.exp(-s * s) * np.exp(-(z - s) * (z + s))
 
 
-def _long_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log P(T > t) for the unit exit time T, and its derivative in t."""
-    odd, sign = _LONG_TERMS
-    e = np.exp(-(odd[:, None] ** 2 * t) * (math.pi**2 / 8.0))
-    survival = (4.0 / math.pi) * _series(sign / odd, e)
-    density = (math.pi / 2.0) * _series(sign * odd, e)
-    return np.log(survival), -density / survival
-
-
-def _short_time_tail(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log P(T <= t) for the unit exit time T, and its derivative in t."""
-    odd, sign = _SHORT_TERMS
-    z = odd[:, None] * (1.0 / np.sqrt(2.0 * t))
-    gauss = _exp_minus_square(z)
-    cdf = 2.0 * _series(sign, gauss * _erfcx(z))
-    density = 2.0 * _series(sign * odd, gauss) / np.sqrt(2.0 * math.pi * t**3)
-    return np.log(cdf), density / cdf
-
-
 # R. E. Odeh and J. O. Evans, algorithm AS 70, Applied Statistics 23 (1974) 96-97:
 # with v = sqrt(-2 log p), v + P(v) / Q(v) is the normal upper-tail quantile of p
 # to within 1.5e-8 for 1e-20 < p <= 1/2.
@@ -207,54 +208,60 @@ def _normal_upper_quantile(p: np.ndarray) -> np.ndarray:
     return v + _horner(_AS70_P, v) / _horner(_AS70_Q, v)
 
 
-_SURVIVAL_AT_HALF = float(np.exp(_long_time_tail(np.array([0.5]))[0][0]))
+_X_AT_HALF = math.exp(-math.pi**2 / 16.0)
+_SURVIVAL_AT_HALF = float(4.0 / math.pi * sum(s / o * _X_AT_HALF ** (o * o) for o, s in zip(*_LONG_TERMS)))
 
 
-def _newton(tail, t: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve tail(t) = target in place by Newton's method, to a relative step of 1e-13.
+def _long_exit_times(u: np.ndarray) -> np.ndarray:
+    """Unit exit times for survival probabilities ``u`` below S(1/2): two Newton steps in x."""
+    odd, sign = _LONG_TERMS
+    c = (math.pi / 4.0) * u
+    x = c + _theta_powers(c, 2)[1] / 3.0
+    for _ in range(2):
+        powers = _theta_powers(x, len(odd))
+        # c < x < 2c, so x - c is exact and the residual rounds once
+        residual = (x - c) + _series(sign[1:] / odd[1:], powers[1:])
+        # the slope times x is sum_k sign_k odd_k x^(odd_k^2)
+        x -= x * residual / _series(sign * odd, powers)
+    return (-8.0 / math.pi**2) * np.log(x)
 
-    Both log tails are monotone and concave in t (the unit exit time is a sum
-    of independent exponentials), so from a start where tail(t) < target
-    every step moves toward the root and, up to rounding, not past it. A
-    start a little past the root is safe too: the tangent there lies above
-    the tail, so one step lands short of the root, and the rest approach it
-    from there. Each element stops at its own first small step, so that,
-    with the tails' elementwise sums, its root does not depend on the rest
-    of the batch.
-    """
-    todo = np.arange(len(t))
-    for _ in range(100):
-        now = t[todo]
-        value, slope = tail(now)
-        step = (value - target[todo]) / slope
-        now -= step
-        t[todo] = now
-        todo = todo[np.abs(step) > 1e-13 * now]
-        if not len(todo):
-            break
-    return t
+
+def _halley_step(z: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Halley's step at ``z`` toward the root of log(erfc z - erfc 3z + erfc 5z - ...) = log(half)."""
+    odd, sign = _SHORT_TERMS
+    gauss = _theta_powers(_exp_minus_square(z), len(odd))  # exp(-z^2), exp(-9 z^2), ...
+    cdf = _series(sign, [g * e for g, e in zip(gauss, _erfcx(odd[:, None] * z))])
+    # the residual, which rounds once in cdf / half, and the first two derivatives of log cdf in z
+    value = np.log(cdf / half)
+    slope = (-2.0 * _INV_SQRT_PI) * _series(sign * odd, gauss) / cdf
+    curve = (4.0 * _INV_SQRT_PI) * z * _series(sign * odd**3, gauss) / cdf - slope * slope
+    return 2.0 * value * slope / (2.0 * slope * slope - value * curve)
+
+
+def _short_exit_times(q: np.ndarray) -> np.ndarray:
+    """Unit exit times for P(T <= t) = ``q`` above 1 - S(1/2): two Halley steps in z."""
+    half = 0.5 * q
+    # erfc(z) = q / 2 is the chance that |N| > sqrt(2) z for a standard normal N
+    z = math.sqrt(0.5) * _normal_upper_quantile(0.25 * q)
+    z -= _halley_step(z, half)
+    step = _halley_step(z, half)
+    # the last step moves t = 1 / (2 z^2) by 2 t step / z, up to a term under 1e-25 of t;
+    # taken on t, it is not held to the values of 1 / (2 z^2) at doubles z, up to 4 ulps of t apart
+    t = 0.5 / (z * z)
+    return t + t * (2.0 * step / z)
 
 
 def _unit_exit_times(u: np.ndarray) -> np.ndarray:
     """Exit times of a standard Brownian motion from (-1, 1) with survival probabilities ``u``.
 
-    ``u`` must lie in the open interval (0, 1). Newton's method inverts the
-    long-time series of log P(T > t) when the root lies beyond 1/2 and the
-    short-time series of log P(T <= t) below it. It starts where the series'
-    first term alone hits the target; the omitted terms lower either tail,
-    so that point lies where tail(t) < target. The short branch finds it
-    through the normal quantile of AS 70, whose error of up to 1e-8 may put
-    a start just past the root; one step then lands short of it.
+    ``u`` must lie in the open interval (0, 1). A side of t = 1/2 with no draws is not solved.
     """
     t = np.empty_like(u)
     long = u < _SURVIVAL_AT_HALF
     if long.any():
-        s = u[long]
-        t[long] = _newton(_long_time_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
+        t[long] = _long_exit_times(u[long])
     if not long.all():
-        q = 1.0 - u[~long]
-        # the first term 2 erfc(1 / sqrt(2t)) is the chance that |N| > 1 / sqrt(t) for a standard normal N
-        t[~long] = _newton(_short_time_tail, _normal_upper_quantile(q / 4.0) ** -2.0, np.log(q))
+        t[~long] = _short_exit_times(1.0 - u[~long])
     return t
 
 
@@ -269,25 +276,25 @@ def _interval_walk(
     and T a unit exit time, on either side with equal odds and independently
     of T. One of the two sides is a boundary, so at least half of the walks
     finish each round. Only the sides steer the walks; each round keeps its
-    live walks, their c^2 and their survival draws.
+    live walks, their positions, their c^2 and their survival draws.
     """
     x = np.zeros(n)
     at_hi = np.zeros(n, dtype=bool)
     live = np.arange(n)
     walks, scales, survivals = [], [], []
     while len(live):
-        xl = x[live]
-        c = np.minimum(xl + lo, hi - xl)
+        to_lo, to_hi = x + lo, hi - x
+        c = np.minimum(to_lo, to_hi)
         draws = rng.random((2, len(live)))
         walks.append(live)
         scales.append(c * c)
         survivals.append(draws[0])
         up = draws[1] < 0.5
-        hit_hi = up & (hi - xl <= c)
-        done = hit_hi | (~up & (xl + lo <= c))
-        at_hi[live[done]] = hit_hi[done]
-        x[live] = np.where(up, xl + c, xl - c)
-        live = live[~done]
+        # a walk goes on unless the side it takes is a boundary; both are when c spans (-lo, hi)
+        going = np.where(up, to_hi > to_lo, to_lo > to_hi)
+        at_hi[live[~going & up]] = True
+        x = (x + np.where(up, c, -c))[going]
+        live = live[going]
     return at_hi, walks, scales, survivals
 
 
@@ -411,7 +418,8 @@ def simulate_day(
     side the next change takes out. Times are whole milliseconds. As in a
     vendor file, the first row never counts as a change and the tape opens at
     its price; the model-true changes are in ``TrueParams.price_changes``.
-    A day that expects more than ``_MAX_TRADES`` trades is a ParameterError.
+    A day that expects more than ``_MAX_TRADES`` trades, or that opens so far
+    from 0 that its prices could leave the sub-tick range, is a ParameterError.
     """
     eta = asset.require_eta()
     alpha = asset.tick_value
@@ -420,13 +428,16 @@ def simulate_day(
     # a variance past the float range in squared ticks (or 0 / 0 where the tick's square
     # underflows) gives an inf or NaN count, which the bound below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        knot_b = knot_v / alpha**2
+        knot_b = knot_v / np.square(alpha)
     expected = float(knot_b[-1]) / (2.0 * eta) + cfg.trade_intensity * horizon
     if not expected <= _MAX_TRADES:
         raise ParameterError(f"a day of {expected:.3g} expected trades is more than the limit of {_MAX_TRADES:.0e}")
-    change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
     grid = TickGrid(alpha)
-    k0 = grid.nearest_tick_index(path_spec.x0)
+    # every price of the day, up to _MAX_TRADES ticks from the opening one, must fit the sub-tick range
+    k0 = grid.nearest_tick_index(path_spec.x0) if math.isfinite(path_spec.x0 / alpha) else math.inf
+    if abs(k0) + _MAX_TRADES > _MAX_SUBTICKS // SUBTICKS_PER_TICK:
+        raise ParameterError(f"x0 {path_spec.x0!r} lies too many ticks of {alpha!r} from 0 for the sub-tick range")
+    change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
     business, directions = _change_sequence(path_spec.x0 / alpha - k0, eta, float(knot_b[-1]), change_rng)
     # invert the business clock; a change never falls in a zero-volatility piece
     piece = np.searchsorted(knot_b, business, side="right") - 1

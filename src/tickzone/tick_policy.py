@@ -125,7 +125,7 @@ def predict_eta(s: TickScenario, version: int = 1) -> EtaForecast:
     warning = None
     if not (0.0 < eta <= 0.5):
         warning = (
-            f"predicted ratio {eta:.4f} leaves (0, 1/2]; the one-tick spread "
+            f"predicted ratio {eta:.4g} leaves (0, 1/2]; the one-tick spread "
             "assumption is breaking down"
         )
     if s.sigma0 is not None and s.m0 is not None:
@@ -140,13 +140,21 @@ def optimal_tick(s: TickScenario, version: int = 1) -> float:
     """The tick value whose forecast ratio is exactly 1/2.
 
     Solves the forecast line of :func:`predict_eta` at 1/2; the exponent
-    1/(1 - beta/2) requires beta < 2 (already enforced by the scenario).
+    1/(1 - beta/2) requires beta < 2 (already enforced by the scenario). A
+    tick that overflows or underflows to 0 is a DomainError.
     """
     p1, p2 = _coefficients(s, version)
     base = (s.eta0 * p1 + p2) / (0.5 * p1 + p2)
     if base <= 0:
         raise DomainError("scenario implies a non-positive tick")
-    return s.alpha0 * base ** (1.0 / (1.0 - 0.5 * s.beta))
+    try:
+        tick = s.alpha0 * base ** (1.0 / (1.0 - 0.5 * s.beta))
+    except OverflowError:
+        tick = math.inf
+    if not 0.0 < tick < math.inf:
+        raise DomainError(f"beta {s.beta!r} puts the optimal tick {s.alpha0!r} * {base:.6g} ** (1 / (1 - beta / 2)) "
+                          "out of the float range")
+    return tick
 
 
 # --------------------------------------------------------------------- fixture

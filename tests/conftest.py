@@ -11,6 +11,7 @@ import os
 import time
 from typing import Dict, NamedTuple, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -18,12 +19,14 @@ from tickzone import (
     NO_QUOTE,
     AssetSpec,
     EfficientPathSpec,
+    ParameterError,
     TapeConfig,
     TickGrid,
     TradeTape,
     TrueParams,
     simulate_day,
 )
+from tickzone.simulator import _interval_walk
 
 
 # In CI, property tests draw the same examples on every run, so a failure there
@@ -43,6 +46,25 @@ def tape_from_rows(asset: AssetSpec, rows, session_length: float, opening_price:
     times = [r[0] for r in rows]
     price_q, bid_q, ask_q = ([q(r[k]) for r in rows] for k in (1, 2, 3))
     return TradeTape(asset, times, price_q, bid_q, ask_q, session_length, q(opening_price), grid=grid)
+
+
+def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple[float, float]:
+    """Monte Carlo check of the crossing probabilities: (reverted share, continued share).
+
+    Samples exact exits of driftless Brownian paths from a fresh crossing,
+    with barriers 2*eta ticks below and one tick above, and reports the
+    fraction absorbed at each side. The odds depend on neither the tick value
+    nor the volatility, so both are one. The sampler walks on symmetric
+    intervals, leaving each on either side with equal odds, so it never uses
+    the gambler's-ruin odds that it checks.
+    """
+    if not (0.0 < eta <= 1.0):
+        raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+    if n_trials < 1:
+        raise ParameterError("n_trials must be >= 1")
+    continued = _interval_walk(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))[0]
+    n_up = int(np.count_nonzero(continued))
+    return (n_trials - n_up) / n_trials, n_up / n_trials
 
 
 class SimDay(NamedTuple):

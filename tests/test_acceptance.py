@@ -9,8 +9,9 @@ from datetime import date
 
 import numpy as np
 
+from conftest import first_passage_frequencies
 from tickzone.domain import AssetSpec
-from tickzone.equilibrium import crossing_probabilities, first_passage_frequencies
+from tickzone.equilibrium import crossing_probabilities
 from tickzone.estimators import (
     DailyRecord,
     build_daily_record,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tickzone.equilibrium import crossing_probabilities, first_passage_frequencies, market_order_cost
+from conftest import first_passage_frequencies
+from tickzone.equilibrium import crossing_probabilities, market_order_cost
 from tickzone.errors import ParameterError
 from tickzone.estimators import DailyRecord
 from tickzone.pipeline import _daily_diagnostics, fmt_float

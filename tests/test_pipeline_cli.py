@@ -432,6 +432,19 @@ class TestRunPipelineSynthetic:
         blank = [msg for msg in result.skipped if msg.startswith("optimal_ticks ")]
         assert blank == [f"optimal_ticks S v1 beta{b}: {cause}" for b in ("1", "0.5")]
 
+    def test_optimal_tick_past_the_float_range_is_a_named_blank_cell(self, tmp_path):
+        # at eta 0.7 every base exceeds 1, and the power 1 / (1 - beta / 2) = 2e7 overflows
+        extra = "synthetic.H.tick_value = 0.01\nsynthetic.H.eta = 0.7\nsynthetic.H.sigma = 0.002\nsynthetic.H.days = 5\n"
+        cfg = parse_config_text(f"out = {tmp_path / 'hot'}\nseed = 3\nsession = 08:00-09:00\n" + extra,
+                                {"beta": "1.9999999", "keep_flagged": "true"})
+        result = run_pipeline(cfg)
+        assert result.outputs["optimal_ticks"].read_text().splitlines() == [
+            "asset_id,tick_value,v1_beta2,v2_beta2,v3_beta2", "H,0.01,,,"
+        ]
+        blank = [msg for msg in result.skipped if msg.startswith("optimal_ticks ")]
+        assert [msg.split(":")[0] for msg in blank] == [f"optimal_ticks H v{v} beta2" for v in (1, 2, 3)]
+        assert all("beta 1.9999999 puts the optimal tick 0.01 * 1." in msg for msg in blank)
+
     def test_rerun_is_byte_identical(self, synth_run, tmp_path):
         cfg, result = synth_run
         cfg2 = parse_config_text(_SYNTH_CONFIG.format(out=tmp_path / "out2"))
@@ -609,6 +622,23 @@ class TestCli:
         cause = "scenario implies a non-positive tick"
         assert captured.err == "".join(f"skipped: optimal_ticks A3 v1 beta{b}: {cause}\n" for b in ("1", "0.5"))
 
+    def test_optimal_tick_past_the_float_range_is_blank_and_named(self, capsys):
+        # 1 / (1 - beta / 2) = 2e7: every Bund base below 1 underflows to a tick of 0
+        assert cli_main(["optimal-tick", "--asset", "Bund", "--beta", "1.9999999"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["asset_id,tick_value,v1_beta2,v2_beta2,v3_beta2", "Bund,10,,,"]
+        skips = captured.err.splitlines()
+        assert [line.split(":")[1] for line in skips] == [f" optimal_ticks Bund v{v} beta2" for v in (1, 2, 3)]
+        assert all("beta 1.9999999 puts the optimal tick 10.0 * 0." in line for line in skips)
+        assert all(line.endswith("out of the float range") for line in skips)
+
+    def test_predict_warning_prints_a_large_ratio_in_four_digits(self, capsys):
+        args = ["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "1e-300", "--beta", "0.01", "--version", "3"]
+        assert cli_main(args) == 0
+        warning = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning: ")]
+        assert warning == ["warning: predicted ratio 4.203e+298 leaves (0, 1/2]; the one-tick spread "
+                           "assumption is breaking down"]
+
     def test_optimal_tick_bad_beta(self, capsys):
         assert cli_main(["optimal-tick", "--beta", "3"]) == 1
         captured = capsys.readouterr()
@@ -735,6 +765,13 @@ def _synth(key, value):
         # a finite variance that overflows once divided by the squared tick
         pytest.param(_SIMULATE + ["--sigma", "1e140", "--fills", "0", "--tick-value", "1e-20"], None,
                      "inf expected trades", id="simulate --sigma 1e140 --fills 0 --tick-value 1e-20"),
+        # an opening grid index past int64, and one whose prices in sub-ticks would wrap around in it
+        pytest.param(_SIMULATE + ["--sigma", "1e-19", "--fills", "0", "--tick-value", "1e-17"], None,
+                     "x0 100.0 lies too many ticks of 1e-17", id="simulate --sigma 1e-19 --fills 0 --tick-value 1e-17"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "1e11"], None, "x0 100000000000.0 lies too many ticks of 0.01",
+                     id="simulate --sigma 0.003 --x0 1e11"),
+        pytest.param(["optimal-tick", "--beta", "1.0000001", "--beta", "1"], None, "share a column label",
+                     id="optimal-tick --beta 1.0000001 --beta 1"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "0"], None,
                      "samples_per_second", id="signature --samples-per-second 0"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,

@@ -1,15 +1,22 @@
 """Event-by-event price changes, their exit-time oracles, and tape assembly."""
 import math
+import re
 import tracemalloc
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickzone import (
+    SUBTICKS_PER_TICK,
     AssetSpec,
     EfficientPathSpec,
     ParameterError,
     TapeConfig,
+    TickzoneError,
     equilibrium_fill_rate,
     simulate_day,
 )
@@ -96,6 +103,58 @@ def _per_round_interval_exits(lo, hi, n, rng):
     return times, at_hi
 
 
+def _reference_roots():
+    """(u, t) from data/unit_exit_times.csv: P(T > t) = u, with t to 40 digits."""
+    lines = (Path(__file__).parent / "data" / "unit_exit_times.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    return np.array([float(u) for u, _ in rows]), [Decimal(t) for _, t in rows]
+
+
+def _newton_long_tail(t):
+    """log P(T > t) and its derivative in t, from four long-time terms."""
+    odd, sign = simulator._theta_terms(4)
+    e = np.exp(-(odd[:, None] ** 2 * t) * (math.pi**2 / 8.0))
+    survival = (4.0 / math.pi) * simulator._series(sign / odd, e)
+    return np.log(survival), -(math.pi / 2.0) * simulator._series(sign * odd, e) / survival
+
+
+def _newton_short_tail(t):
+    """log P(T <= t) and its derivative in t, from three short-time terms."""
+    odd, sign = simulator._theta_terms(3)
+    z = odd[:, None] * (1.0 / np.sqrt(2.0 * t))
+    gauss = simulator._exp_minus_square(z)
+    cdf = 2.0 * simulator._series(sign, gauss * simulator._erfcx(z))
+    return np.log(cdf), 2.0 * simulator._series(sign * odd, gauss) / np.sqrt(2.0 * math.pi * t**3) / cdf
+
+
+def _newton(tail, t, target):
+    """Newton's method on tail(t) = target, each root stopping at its first step under 1e-13 of t."""
+    todo = np.arange(len(t))
+    for _ in range(100):
+        now = t[todo]
+        value, slope = tail(now)
+        step = (value - target[todo]) / slope
+        now -= step
+        t[todo] = now
+        todo = todo[np.abs(step) > 1e-13 * now]
+        if not len(todo):
+            break
+    return t
+
+
+def _newton_unit_exit_times(u):
+    """The exit-time solver that the fixed-step one replaced, kept as its oracle."""
+    t = np.empty_like(u)
+    long = u < simulator._SURVIVAL_AT_HALF
+    if long.any():
+        s = u[long]
+        t[long] = _newton(_newton_long_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
+    if not long.all():
+        q = 1.0 - u[~long]
+        t[~long] = _newton(_newton_short_tail, simulator._normal_upper_quantile(q / 4.0) ** -2.0, np.log(q))
+    return t
+
+
 class TestExactExits:
     def test_unit_exit_time_inverts_the_theta_series(self):
         u = np.concatenate(
@@ -114,18 +173,27 @@ class TestExactExits:
         got = simulator._exp_minus_square(z) * simulator._erfcx(z)
         assert np.max(np.abs(got / want - 1.0)) <= bound
 
-    def test_trimmed_series_round_like_five_terms(self, monkeypatch):
-        # the terms each tail leaves out round away: roots and tails match five-term sums bit for bit
+    def test_trimmed_series_round_like_one_more_term(self, monkeypatch):
+        # the terms each series leaves out round away: a fifth polynomial term and a fourth
+        # erfc term leave every root bit for bit
         u = np.random.default_rng(13).random(100_000) + 2.0**-55
         t = _unit_exit_times(u)
-        long = t > 0.5
-        tails = simulator._long_time_tail(t[long]), simulator._short_time_tail(t[~long])
+        assert 0.2 < np.mean(t > 0.5) < 0.8
         monkeypatch.setattr(simulator, "_LONG_TERMS", simulator._theta_terms(5))
-        monkeypatch.setattr(simulator, "_SHORT_TERMS", simulator._theta_terms(5))
+        monkeypatch.setattr(simulator, "_SHORT_TERMS", simulator._theta_terms(4))
         assert np.array_equal(_unit_exit_times(u), t)
-        five = simulator._long_time_tail(t[long]), simulator._short_time_tail(t[~long])
-        for got, want in zip(tails, five):
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("solve", [_unit_exit_times, _newton_unit_exit_times], ids=["fixed-step", "newton"])
+    def test_ulp_error_against_a_40_digit_table(self, solve):
+        # the bounds are what Newton's method on the log tails, the solver before the
+        # fixed-step one, measures on this table (3.99133 and 0.81484), rounded up
+        u, want = _reference_roots()
+        assert u[0] == 2.0**-55 and u[-1] == 1.0 - 2.0**-53
+        long = u < simulator._SURVIVAL_AT_HALF
+        assert long.sum() > 200 and (~long).sum() > 200
+        got = solve(u)
+        ulps = [float(abs(Decimal(float(g)) - w) / Decimal(math.ulp(float(w)))) for g, w in zip(got, want)]
+        assert max(ulps) <= 3.9914 and np.mean(ulps) <= 0.8149
 
     @pytest.mark.parametrize("lo, hi", [(0.2, 1.0), (0.5, 1.0), (0.37, 0.91)])
     def test_exit_moments_and_sides(self, lo, hi):
@@ -177,14 +245,19 @@ class TestExactExits:
     @pytest.mark.parametrize(
         "lo, hi, n, seed",
         [(0.5, 1.0, 1, 0), (1.05, 0.45, 1, 3), (0.74, 0.26, 1, 4), (0.5, 1.0, 5_000, 1),
-         (0.2, 1.0, 3_000, 2), (0.8, 1.0, 257, 5), (1.05, 0.45, 100, 6)],
+         (0.2, 1.0, 3_000, 2), (0.8, 1.0, 257, 5), (1.05, 0.45, 100, 6), (0.75, 0.75, 1, 7),
+         (0.75, 0.75, 300, 8)],
     )
     def test_one_solve_matches_one_solve_per_round(self, lo, hi, n, seed):
-        # off-centre (lo, hi) pairs are first-exit bands around a start off the grid point
-        want = _per_round_interval_exits(lo, hi, n, np.random.default_rng(seed))
-        got = _interval_exits(lo, hi, n, np.random.default_rng(seed))
+        # off-centre (lo, hi) pairs are first-exit bands around a start off the grid point; at
+        # (0.75, 0.75) the first interval spans the band, so both sides are boundaries
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _per_round_interval_exits(lo, hi, n, want_rng)
+        got = _interval_exits(lo, hi, n, got_rng)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+        # both drew the same numbers, so the next batch of a day starts from the same state
+        assert got_rng.random() == want_rng.random()
 
     def test_unit_exit_times_of_a_concatenation(self):
         # a root must not depend on the batch it is solved in, nor on its place in it
@@ -213,10 +286,25 @@ class TestExactExits:
     @pytest.mark.parametrize("u, solves", [([0.3], 1), ([0.9], 1), ([0.3, 0.9], 2)])
     def test_empty_branch_is_not_solved(self, monkeypatch, u, solves):
         calls = []
-        newton = simulator._newton
-        monkeypatch.setattr(simulator, "_newton", lambda *args: calls.append(1) or newton(*args))
+        for side in ("long", "short"):
+            solve = getattr(simulator, f"_{side}_exit_times")
+            monkeypatch.setattr(simulator, f"_{side}_exit_times",
+                                lambda x, side=side, solve=solve: calls.append(side) or solve(x))
         _unit_exit_times(np.array(u))
         assert len(calls) == solves
+        assert calls == ["long" if v < simulator._SURVIVAL_AT_HALF else "short" for v in u]
+
+    @pytest.mark.parametrize("eta", [0.10, 0.25, 0.40])
+    def test_tapes_match_the_newton_solver(self, monkeypatch, eta):
+        # business times differ from Newton's roots by an ulp or so; whole-millisecond tapes do not
+        spec = EfficientPathSpec(x0=100.0037, volatility=[(0.0, 0.01), (3600.0, 0.005)], horizon=7200.0)
+        asset, cfg = AssetSpec("A", 0.01, eta=eta), TapeConfig(trade_intensity=0.5, seed=5)
+        got, truth = simulate_day(spec, asset, cfg)
+        monkeypatch.setattr(simulator, "_unit_exit_times", _newton_unit_exit_times)
+        want, _ = simulate_day(spec, asset, cfg)
+        assert truth.n_price_changes > 5000
+        for name in ("times", "price_q", "bid_q", "ask_q"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_memory_grows_with_changes_not_time(self):
         # 1 h at sigma 0.03 is about 65k changes
@@ -394,6 +482,29 @@ class TestSimulateDay:
             # the tape drops only the first-row change flag
             assert tape.n_changes == truth.n_price_changes - 1
             assert truth.integrated_variance > 0
+
+    def test_opening_index_leaves_room_in_the_sub_tick_range(self, monkeypatch):
+        # every price of the day, up to _MAX_TRADES ticks from the opening one, must fit the sub-tick range
+        room = simulator._MAX_SUBTICKS // SUBTICKS_PER_TICK - simulator._MAX_TRADES
+        asset, cfg = AssetSpec("A", 1.0, eta=0.25), TapeConfig(trade_intensity=0.5, seed=0)
+        for x0 in (float(room), -float(room)):
+            tape, _ = simulate_day(EfficientPathSpec(x0=x0, volatility=0.0, horizon=10.0), asset, cfg)
+            assert tape.opening_price_q == int(x0) * SUBTICKS_PER_TICK
+        monkeypatch.setattr(simulator, "_change_sequence", None)  # refused before anything is drawn
+        for x0, tick in ((room + 1.0, 1.0), (-room - 1.0, 1.0), (100.0, 1e-17), (1e300, 1e-17)):
+            spec = EfficientPathSpec(x0=x0, volatility=0.0, horizon=10.0)
+            with pytest.raises(ParameterError, match=re.escape(f"x0 {x0!r} lies too many ticks of {tick!r}")):
+                simulate_day(spec, AssetSpec("A", tick, eta=0.25), cfg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(x0=st.floats(allow_nan=False, allow_infinity=False), tick=st.floats(min_value=1e-300, max_value=1e300))
+    def test_any_opening_price_and_tick_give_a_day_or_a_tickzone_error(self, x0, tick):
+        spec = EfficientPathSpec(x0=x0, volatility=0.0, horizon=60.0)
+        try:
+            tape, _ = simulate_day(spec, AssetSpec("A", tick, eta=0.25), TapeConfig(trade_intensity=0.1, seed=0))
+        except TickzoneError:
+            return
+        assert np.all(tape.price_q == tape.opening_price_q)
 
     def test_requires_eta(self):
         spec = EfficientPathSpec(x0=100.0, volatility=0.001, horizon=10.0)

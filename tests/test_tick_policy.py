@@ -185,6 +185,13 @@ class TestOptimalTick:
         assert optimal_tick(s12, version=1) == optimal_tick(s12, version=2)
         assert predict_eta(s12, version=1).eta_pred == predict_eta(s12, version=2).eta_pred
 
+    @pytest.mark.parametrize("eta0", [0.7, 0.2])
+    def test_tick_past_the_float_range(self, eta0):
+        # the power 1 / (1 - beta / 2) = 2e7 overflows for a base above 1 and underflows to 0 below it
+        s = TickScenario(alpha0=0.01, eta0=eta0, beta=1.9999999)
+        with pytest.raises(DomainError, match="beta 1.9999999 puts the optimal tick .* out of the float range"):
+            optimal_tick(s, version=3)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             optimal_tick(_bobl(), version=0)
@@ -248,6 +255,10 @@ class TestOptimalTickTable:
         assert header == ["asset_id", "tick_value", "v1_beta1"]
         v1 = optimal_tick(bus5.scenario(beta=1.0), version=1)
         assert rows == [["BUS5", fmt_float(bus5.tick_value), fmt_float(v1)]]
+
+    def test_betas_sharing_a_label_are_rejected(self):
+        with pytest.raises(ParameterError, match="share a column label"):
+            tick_table(_reference_scenarios(), (1.0000001, 1.0), VERSIONS, [])
 
     def test_blank_cell_names_its_cause(self):
         # eta0 p1 + p2 = 0.15 * 0.366 - 0.074 < 0: the version-1 line gives no positive tick
