@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 from datetime import date as date_type
 from pathlib import Path
@@ -46,6 +47,19 @@ from .tick_policy import (
     predict_eta,
 )
 from .tradefile import SessionFilter, ingest_trades, write_tape_csv
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every negative float text for a value, not for an option.
+
+    argparse before Python 3.12 knows only the forms -5 and -.5, so ``--x0 -1e10``
+    would read -1e10 as an unknown option. This sets argparse's internal
+    ``_negative_number_matcher``; subparsers are made of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
 def _session(args) -> SessionFilter:
@@ -152,7 +166,8 @@ def _cmd_optimal_tick(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    check_sampling(args.samples_per_second, args.lag_max)  # a bad value is an error, not a skip per day
+    # a bad value is an error before any file is read, not a skip per day
+    check_sampling(args.samples_per_second, args.lag_max, _session(args).length_seconds)
     asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value)
     day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
     rows = []
@@ -182,7 +197,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tickzone",
         description="Large-tick market microstructure: simulation, estimation and tick policy.",
     )

@@ -47,7 +47,7 @@ def count_alternations(directions) -> AlternationCounts:
     comparison, so the counts always sum to one less than the number of changes.
     """
     d = np.asarray(directions, dtype=np.int64)
-    if len(d) and not np.all(np.isin(d, (-1, 1))):
+    if not np.all(np.abs(d) == 1):  # abs(INT64_MIN) wraps to a negative
         raise ParameterError("directions must be +1 or -1")
     if len(d) < 2:
         raise InsufficientDataError(
@@ -100,12 +100,24 @@ def estimate_integrated_variance(xhat) -> float:
     return float(d @ d)
 
 
-def check_sampling(samples_per_second: float, lag_max: int) -> None:
-    """The range checks of :func:`signature_plot`'s sampling grid, which do not depend on the tape."""
+# Most points a signature grid may have. Sampling holds two arrays of 8 B per point
+# at once, 16 B in all, so a curve peaks at about 1.6 GB; a 24-h session sampled
+# every millisecond has 8.64e7 points.
+_MAX_GRID_POINTS = 10**8
+
+
+def check_sampling(samples_per_second: float, lag_max: int, session_length: float) -> None:
+    """The checks of :func:`signature_plot`'s grid over ``session_length`` seconds, which do not read the tape."""
     if not 0 < samples_per_second < math.inf:
         raise ParameterError(f"samples_per_second must be finite and > 0, got {samples_per_second!r}")
     if lag_max < 1:
         raise ParameterError("lag_max must be >= 1")
+    points = session_length * samples_per_second + 1.0
+    if not points <= _MAX_GRID_POINTS:
+        raise ParameterError(
+            f"samples_per_second {samples_per_second!r} over a {session_length:g}-s session gives a grid of "
+            f"{points:.3g} points, more than the limit of {_MAX_GRID_POINTS:.0e}"
+        )
 
 
 def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: int = 50) -> Dict[int, float]:
@@ -116,7 +128,7 @@ def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: in
     For each lag the realized variance sums squared increments of every
     ``lag``-th sample. The lags run from 1 to ``lag_max`` in increasing order.
     """
-    check_sampling(samples_per_second, lag_max)
+    check_sampling(samples_per_second, lag_max, tape.session_length)
     if len(tape) == 0:
         raise InsufficientDataError("empty tape")
     span = tape.session_length * samples_per_second
@@ -125,15 +137,11 @@ def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: in
             f"tape must span at least lag_max/samples_per_second seconds ({lag_max / samples_per_second:g}s)"
         )
     n_grid = int(math.floor(span + 1e-9)) + 1
-    grid_times = np.arange(n_grid) / samples_per_second
     ladder = np.concatenate(([tape.opening_price], tape.change_prices))
-    idx = np.searchsorted(tape.change_times, grid_times, side="right")
-    sampled = ladder[idx]
-    points: Dict[int, float] = {}
-    for lag in range(1, lag_max + 1):
-        d = np.diff(sampled[::lag])
-        points[lag] = float(d @ d)
-    return points
+    # of the grid times, their indices and the sampled prices, two are alive at a time
+    sampled = ladder[np.searchsorted(tape.change_times, np.arange(n_grid) / samples_per_second, side="right")]
+    # each lag's increments are freed before the next lag's are taken
+    return {lag: estimate_integrated_variance(sampled[::lag]) for lag in range(1, lag_max + 1)}
 
 
 def roll_implicit_measure(eta: float, tick_value: float) -> float:

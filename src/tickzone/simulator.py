@@ -15,11 +15,11 @@ is a standard Brownian motion, so each change is its exit from an interval:
   independent and identically distributed.
 
 Exit times and sides are exact: walks on symmetric intervals. The sides
-alone steer a walk; each step's time is its interval's squared half-width
-times a unit exit time, and all the unit exit times of one batch of walks
-come from one inversion of the theta-series distribution. Business time maps
-back to clock time through the piecewise-linear integrated variance, so a
-zero-volatility stretch gets no changes.
+alone steer the walks of a batch, all along one orbit; each step's time is
+its interval's squared half-width times a unit exit time, and all the unit
+exit times of a batch come from one inversion of the theta-series
+distribution. Business time maps back to clock time through the piecewise-
+linear integrated variance, so a zero-volatility stretch gets no changes.
 
 The inversion sums 4 terms of the long-time series and 3 of the short-time
 one. Each series is used on its own side of t = 1/2, where the first term
@@ -270,31 +270,31 @@ def _interval_walk(
 ) -> tuple[np.ndarray, list, list, list]:
     """Sides of ``n`` exits of a standard Brownian motion from (-lo, hi), and what timing them needs.
 
-    Returns (exited_at_hi, walks, scales, survivals), the last three with one
-    array per round. From a point x the motion first leaves the largest
-    interval centred on x inside (-lo, hi) after c^2 T, with c its half-width
-    and T a unit exit time, on either side with equal odds and independently
-    of T. One of the two sides is a boundary, so at least half of the walks
-    finish each round. Only the sides steer the walks; each round keeps its
-    live walks, their positions, their c^2 and their survival draws.
+    Returns (exited_at_hi, walks, scales, survivals): per round, the live walks,
+    their one c^2 and their survival draws. From x the motion first leaves the
+    largest interval centred on x inside (-lo, hi) after c^2 T, with c its
+    half-width and T a unit exit time, on either side with equal odds and
+    independently of T. All walks start at 0 and one side is a boundary (both at
+    a tie), so the live walks share one orbit x. In Python floats it rounds as
+    numpy does, so the draws and every double are those of walks held one by one.
     """
-    x = np.zeros(n)
+    x = 0.0
     at_hi = np.zeros(n, dtype=bool)
     live = np.arange(n)
     walks, scales, survivals = [], [], []
     while len(live):
         to_lo, to_hi = x + lo, hi - x
-        c = np.minimum(to_lo, to_hi)
+        c = min(to_lo, to_hi)
         draws = rng.random((2, len(live)))
         walks.append(live)
         scales.append(c * c)
         survivals.append(draws[0])
         up = draws[1] < 0.5
-        # a walk goes on unless the side it takes is a boundary; both are when c spans (-lo, hi)
-        going = np.where(up, to_hi > to_lo, to_lo > to_hi)
-        at_hi[live[~going & up]] = True
-        x = (x + np.where(up, c, -c))[going]
-        live = live[going]
+        if to_hi <= to_lo:  # the walks that go up finish at hi, and at a tie the others at lo
+            at_hi[live[up]] = True
+            live, x = (live[~up] if to_hi < to_lo else live[:0]), x - c
+        else:
+            live, x = live[up], x + c
     return at_hi, walks, scales, survivals
 
 
@@ -309,7 +309,7 @@ def _interval_exits(
     """
     at_hi, walks, scales, survivals = _interval_walk(lo, hi, n, rng)
     # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
-    steps = np.concatenate(scales) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
+    steps = np.repeat(scales, [len(w) for w in walks]) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
     # bincount adds the steps in the order given, so each walk's in round order
     return np.bincount(np.concatenate(walks), weights=steps, minlength=n), at_hi
 

@@ -144,7 +144,10 @@ def optimal_tick(s: TickScenario, version: int = 1) -> float:
     tick that overflows or underflows to 0 is a DomainError.
     """
     p1, p2 = _coefficients(s, version)
-    base = (s.eta0 * p1 + p2) / (0.5 * p1 + p2)
+    at_half = 0.5 * p1 + p2
+    if at_half == 0:  # the line is then 1/2 at every tick or at none
+        raise DomainError(f"fit p1 {p1!r}, p2 {p2!r} with 0.5 p1 + p2 = 0 gives no single tick")
+    base = (s.eta0 * p1 + p2) / at_half
     if base <= 0:
         raise DomainError("scenario implies a non-positive tick")
     try:

@@ -1,5 +1,6 @@
 """Estimator unit tests with hand-computed oracles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tickzone.estimators import (
     AlternationCounts,
     DailyRecord,
     build_daily_record,
+    check_sampling,
     count_alternations,
     empirical_roll_measure,
     estimate_eta,
@@ -74,8 +76,11 @@ class TestCountAlternations:
             count_alternations([])
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(ParameterError):
-            count_alternations([1, 0, -1])
+        # the abs of INT64_MIN wraps around to itself, so it must not pass for a direction either
+        int64_min = np.iinfo(np.int64).min
+        for d in ([1, 0, -1], [0], [0, 0], [1, int64_min], [int64_min], [-1, 2], [-3, 1]):
+            with pytest.raises(ParameterError, match=r"directions must be \+1 or -1"):
+                count_alternations(np.array(d, dtype=np.int64))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ParameterError):
@@ -191,6 +196,34 @@ class TestSignaturePlot:
         empty = TradeTape(_asset(), [], [], [], [], 10.0, 200_000_000)
         with pytest.raises(InsufficientDataError):
             signature_plot(empty)
+
+    def test_grid_limit_is_checked_without_a_tape(self):
+        # 100 s at 1e6 samples a second is a grid of 1e8 + 1 points, one past the limit
+        check_sampling(999_999.99, 2, 100.0)
+        with pytest.raises(ParameterError, match=r"samples_per_second 1000000.0 over a 100-s session .* 1e\+08 points"):
+            check_sampling(1e6, 2, 100.0)
+
+    # far past the limit, so that a grid built before the check fails at once instead of filling memory
+    @pytest.mark.parametrize("samples_per_second", [1e9, 1e300])
+    def test_grid_past_the_limit_is_refused_before_it_is_built(self, samples_per_second):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=r"samples_per_second .* 100-s session .* points, more than"):
+                signature_plot(self._single_jump_tape(), samples_per_second=samples_per_second, lag_max=2)
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_costs_16_bytes_a_point(self):
+        # the bound on the grid size is set from this peak
+        tape = self._single_jump_tape()
+        tracemalloc.start()
+        try:
+            signature_plot(tape, samples_per_second=10_000.0, lag_max=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.1 * 1_000_001
 
 
 class TestRollMeasures:

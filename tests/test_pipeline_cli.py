@@ -739,6 +739,7 @@ def _synth(key, value):
         pytest.param(_SIMULATE + ["--sigma", "nan"], None, "volatility", id="simulate --sigma nan"),
         pytest.param(_SIMULATE + ["--sigma", "inf"], None, "volatility", id="simulate --sigma inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "inf"], None, "x0", id="simulate --x0 inf"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "-inf"], None, "x0", id="simulate --x0 -inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "nan"], None, "trade_intensity",
                      id="simulate --fills nan"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "abc"], None, "--fills",
@@ -776,6 +777,14 @@ def _synth(key, value):
                      "samples_per_second", id="signature --samples-per-second 0"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,
                      "samples_per_second", id="signature --samples-per-second nan"),
+        # a grid of 2.88e10 points is refused before any file is read, so the file need not exist
+        pytest.param(["signature", "missing.csv", "--tick-value", "0.01", "--session", "08:00-16:00",
+                      "--samples-per-second", "1e6", "--lag-max", "2"], None,
+                     "samples_per_second 1000000.0 over a 28800-s session gives a grid of 2.88e+10 points",
+                     id="signature --samples-per-second 1e6"),
+        # a negative value in exponent form reaches the range check, not argparse's usage error
+        pytest.param(["simulate", "--eta", "-1e-3", "--sigma", "0.003", "--session", "08:00-08:10"], None,
+                     "eta must lie in (0, 1], got -0.001", id="simulate --eta -1e-3"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "nan", "--alpha", "10", "--version", "3"], None,
                      "eta0", id="predict --eta0 nan"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--version", "3", "--m0", "nan"],
@@ -798,3 +807,15 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x0", ["-1e10", "-1E-3", "-5.", "-1.5e+2"])
+def test_negative_value_in_either_spelling_writes_the_same_file(x0, tmp_path, capsys):
+    # argparse reads only -5 and -.5 as numbers unless taught the exponent and trailing-dot forms
+    written = []
+    for name, spelling in (("apart", ["--x0", x0]), ("joined", [f"--x0={x0}"])):
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(_SIMULATE + ["--sigma", "0.003", *spelling, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert capsys.readouterr().err == ""

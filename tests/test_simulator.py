@@ -246,11 +246,12 @@ class TestExactExits:
         "lo, hi, n, seed",
         [(0.5, 1.0, 1, 0), (1.05, 0.45, 1, 3), (0.74, 0.26, 1, 4), (0.5, 1.0, 5_000, 1),
          (0.2, 1.0, 3_000, 2), (0.8, 1.0, 257, 5), (1.05, 0.45, 100, 6), (0.75, 0.75, 1, 7),
-         (0.75, 0.75, 300, 8)],
+         (0.75, 0.75, 300, 8), (0.375, 1.125, 1, 9), (0.375, 1.125, 300, 10)],
     )
     def test_one_solve_matches_one_solve_per_round(self, lo, hi, n, seed):
         # off-centre (lo, hi) pairs are first-exit bands around a start off the grid point; at
-        # (0.75, 0.75) the first interval spans the band, so both sides are boundaries
+        # (0.75, 0.75) the first interval spans the band, so both sides are boundaries, and from
+        # (0.375, 1.125) the walks that go on stand at 0.375, 0.75 from both sides in floats
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
         got = _interval_exits(lo, hi, n, got_rng)
@@ -258,6 +259,23 @@ class TestExactExits:
         assert np.array_equal(got[1], want[1])
         # both drew the same numbers, so the next batch of a day starts from the same state
         assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        s=st.floats(min_value=-0.5, max_value=0.5, exclude_min=True),
+        first=st.booleans(),
+        n=st.integers(min_value=1, max_value=3_000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_shared_orbit_matches_walks_held_one_by_one(self, eta, s, first, n, seed):
+        # a day's first exit leaves (-(0.5 + eta + s), 0.5 + eta - s), every later one (-2 eta, 1)
+        lo, hi = (0.5 + eta + s, 0.5 + eta - s) if first else (2.0 * eta, 1.0)
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _per_round_interval_exits(lo, hi, n, want_rng)
+        got = _interval_exits(lo, hi, n, got_rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_unit_exit_times_of_a_concatenation(self):
         # a root must not depend on the batch it is solved in, nor on its place in it

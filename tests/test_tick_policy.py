@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tickzone.errors import DomainError, ParameterError
+from tickzone.errors import DomainError, ParameterError, TickzoneError
 from tickzone.pipeline import fmt_float, tick_table
 from tickzone.tick_policy import (
     BETA_PRESETS,
@@ -273,3 +275,19 @@ class TestOptimalTickTable:
             "optimal_ticks A3 v1 beta0.5: scenario implies a non-positive tick",
         ]
 
+    @settings(max_examples=300, deadline=None)
+    @given(eta0=st.floats(), p1=st.floats(), p2=st.floats(), beta=st.floats())
+    # 0.5 p1 + p2 = 0 divides by zero in the version-1 line, and so does 0 / 0 at eta0 = 1/2
+    @example(eta0=0.2, p1=1.0, p2=-0.5, beta=1.0)
+    @example(eta0=0.5, p1=1.0, p2=-0.5, beta=1.0)
+    def test_any_fit_and_beta_give_a_table_or_a_tickzone_error(self, eta0, p1, p2, beta):
+        try:
+            scenario = TickScenario(alpha0=0.01, eta0=eta0, p1_0=p1, p2_0=p2)
+            skipped = []
+            header, rows = tick_table({"A": scenario}, (beta,), VERSIONS, skipped)
+        except TickzoneError:
+            return
+        assert len(rows[0]) == len(header) == 2 + len(VERSIONS)
+        # a blank cell is named in skipped, and a filled one holds a positive finite tick
+        assert len(skipped) == rows[0][2:].count("")
+        assert all(0.0 < float(cell) < math.inf for cell in rows[0][2:] if cell)
