@@ -23,7 +23,7 @@ from datetime import date as date_type
 from pathlib import Path
 from typing import List, Optional
 
-from .domain import AssetSpec, TickGrid
+from .domain import AssetSpec
 from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import MissingFitError, ParameterError, TickzoneError
 from .estimators import build_daily_record, check_sampling, signature_plot
@@ -73,7 +73,7 @@ def _add_session_args(p: argparse.ArgumentParser, default: str) -> None:
 
 def _cmd_simulate(args) -> int:
     session = _session(args)
-    asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value, eta=args.eta)
+    asset = AssetSpec(args.asset_id, args.tick_value, eta=args.eta)
     horizon = session.length_seconds
     if args.fills == "auto":
         intensity = equilibrium_fill_rate(asset, args.sigma, horizon)
@@ -94,8 +94,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value)
-    day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
+    asset = AssetSpec(args.asset_id, args.tick_value)
+    day_tapes = ingest_trades(args.inputs, asset, session=_session(args))
     records = []
     for day, tape in day_tapes:
         try:
@@ -168,8 +168,8 @@ def _cmd_optimal_tick(args) -> int:
 def _cmd_signature(args) -> int:
     # a bad value is an error before any file is read, not a skip per day
     check_sampling(args.samples_per_second, args.lag_max, _session(args).length_seconds)
-    asset = AssetSpec(args.asset_id, TickGrid(args.tick_value).tick_value)
-    day_tapes = ingest_trades(args.inputs, asset, session=_session(args), tick_text=args.tick_value)
+    asset = AssetSpec(args.asset_id, args.tick_value)
+    day_tapes = ingest_trades(args.inputs, asset, session=_session(args))
     rows = []
     for day, tape in day_tapes:
         try:

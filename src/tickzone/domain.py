@@ -7,8 +7,9 @@ quantum (one millionth of a tick) and convert to floats only for statistics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
@@ -16,7 +17,10 @@ import numpy as np
 
 from .errors import OffGridError, ParameterError, TapeError, show_field
 
-SUBTICKS_PER_TICK = 1_000_000
+_SUBTICK_DIGITS = 6
+SUBTICKS_PER_TICK = 10**_SUBTICK_DIGITS
+# products and decimal shifts are exact in this context, whatever the length of the tick's text
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 # Sentinel for a trade without quotes (some vendor files carry blanks).
 NO_QUOTE = np.iinfo(np.int64).min
@@ -28,23 +32,30 @@ _MAX_SUBTICKS = 2**62 - 1
 class AssetSpec:
     """Static parameters of one instrument.
 
-    ``eta`` is the zone half-width ratio: around every potential traded price
-    sits a band of total width ``2 * eta * tick_value`` inside which the
-    efficient price can trade on both sides of the book. ``eta`` may be None
-    for ingested data where it is estimated rather than assumed.
+    ``grid`` is the exact tick grid; it may be given as a :class:`TickGrid`,
+    as decimal text or as any real number, which is read as its float's
+    ``repr``. ``tick_value`` is the tick as a float. ``eta`` is the zone
+    half-width ratio: around every potential traded price sits a band of
+    total width ``2 * eta * tick_value`` inside which the efficient price can
+    trade on both sides of the book. ``eta`` may be None for ingested data
+    where it is estimated rather than assumed.
     """
 
     asset_id: str
-    tick_value: float
+    grid: TickGrid
     eta: Optional[float] = None
 
     def __post_init__(self):
         if not self.asset_id:
             raise ParameterError("asset_id must be non-empty")
-        if not (isinstance(self.tick_value, (int, float)) and self.tick_value > 0):
-            raise ParameterError(f"tick_value must be > 0, got {self.tick_value!r}")
+        if not isinstance(self.grid, TickGrid):
+            object.__setattr__(self, "grid", TickGrid(self.grid))
         if self.eta is not None and not (0.0 < self.eta <= 1.0):
             raise ParameterError(f"eta must lie in (0, 1], got {self.eta!r}")
+
+    @property
+    def tick_value(self) -> float:
+        return self.grid.tick_value
 
     def require_eta(self) -> float:
         if self.eta is None:
@@ -60,16 +71,16 @@ class TickGrid:
     CSV prices never suffer binary rounding.
     """
 
-    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum")
+    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum", "exact_quantum")
 
     def __init__(self, tick_value):
-        if isinstance(tick_value, float):
-            text = repr(tick_value)
+        if isinstance(tick_value, numbers.Real):  # a numpy float reads like the Python float
+            text = repr(float(tick_value))
         else:
             text = str(tick_value).strip()
         try:
             frac = Fraction(text)
-            Decimal(text)  # reject non-decimal spellings such as '1/8'
+            self.exact_quantum = Decimal(text).scaleb(-_SUBTICK_DIGITS, _EXACT)  # rejects non-decimal text such as '1/8'
         except (ValueError, ZeroDivisionError, InvalidOperation):
             raise ParameterError(f"tick value {text!r} is not a decimal number") from None
         if frac <= 0:
@@ -101,8 +112,7 @@ class TickGrid:
 
     def text(self, q: int) -> str:
         """Sub-ticks to an exact decimal string."""
-        d = Decimal(int(q)) * Decimal(self.tick_text) / Decimal(SUBTICKS_PER_TICK)
-        return format(d.normalize(), "f")
+        return format(_EXACT.multiply(int(q), self.exact_quantum).normalize(_EXACT), "f")
 
     def nearest_tick_index(self, x: float) -> int:
         """Index of the grid point nearest to ``x``; exact halves round down."""
@@ -133,7 +143,7 @@ def _first_fault(mask: np.ndarray, message: str) -> None:
 class TradeTape:
     """Time-ordered trades of one asset-day, stored as column arrays.
 
-    Prices and quotes are integer sub-ticks on ``grid``. Times are seconds
+    Prices and quotes are integer sub-ticks on the asset's grid. Times are seconds
     since session open with millisecond resolution, strictly increasing.
     A trade either repeats the previous traded price or moves it by exactly
     one tick, so ``direction`` (0, +1 or -1 per trade) is derived from the
@@ -155,10 +165,9 @@ class TradeTape:
         ask_q,
         session_length: float,
         opening_price_q: int,
-        grid: Optional[TickGrid] = None,
     ):
         self.asset = asset
-        self.grid = grid if grid is not None else TickGrid(asset.tick_value)
+        self.grid = asset.grid
         self.times = np.asarray(times, dtype=np.float64)
         self.price_q = np.asarray(price_q, dtype=np.int64)
         self.bid_q = np.asarray(bid_q, dtype=np.int64)

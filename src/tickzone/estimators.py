@@ -207,6 +207,9 @@ class DailyRecord:
     frac_one_tick: float
 
     def __post_init__(self):
+        for name in ("eta_hat", "alpha", "sigma_hat", "avg_spread", "frac_one_tick"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eta_hat < 0:
             raise ParameterError("eta_hat must be >= 0")
         if self.alpha <= 0:
@@ -240,16 +243,16 @@ def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:
         _, xhat = recover_efficient_prices(tape, eta_hat, tape.asset.tick_value)
         variance = estimate_integrated_variance(xhat)
         avg_spread, frac_one_tick = spread_stats(tape)
+        return DailyRecord(
+            date=date,
+            asset_id=tape.asset.asset_id,
+            eta_hat=eta_hat,
+            alpha=tape.asset.tick_value,
+            sigma_hat=math.sqrt(variance),
+            m_trades=tape.n_trades,
+            avg_spread=avg_spread,
+            frac_one_tick=frac_one_tick,
+        )
     except TickzoneError as exc:
         exc.args = (f"{tape.asset.asset_id} {date or '(no date)'}: {exc}".strip(),) + exc.args[1:]
         raise
-    return DailyRecord(
-        date=date,
-        asset_id=tape.asset.asset_id,
-        eta_hat=eta_hat,
-        alpha=tape.asset.tick_value,
-        sigma_hat=math.sqrt(variance),
-        m_trades=tape.n_trades,
-        avg_spread=avg_spread,
-        frac_one_tick=frac_one_tick,
-    )

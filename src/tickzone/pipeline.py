@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .domain import AssetSpec, TickGrid
+from .domain import AssetSpec
 from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import IngestError, ParameterError, TickzoneError, show_field
 from .estimators import DailyRecord, build_daily_record
@@ -253,18 +253,18 @@ class PipelineResult:
         return "\n".join(lines)
 
 
-def _synthesize(config: PipelineConfig) -> Dict[str, List[Path]]:
-    """Simulate every configured asset-day and write it as a trade CSV."""
+def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
+    """Simulate every configured asset-day and write it as a trade CSV; returns each asset with its files."""
     trade_dir = config.out / "trades"
-    files: Dict[str, List[Path]] = {}
+    inputs: List[Tuple[AssetSpec, List[Path]]] = []
     horizon = config.session.length_seconds
     for ai, aid in enumerate(sorted(config.synthetic)):
         syn = config.synthetic[aid]
-        asset = AssetSpec(aid, TickGrid(syn.tick_text).tick_value, eta=syn.eta)
+        asset = AssetSpec(aid, syn.tick_text, eta=syn.eta)
         jitter_rng = np.random.default_rng([config.seed, 0x5117E5, ai])
         asset_dir = trade_dir / aid
         asset_dir.mkdir(parents=True, exist_ok=True)
-        files[aid] = []
+        paths: List[Path] = []
         for di in range(syn.days):
             sigma_day = syn.sigma * (1.0 + syn.sigma_jitter * (2.0 * jitter_rng.random() - 1.0))
             if syn.fills == "auto":
@@ -277,15 +277,15 @@ def _synthesize(config: PipelineConfig) -> Dict[str, List[Path]]:
             day = config.start_date + timedelta(days=di)
             path = asset_dir / f"{day.isoformat()}.csv"
             write_tape_csv(tape, path, day, config.session)
-            files[aid].append(path)
+            paths.append(path)
+        inputs.append((asset, paths))
         logger.info("synthesized %d day(s) for %s", syn.days, aid)
-    return files
+    return inputs
 
 
-def _discover(config: PipelineConfig, skipped: List[str]) -> tuple[Dict[str, List[Path]], Dict[str, str]]:
-    """Map asset id -> trade files and asset id -> tick text for ingest mode."""
-    files: Dict[str, List[Path]] = {}
-    ticks: Dict[str, str] = {}
+def _discover(config: PipelineConfig, skipped: List[str]) -> List[Tuple[AssetSpec, List[Path]]]:
+    """Each asset under ``input_dir`` that has a configured tick, with its trade files."""
+    inputs: List[Tuple[AssetSpec, List[Path]]] = []
     root = config.input_dir
     if not root.is_dir():
         raise ParameterError(f"input_dir {root} is not a directory")
@@ -298,9 +298,8 @@ def _discover(config: PipelineConfig, skipped: List[str]) -> tuple[Dict[str, Lis
         if aid not in config.tick_values:
             skipped.append(f"{aid}: no tick_value.{aid} configured, asset skipped")
             continue
-        files[aid] = found
-        ticks[aid] = config.tick_values[aid]
-    return files, ticks
+        inputs.append((AssetSpec(aid, config.tick_values[aid]), found))
+    return inputs
 
 
 def _daily_diagnostics(r: DailyRecord) -> List[str]:
@@ -446,22 +445,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     config.out.mkdir(parents=True, exist_ok=True)
     skipped: List[str] = []
 
-    if config.mode == "synthetic":
-        files = _synthesize(config)
-        ticks = {aid: config.synthetic[aid].tick_text for aid in files}
-    else:
-        files, ticks = _discover(config, skipped)
-    if not files:
+    inputs = _synthesize(config) if config.mode == "synthetic" else _discover(config, skipped)
+    if not inputs:
         skipped.append(f"no input: nothing to ingest under {config.input_dir or config.out}")
 
     records: List[DailyRecord] = []
-    for aid in sorted(files):
-        asset = AssetSpec(aid, TickGrid(ticks[aid]).tick_value)
-        for day, tape in ingest_trades(files[aid], asset, session=config.session, tick_text=ticks[aid]):
+    for asset, paths in inputs:
+        for day, tape in ingest_trades(paths, asset, session=config.session):
             try:
                 records.append(build_daily_record(tape, date=day.isoformat()))
             except TickzoneError as exc:
-                skipped.append(f"record {aid} {day.isoformat()}: {exc}")
+                skipped.append(f"record {exc}")  # the message starts with the asset and the date
 
     # each pipeline asset has one tick value, so its fit is keyed by the asset id
     fits, unfitted = fit_groups(records, False, config.pool, config.keep_flagged)
@@ -480,7 +474,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     scenarios = _tick_scenarios(records, fits, config, skipped)
     write_csv(outputs["optimal_ticks"], *tick_table(scenarios, betas, VERSIONS, skipped))
 
-    n_files = sum(len(v) for v in files.values())
+    n_files = sum(len(paths) for _, paths in inputs)
     for msg in skipped:
         logger.warning("skipped: %s", msg)
     return PipelineResult(records=records, fits=fits, skipped=skipped, outputs=outputs, n_files=n_files)

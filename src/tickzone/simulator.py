@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import _MAX_SUBTICKS, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
+from .domain import _MAX_SUBTICKS, SUBTICKS_PER_TICK, AssetSpec, TradeTape, strictly_increasing_seconds
 from .errors import ParameterError
 
 Schedule = Union[float, Sequence[Tuple[float, float]]]
@@ -374,7 +374,6 @@ class TrueParams:
     """Ground truth attached to a simulated day, for estimator checks."""
 
     eta: float
-    tick_value: float
     integrated_variance: float
     n_price_changes: int
     price_changes: PriceChangeSeries = field(repr=False, default=None)
@@ -388,8 +387,9 @@ def equilibrium_fill_rate(asset: AssetSpec, sigma: float, horizon: float) -> flo
     """
     eta = asset.require_eta()
     alpha = asset.tick_value
-    if sigma <= 0 or horizon <= 0:
-        raise ParameterError("sigma and horizon must be > 0")
+    for name, value in (("volatility sigma", sigma), ("horizon", horizon)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
     try:
         target = (sigma / (eta * alpha)) ** 2
         changes = sigma**2 / (2.0 * eta * alpha**2)
@@ -432,9 +432,8 @@ def simulate_day(
     expected = float(knot_b[-1]) / (2.0 * eta) + cfg.trade_intensity * horizon
     if not expected <= _MAX_TRADES:
         raise ParameterError(f"a day of {expected:.3g} expected trades is more than the limit of {_MAX_TRADES:.0e}")
-    grid = TickGrid(alpha)
     # every price of the day, up to _MAX_TRADES ticks from the opening one, must fit the sub-tick range
-    k0 = grid.nearest_tick_index(path_spec.x0) if math.isfinite(path_spec.x0 / alpha) else math.inf
+    k0 = asset.grid.nearest_tick_index(path_spec.x0) if math.isfinite(path_spec.x0 / alpha) else math.inf
     if abs(k0) + _MAX_TRADES > _MAX_SUBTICKS // SUBTICKS_PER_TICK:
         raise ParameterError(f"x0 {path_spec.x0!r} lies too many ticks of {alpha!r} from 0 for the sub-tick range")
     change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
@@ -464,12 +463,10 @@ def simulate_day(
         ask_q=bid_q + SUBTICKS_PER_TICK,
         session_length=max(horizon, seconds[-1]) if len(seconds) else horizon,
         opening_price_q=price_q[0] if len(price_q) else k0 * SUBTICKS_PER_TICK,
-        grid=grid,
     )
     barriers = (ticks + directions * (eta - 0.5)) * alpha
     truth = TrueParams(
         eta=eta,
-        tick_value=alpha,
         integrated_variance=float(knot_v[-1]),
         n_price_changes=len(times),
         price_changes=PriceChangeSeries(times, ticks * alpha, directions, barriers),

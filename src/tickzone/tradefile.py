@@ -424,7 +424,7 @@ def _parse_column(
 
 
 def _build_day_tape(
-    asset: AssetSpec, grid: TickGrid, subticks: Callable[[str, str], Union[int, str]], day: date_type,
+    asset: AssetSpec, subticks: Callable[[str, str], Union[int, str]], day: date_type,
     cols: _TradeColumns, rows: np.ndarray, session: SessionFilter,
 ) -> TradeTape:
     # the tape itself checks the quotes and the moves
@@ -438,7 +438,7 @@ def _build_day_tape(
     try:
         return TradeTape(
             asset, times, price_q, bid_q, ask_q,
-            session_length=session_length, opening_price_q=int(price_q[0]), grid=grid,
+            session_length=session_length, opening_price_q=int(price_q[0]),
         )
     except TapeError as exc:
         raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows[exc.row]])) from None
@@ -448,7 +448,6 @@ def ingest_trades(
     paths: Union[str, Path, Sequence[Union[str, Path]]],
     asset: AssetSpec,
     session: Optional[SessionFilter] = None,
-    tick_text: Optional[str] = None,
 ) -> List[DayTape]:
     """Ingest one or more trade files into per-day tapes.
 
@@ -465,9 +464,6 @@ def ingest_trades(
     if isinstance(paths, (str, Path)):
         paths = [paths]
     session = session or FULL_DAY
-    grid = TickGrid(tick_text) if tick_text is not None else TickGrid(asset.tick_value)
-    if abs(grid.tick_value - asset.tick_value) > 1e-12 * asset.tick_value:
-        raise ParameterError(f"tick_text {tick_text!r} disagrees with asset tick {asset.tick_value!r}")
 
     per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
     for p in sorted(Path(p) for p in paths):
@@ -476,7 +472,7 @@ def ingest_trades(
         if not per_file[-1][1]:
             logger.warning("%s: no trades inside session %s", p, session.label())
 
-    subticks = functools.cache(functools.partial(_subticks, grid))  # the asset's days share most of their texts
+    subticks = functools.cache(functools.partial(_subticks, asset.grid))  # the asset's days share most of their texts
     out: List[DayTape] = []
     for day in sorted({d for _, by_day in per_file for d in by_day}):
         candidates = [(cols, by_day[day]) for cols, by_day in per_file if day in by_day]
@@ -487,5 +483,5 @@ def ingest_trades(
                 "%s %s: kept %s with %d trades, discarded %d other file(s)",
                 asset.asset_id, day, best.path, len(rows), len(candidates) - 1,
             )
-        out.append(DayTape(date=day, tape=_build_day_tape(asset, grid, subticks, day, best, rows, session)))
+        out.append(DayTape(date=day, tape=_build_day_tape(asset, subticks, day, best, rows, session)))
     return out

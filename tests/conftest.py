@@ -21,7 +21,6 @@ from tickzone import (
     EfficientPathSpec,
     ParameterError,
     TapeConfig,
-    TickGrid,
     TradeTape,
     TrueParams,
     simulate_day,
@@ -38,14 +37,12 @@ if os.environ.get("CI"):
 
 def tape_from_rows(asset: AssetSpec, rows, session_length: float, opening_price: float) -> TradeTape:
     """A tape from (time, price, bid, ask) rows; a quote of None is absent."""
-    grid = TickGrid(asset.tick_value)
-
     def q(x):
-        return NO_QUOTE if x is None else grid.subticks_from_text(str(x))
+        return NO_QUOTE if x is None else asset.grid.subticks_from_text(str(x))
 
     times = [r[0] for r in rows]
     price_q, bid_q, ask_q = ([q(r[k]) for r in rows] for k in (1, 2, 3))
-    return TradeTape(asset, times, price_q, bid_q, ask_q, session_length, q(opening_price), grid=grid)
+    return TradeTape(asset, times, price_q, bid_q, ask_q, session_length, q(opening_price))
 
 
 def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple[float, float]:

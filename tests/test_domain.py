@@ -40,6 +40,22 @@ class TestAssetSpec:
         with pytest.raises(ParameterError):
             asset.require_eta()
 
+    def test_tick_as_text_or_number_gives_one_grid(self):
+        specs = [AssetSpec("A", tick) for tick in ("0.01", " 0.010", 0.01, np.float64(0.01), TickGrid("0.01"))]
+        assert all(s == specs[0] for s in specs) and len(set(specs)) == 1
+        assert all(s.grid == TickGrid("0.01") and s.tick_value == 0.01 for s in specs)
+        assert AssetSpec("A", "0.02") != specs[0]
+
+    def test_tick_value_is_the_float_of_an_exact_grid(self):
+        long = AssetSpec("A", "0.1000000000000000055511151231257827")
+        assert long.tick_value == 0.1
+        assert long != AssetSpec("A", 0.1) and long.grid.tick_text == "0.1000000000000000055511151231257827"
+
+    def test_tape_reads_the_grid_of_its_asset(self):
+        asset = AssetSpec("A", "7.8125")
+        tape = TradeTape(asset, [1.0], [14 * SUBTICKS_PER_TICK], [NO_QUOTE], [NO_QUOTE], 10.0, 14 * SUBTICKS_PER_TICK)
+        assert tape.grid is asset.grid and tape.grid.text(tape.price_q[0]) == "109.375"
+
 
 # ----------------------------------------------------------------- TickGrid
 
@@ -60,7 +76,7 @@ class TestTickGrid:
         q = grid.subticks_from_text("100.005")
         assert q == 10000 * SUBTICKS_PER_TICK + SUBTICKS_PER_TICK // 2
         with pytest.raises(TapeError, match="off the tick grid"):
-            TradeTape(AssetSpec("A", 0.01), [1.0], [q], [NO_QUOTE], [NO_QUOTE], 10.0, 0, grid=grid)
+            TradeTape(AssetSpec("A", grid), [1.0], [q], [NO_QUOTE], [NO_QUOTE], 10.0, 0)
 
     def test_sub_lattice_price_rejected(self):
         grid = TickGrid("0.01")
@@ -86,6 +102,17 @@ class TestTickGrid:
         assert TickGrid(0.01) == TickGrid("0.01")
         assert hash(TickGrid(0.01)) == hash(TickGrid("0.01"))
         assert TickGrid("0.01") != TickGrid("0.02")
+
+    def test_numpy_float_tick_reads_like_the_python_float(self):
+        for tick in (np.float64(0.01), np.float32(0.5), np.int64(2)):
+            assert TickGrid(tick) == TickGrid(float(tick))
+            assert TickGrid(tick).tick_text == repr(float(tick))
+
+    def test_text_is_exact_for_a_tick_of_34_digits(self):
+        grid = TickGrid("0.1000000000000000055511151231257827")
+        assert grid.text(10**15) == "100000000.0000000055511151231257827"
+        for q in (1, -7, 3 * 10**18 + 1, -(2**62 - 1)):
+            assert grid.subticks_from_text(grid.text(q)) == q
 
     def test_currency_scalar_and_array(self):
         grid = TickGrid("0.01")

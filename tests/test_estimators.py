@@ -327,6 +327,12 @@ class TestDailyRecord:
             with pytest.raises(ParameterError):
                 DailyRecord(**self._kw(**bad))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["eta_hat", "alpha", "sigma_hat", "avg_spread", "frac_one_tick"])
+    def test_non_finite_value_is_refused(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got {value!r}$"):
+            DailyRecord(**self._kw(**{name: value}))
+
     def test_spread_exactly_one_tick_allowed(self):
         DailyRecord(**self._kw(avg_spread=0.5))
 

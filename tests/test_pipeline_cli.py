@@ -482,6 +482,13 @@ class TestIngestModeEdges:
         assert sorted({r.asset_id for r in result.records}) == ["A1"]
         assert len(result.records) == 6
 
+    def test_record_skip_names_the_asset_and_day_once(self, tmp_path):
+        (tmp_path / "in" / "A").mkdir(parents=True)
+        (tmp_path / "in" / "A" / "d.csv").write_text("timestamp_ms,price,size,bid,ask\n1243843200000,100,1,,\n")
+        cfg = parse_config_text(f"out = {tmp_path / 'o'}\ninput_dir = {tmp_path / 'in'}\ntick_value.A = 0.01\n")
+        skipped = [msg for msg in run_pipeline(cfg).skipped if msg.startswith("record ")]
+        assert skipped == ["record A 2009-06-01: need at least 2 price changes to compare directions, got 0"]
+
 
 @pytest.fixture(scope="module")
 def sim_csv(tmp_path_factory):
@@ -703,6 +710,21 @@ class TestCli:
         assert (out / "daily_records.csv").exists()
         assert (out / "regression.csv").exists()
 
+    def test_tick_of_34_digits_survives_the_round_trip(self, tmp_path, capsys):
+        tick = "0.1000000000000000055511151231257827"  # the float 0.1 is this tick to 34 digits
+        day = tmp_path / "d.csv"
+        assert cli_main(_SIMULATE + ["--sigma", "0.003", "--tick-value", tick, "--out", str(day)]) == 0
+        assert cli_main(["estimate", str(day), "--tick-value", tick, "--session", "08:00-08:10"]) == 0
+        cfg = tmp_path / "cfg.txt"
+        lines = [f"out = {tmp_path / 'run'}", "session = 08:00-09:00", f"synthetic.A.tick_value = {tick}",
+                 "synthetic.A.eta = 0.25", "synthetic.A.sigma = 0.02", "synthetic.A.days = 3"]
+        cfg.write_text("\n".join(lines) + "\n")
+        assert cli_main(["pipeline", "--config", str(cfg)]) == 0
+        assert [r.date for r in read_daily_records_csv(tmp_path / "run" / "daily_records.csv")] == [
+            "2009-06-01", "2009-06-02", "2009-06-03"
+        ]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_pipeline_error_path(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"out = {tmp_path / 'o'}\ninput_dir = {tmp_path / 'absent'}\n")
@@ -722,7 +744,8 @@ def _synth(key, value):
     return {**_SYNTH_KEYS, f"synthetic.A.{key}": value}
 
 
-# (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file
+# (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file and
+# "{records}" a daily records file with a nan cell
 @pytest.mark.parametrize(
     "args, config, named",
     [
@@ -738,6 +761,12 @@ def _synth(key, value):
                      id="tick_value.A = abc"),
         pytest.param(_SIMULATE + ["--sigma", "nan"], None, "volatility", id="simulate --sigma nan"),
         pytest.param(_SIMULATE + ["--sigma", "inf"], None, "volatility", id="simulate --sigma inf"),
+        pytest.param(_SIMULATE + ["--sigma", "-inf"], None, "volatility sigma must be finite and > 0, got -inf",
+                     id="simulate --sigma -inf"),
+        pytest.param(_SIMULATE + ["--sigma", "-0.001"], None, "volatility sigma must be finite and > 0, got -0.001",
+                     id="simulate --sigma -0.001"),
+        pytest.param(["regress", "--records", "{records}"], None, "records.csv:2: avg_spread must be finite, got nan",
+                     id="regress avg_spread nan"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "inf"], None, "x0", id="simulate --x0 inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "-inf"], None, "x0", id="simulate --x0 -inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "nan"], None, "trade_intensity",
@@ -795,7 +824,9 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     inputs = tmp_path / "inputs"
     (inputs / "A").mkdir(parents=True)
     (inputs / "A" / "day.csv").write_bytes(sim_csv.read_bytes())
-    args = [a.replace("{csv}", str(sim_csv)) for a in args]
+    records = tmp_path / "records.csv"
+    records.write_text(",".join(DAILY_CSV_HEADER[:8]) + "\n2009-06-01,A,0.2,0.01,0.003,500,nan,90\n")
+    args = [a.replace("{csv}", str(sim_csv)).replace("{records}", str(records)) for a in args]
     if args[0] == "simulate":
         args += ["--out", str(tmp_path / "sim.csv")]
     if config is not None:

@@ -495,7 +495,6 @@ class TestSimulateDay:
     def test_truth_bookkeeping(self, sim_days):
         for eta, (tape, truth) in sim_days.days.items():
             assert truth.eta == eta
-            assert truth.tick_value == pytest.approx(0.01)
             assert truth.n_price_changes == len(truth.price_changes.times)
             # the tape drops only the first-row change flag
             assert tape.n_changes == truth.n_price_changes - 1
@@ -540,6 +539,22 @@ def test_equilibrium_fill_rate_formula():
         equilibrium_fill_rate(asset, sigma=0.0, horizon=1.0)
     with pytest.raises(ParameterError):
         equilibrium_fill_rate(asset, sigma=0.005, horizon=0.0)
+
+
+@pytest.mark.parametrize(
+    "sigma, horizon, named",
+    [
+        (math.inf, 1.0, "volatility sigma must be finite and > 0, got inf"),
+        (math.nan, 1.0, "volatility sigma must be finite and > 0, got nan"),
+        (-math.inf, 1.0, "volatility sigma must be finite and > 0, got -inf"),
+        (-0.001, 1.0, "volatility sigma must be finite and > 0, got -0.001"),
+        (0.005, math.inf, "horizon must be finite and > 0, got inf"),
+        (0.005, -1.0, "horizon must be finite and > 0, got -1.0"),
+    ],
+)
+def test_equilibrium_fill_rate_names_the_bad_value(sigma, horizon, named):
+    with pytest.raises(ParameterError, match=f"^{re.escape(named)}$"):
+        equilibrium_fill_rate(AssetSpec("A", 0.01, eta=0.25), sigma=sigma, horizon=horizon)
 
 
 def test_fill_rate_balances_volatility_per_trade(sim_days):

@@ -7,6 +7,7 @@ import os
 import tempfile
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from zoneinfo import ZoneInfo
 
 from conftest import tape_from_rows
-from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
+from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TradeTape
 from tickzone.errors import IngestError, ParameterError, TickzoneError, show_field
 from tickzone.estimators import build_daily_record
+from tickzone.simulator import EfficientPathSpec, TapeConfig, simulate_day
 from tickzone.tradefile import (
     _STAMP_RANGE,
     FULL_DAY,
@@ -413,7 +415,7 @@ class TestIngestTrades:
         # bid on the half-tick sub-lattice makes the spread 1.5 ticks
         p = _write(tmp_path / "fs.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,100.125,100.5"])
         with pytest.raises(IngestError, match="whole number of ticks"):
-            ingest_trades(p, AssetSpec("ING", 0.25, eta=0.2), tick_text="0.25")
+            ingest_trades(p, AssetSpec("ING", "0.25", eta=0.2))
 
     def test_two_tick_jump(self, tmp_path):
         p = _day_file(tmp_path, "jump.csv", [(1.0, 100.5), (2.0, 101.5)])
@@ -438,11 +440,6 @@ class TestIngestTrades:
         days = ingest_trades(p, _asset())
         assert [d.date for d in days] == [date(2009, 6, 1), date(2009, 6, 2)]
         assert all(len(d.tape) == 2 for d in days)
-
-    def test_tick_text_must_match_asset(self, tmp_path):
-        p = _day_file(tmp_path, "tt.csv", [(1.0, 100.5)])
-        with pytest.raises(ParameterError, match="disagrees"):
-            ingest_trades(p, _asset(tick=0.5), tick_text="0.25")
 
     def test_first_bad_file_in_path_order_raises(self, tmp_path):
         # the later path is quick to fail; the earlier one fails only on its last row
@@ -595,10 +592,9 @@ def _record_or_error(tape):
 
 @st.composite
 def _tape_files(draw):
-    """A valid one-hour tape with its tick text, session and day."""
+    """A valid one-hour tape on a tick given as text, with its session and day."""
     tick = draw(st.sampled_from(_TICKS))
-    grid = TickGrid(tick)
-    asset = AssetSpec("PRP", float(tick), eta=0.25)
+    asset = AssetSpec("PRP", tick, eta=0.25)
     session = SessionFilter.from_text(
         draw(st.sampled_from(_HOUR_SESSIONS)), tz=draw(st.sampled_from(_ZONES + ("UTC",)))
     )
@@ -619,25 +615,60 @@ def _tape_files(draw):
             ask_q[i] = bid + draw(st.integers(1, 3)) * _SUB
     tape = TradeTape(
         asset, np.asarray(ms) / 1000.0, price_q, bid_q, ask_q,
-        session_length=3600.0, opening_price_q=int(price_q[0]), grid=grid,
+        session_length=3600.0, opening_price_q=int(price_q[0]),
     )
-    return tape, tick, session, day
+    return tape, session, day
 
 
 @given(_tape_files())
 @settings(max_examples=60, deadline=None)
 def test_write_then_ingest_gives_the_same_tape(case):
-    tape, tick, session, day = case
+    tape, session, day = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rt.csv"
         write_tape_csv(tape, path, day, session)
-        back = ingest_trades(path, tape.asset, session=session, tick_text=tick)
+        back = ingest_trades(path, tape.asset, session=session)
     assert [d.date for d in back] == [day]
     got = back[0].tape
     for col in ("times", "price_q", "bid_q", "ask_q"):
         assert np.array_equal(getattr(tape, col), getattr(got, col)), col
     assert (got.opening_price_q, got.session_length) == (tape.opening_price_q, tape.session_length)
     assert _record_or_error(got) == _record_or_error(tape)
+
+
+@st.composite
+def _tick_texts(draw):
+    """Plain decimal text of a tick from 1e-10 to below 1e5, with up to 34 significant digits."""
+    digits = draw(st.integers(1, 34))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    return format(Decimal(mantissa).scaleb(draw(st.integers(-9, 5)) - digits), "f")
+
+
+@given(
+    tick=_tick_texts(),
+    x0_ticks=st.floats(-5e12, 5e12),
+    vol_ticks=st.floats(0.0, 0.2),
+    fills=st.floats(0.0, 0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_simulated_day_reads_back_on_any_decimal_tick(tick, x0_ticks, vol_ticks, fills, seed):
+    asset = AssetSpec("PRP", tick, eta=0.25)
+    session, day = SessionFilter.from_text("08:00-09:00", tz="Europe/Berlin"), date(2009, 6, 1)
+    spec = EfficientPathSpec(x0=x0_ticks * asset.tick_value, volatility=vol_ticks * asset.tick_value, horizon=3600.0)
+    try:
+        tape, _ = simulate_day(spec, asset, TapeConfig(trade_intensity=fills, seed=seed))
+    except ParameterError:  # an opening price too many ticks from 0
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sim.csv"
+        write_tape_csv(tape, path, day, session)
+        back = ingest_trades(path, AssetSpec("PRP", tick), session=session)
+    assert [d.date for d in back] == ([day] if len(tape) else [])
+    for got in (d.tape for d in back):
+        for col in ("times", "price_q", "bid_q", "ask_q"):
+            assert np.array_equal(getattr(tape, col), getattr(got, col)), col
+        assert got.opening_price_q == tape.opening_price_q
 
 
 _CORRUPTIONS = (
@@ -708,7 +739,7 @@ def _corrupt(fields, prev, grid, kind, bad_int, bad_decimal):
 )
 @settings(max_examples=150, deadline=None)
 def test_one_corrupted_cell_names_its_line(case, kind, bad_int, bad_decimal, blanks, data):
-    tape, tick, session, day = case
+    tape, session, day = case
     needs_previous = kind in ("two-tick jump", "backwards timestamp")
     assume(len(tape) > 1 or not needs_previous)
     row = data.draw(st.integers(1 if needs_previous else 0, len(tape) - 1))
@@ -722,7 +753,7 @@ def test_one_corrupted_cell_names_its_line(case, kind, bad_int, bad_decimal, bla
         lines[1 + row:1 + row] = blanks
         _write(path, lines)
         with pytest.raises(IngestError) as err:
-            ingest_trades(path, tape.asset, session=session, tick_text=tick)
+            ingest_trades(path, tape.asset, session=session)
     line = 2 + row + len(blanks)
     assert err.value.line == line
     assert str(err.value) == f"{path}:{line}: {message}"
