@@ -10,7 +10,9 @@ Subcommands::
     signature     realized-variance signature curve from trade CSVs
     pipeline      full batch run driven by a config file
 
-Set ``TICKZONE_LOG=INFO`` (or DEBUG) to see progress and skip reasons.
+Every command prints each item it skips as one ``skipped: <msg>`` line on
+stderr, and a run that fails ends in one ``error: <msg>`` line there (exit 1).
+Set ``TICKZONE_LOG=INFO`` (or DEBUG) to see progress.
 """
 from __future__ import annotations
 
@@ -26,19 +28,21 @@ from typing import List, Optional
 from .domain import AssetSpec
 from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import MissingFitError, ParameterError, TickzoneError
-from .estimators import build_daily_record, check_sampling, signature_plot
+from .estimators import check_sampling, signature_plot
 from .pipeline import (
     fit_groups,
     fmt_float,
     load_config,
     read_daily_records_csv,
+    read_fills,
+    records_from_files,
     run_pipeline,
+    simulate_to_csv,
     tick_table,
     write_csv,
     write_daily_records_csv,
     write_regression_csv,
 )
-from .simulator import EfficientPathSpec, TapeConfig, equilibrium_fill_rate, simulate_day
 from .tick_policy import (
     BETA_PRESETS,
     VERSIONS,
@@ -46,7 +50,7 @@ from .tick_policy import (
     load_reference_assets,
     predict_eta,
 )
-from .tradefile import SessionFilter, ingest_trades, write_tape_csv
+from .tradefile import SessionFilter, ingest_trades
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,21 +75,15 @@ def _add_session_args(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--timezone", default="UTC", help="IANA zone the window is quoted in")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, skipped: List[str]) -> int:
     session = _session(args)
     asset = AssetSpec(args.asset_id, args.tick_value, eta=args.eta)
-    horizon = session.length_seconds
-    if args.fills == "auto":
-        intensity = equilibrium_fill_rate(asset, args.sigma, horizon)
-    else:
-        try:
-            intensity = float(args.fills)
-        except ValueError:
-            raise ParameterError(f"--fills must be 'auto' or a number, got {args.fills!r}") from None
-    spec = EfficientPathSpec(x0=args.x0, volatility=args.sigma, horizon=horizon)
-    tape, truth = simulate_day(spec, asset, TapeConfig(trade_intensity=intensity, seed=args.seed))
-    day = date_type.fromisoformat(args.day)
-    write_tape_csv(tape, Path(args.out), day, session)
+    fills = read_fills(args.fills, "--fills")
+    try:
+        day = date_type.fromisoformat(args.day)
+    except ValueError:
+        raise ParameterError(f"--day {args.day!r} is not an ISO date (YYYY-MM-DD)") from None
+    tape, truth = simulate_to_csv(asset, args.sigma, args.x0, fills, args.seed, session, day, Path(args.out))
     print(
         f"wrote {args.out}: {len(tape)} trades, {tape.n_changes} price changes, "
         f"integrated variance {fmt_float(truth.integrated_variance)}"
@@ -93,32 +91,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    asset = AssetSpec(args.asset_id, args.tick_value)
-    day_tapes = ingest_trades(args.inputs, asset, session=_session(args))
-    records = []
-    for day, tape in day_tapes:
-        try:
-            records.append(build_daily_record(tape, date=day.isoformat()))
-        except TickzoneError as exc:
-            print(f"skipped: {exc}", file=sys.stderr)
+def _cmd_estimate(args, skipped: List[str]) -> int:
+    records = records_from_files(AssetSpec(args.asset_id, args.tick_value), args.inputs, _session(args), skipped)
     write_daily_records_csv(records, args.out)
     return 0 if records else 1
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress(args, skipped: List[str]) -> int:
     records = read_daily_records_csv(args.records)
-    fits, skipped = fit_groups(records, args.split_regimes, args.pool, args.keep_flagged)
-    for msg in skipped:
-        print(f"skipped: {msg}", file=sys.stderr)
+    fits = fit_groups(records, args.split_regimes, args.pool, args.keep_flagged, skipped)
     if not fits:
-        print("error: no group could be fitted", file=sys.stderr)
-        return 1
+        raise TickzoneError("no group could be fitted")
     write_regression_csv(fits, args.out)
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args, skipped: List[str]) -> int:
     scenario = TickScenario(
         alpha0=args.alpha0,
         eta0=args.eta0,
@@ -132,8 +120,7 @@ def _cmd_predict(args) -> int:
     try:
         forecast = predict_eta(scenario, version=args.version)
     except MissingFitError:
-        print("error: --version 1 needs --p1 > 0", file=sys.stderr)
-        return 1
+        raise MissingFitError("--version 1 needs --p1 > 0") from None
     print(f"eta_pred: {fmt_float(forecast.eta_pred)}")
     print(f"in_large_tick_regime: {str(forecast.in_large_tick_regime).lower()}")
     if forecast.warning:
@@ -148,24 +135,20 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_optimal_tick(args) -> int:
+def _cmd_optimal_tick(args, skipped: List[str]) -> int:
     assets = load_reference_assets()
     if args.asset:
         wanted = set(args.asset)
         unknown = wanted - {a.asset_id for a in assets}
         if unknown:
-            print(f"error: unknown asset(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 1
+            raise ParameterError(f"unknown asset(s): {', '.join(sorted(unknown))}")
         assets = [a for a in assets if a.asset_id in wanted]
     scenarios = {a.asset_id: a.scenario() for a in assets}
-    skipped: List[str] = []
     write_csv(args.out, *tick_table(scenarios, args.beta or BETA_PRESETS, args.version or VERSIONS, skipped))
-    for msg in skipped:
-        print(f"skipped: {msg}", file=sys.stderr)
     return 0
 
 
-def _cmd_signature(args) -> int:
+def _cmd_signature(args, skipped: List[str]) -> int:
     # a bad value is an error before any file is read, not a skip per day
     check_sampling(args.samples_per_second, args.lag_max, _session(args).length_seconds)
     asset = AssetSpec(args.asset_id, args.tick_value)
@@ -175,14 +158,14 @@ def _cmd_signature(args) -> int:
         try:
             curve = signature_plot(tape, samples_per_second=args.samples_per_second, lag_max=args.lag_max)
         except TickzoneError as exc:
-            print(f"skipped: {asset.asset_id} {day.isoformat()}: {exc}", file=sys.stderr)
+            skipped.append(f"signature {asset.asset_id} {day.isoformat()}: {exc}")
             continue
         rows += [[day.isoformat(), lag, fmt_float(rv)] for lag, rv in curve.items()]
     write_csv(args.out, ["date", "lag", "realized_variance"], rows)
     return 0 if rows else 1
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args, skipped: List[str]) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
@@ -191,7 +174,7 @@ def _cmd_pipeline(args) -> int:
     if args.session:
         overrides["session"] = args.session
     config = load_config(args.config, overrides)
-    result = run_pipeline(config)
+    result = run_pipeline(config, skipped)
     print(result.summary())
     return 0 if result.records else 1
 
@@ -278,11 +261,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
+    skipped: List[str] = []
     try:
-        return args.func(args)
+        code, error = args.func(args, skipped), None
     except TickzoneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
+    # the one place that prints a skip or an error: each skip once, then the error
+    for msg in skipped:
+        print(f"skipped: {msg}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

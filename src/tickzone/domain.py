@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
-from fractions import Fraction
-from typing import Optional
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,34 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 NO_QUOTE = np.iinfo(np.int64).min
 # Largest parsed price magnitude, in sub-ticks; differences of two stay inside int64.
 _MAX_SUBTICKS = 2**62 - 1
+# The one grammar of a tick or price text: ASCII digits with an optional sign, point and exponent.
+# Python's own readers take more ('201/2', '1_00.5', non-ASCII digits, 'nan'), and these are errors.
+# Written so that no text matches it in two ways, because a regex that can split a run of digits
+# between two groups takes time quadratic in the run's length to refuse it.
+_DECIMAL = re.compile(r"([+-]?)(\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?", re.ASCII)
+# A price is read against the tick with integers of up to this many digits plus 20.
+_TICK_DIGITS = 1000
+# An exponent of more digits than this is read as +-10**19, past every range the grid checks.
+_EXPONENT_DIGITS = 18
+
+
+def _decimal_parts(text: str) -> Optional[Tuple[bool, str, int]]:
+    """(negative, digits, exponent) of value ``int(digits) * 10**exponent``, or None if ``text`` is no decimal.
+
+    ``digits`` has no leading or trailing zeros ('' for zero), and is found in time linear in the text.
+    """
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        return None
+    sign, mantissa, exp = m.groups()
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    significant = digits.rstrip("0")
+    body = (exp or "").lstrip("+-").lstrip("0")
+    power = int(body or 0) if len(body) <= _EXPONENT_DIGITS else 10**19
+    if exp and exp[0] == "-":
+        power = -power
+    return sign == "-", significant, power - len(frac) + len(digits) - len(significant)
 
 
 @dataclass(frozen=True)
@@ -68,41 +96,61 @@ class TickGrid:
 
     Prices are counted in integer sub-ticks (tick / 1e6). Construction from a
     decimal string keeps the tick value exact, so membership tests on parsed
-    CSV prices never suffer binary rounding.
+    CSV prices never suffer binary rounding. The tick and every price are
+    read as plain ASCII decimals (see ``_DECIMAL``).
     """
 
-    __slots__ = ("tick_text", "tick_fraction", "tick_value", "quantum", "exact_quantum")
+    __slots__ = ("tick_text", "tick_value", "quantum", "exact_quantum", "_digits", "_exponent", "_magnitude")
 
     def __init__(self, tick_value):
         if isinstance(tick_value, numbers.Real):  # a numpy float reads like the Python float
             text = repr(float(tick_value))
         else:
             text = str(tick_value).strip()
-        try:
-            frac = Fraction(text)
-            self.exact_quantum = Decimal(text).scaleb(-_SUBTICK_DIGITS, _EXACT)  # rejects non-decimal text such as '1/8'
-        except (ValueError, ZeroDivisionError, InvalidOperation):
-            raise ParameterError(f"tick value {text!r} is not a decimal number") from None
-        if frac <= 0:
-            raise ParameterError(f"tick value must be > 0, got {text}")
-        self.tick_text = text
-        self.tick_fraction = frac
-        self.tick_value = float(frac)
+        parts = _decimal_parts(text)
+        if parts is None:
+            raise ParameterError(f"tick value {show_field(text)} is not a decimal number")
+        negative, digits, exponent = parts
+        if negative or not digits:
+            raise ParameterError(f"tick value must be > 0, got {show_field(text, str)}")
+        if len(digits) > _TICK_DIGITS:
+            raise ParameterError(f"tick value {show_field(text, str)} has more than {_TICK_DIGITS} significant digits")
+        # float() reads the digits and exponent in time linear in their length, whatever the exponent
+        self.tick_value = float(f"{digits}e{exponent}")
         self.quantum = self.tick_value / SUBTICKS_PER_TICK
+        if not (math.isfinite(self.tick_value) and self.quantum > 0):
+            raise ParameterError(
+                f"tick value {show_field(text, str)} is out of range: its float or its sub-tick quantum "
+                f"(tick / 10^{_SUBTICK_DIGITS}) is 0 or infinite"
+            )
+        self.tick_text = text
+        # the tick is _digits * 10**_exponent, _digits without trailing zeros; _magnitude is its leading digit's power
+        self._digits, self._exponent, self._magnitude = int(digits), exponent, exponent + len(digits) - 1
+        self.exact_quantum = Decimal(f"{digits}e{exponent - _SUBTICK_DIGITS}")
 
     def subticks_from_text(self, text: str) -> int:
-        """Parse a decimal price string to sub-ticks, exactly."""
-        try:
-            q = Fraction(text.strip()) * SUBTICKS_PER_TICK / self.tick_fraction
-        except (ValueError, ZeroDivisionError):
-            raise OffGridError(f"malformed price {show_field(text)}") from None
-        if q.denominator != 1:
+        """Parse a decimal price string to sub-ticks, exactly, in time linear in its length."""
+        parts = _decimal_parts(text.strip())
+        if parts is None:
+            raise OffGridError(f"malformed price {show_field(text)}")
+        negative, digits, exponent = parts
+        if not digits:
+            return 0
+        # q = digits * 10**shift / tick digits, neither ending in 0: a negative shift leaves a 10 in the
+        # denominator, and |q| > 10**(price magnitude - tick magnitude + 5) >= 10**19 is out of range
+        shift = exponent + _SUBTICK_DIGITS - self._exponent
+        finer = shift < 0
+        huge = not finer and exponent + len(digits) - 1 - self._magnitude >= 14
+        if not (finer or huge):  # so the exact product has at most the tick's digits plus 20
+            q, rest = divmod(int(digits) * 10**shift, self._digits)
+            finer, huge = rest != 0, q > _MAX_SUBTICKS
+        if finer:
             raise OffGridError(
                 f"price {show_field(text, str)} is finer than the sub-tick lattice of tick {self.tick_text}"
             )
-        if abs(q) > _MAX_SUBTICKS:
+        if huge:
             raise OffGridError(f"price {show_field(text, str)} is out of range for tick {self.tick_text}")
-        return int(q)
+        return -q if negative else q
 
     def currency(self, q) -> float:
         """Sub-ticks to float currency. Accepts scalars or arrays."""
@@ -119,10 +167,10 @@ class TickGrid:
         return math.ceil(x / self.tick_value - 0.5)
 
     def __eq__(self, other):
-        return isinstance(other, TickGrid) and self.tick_fraction == other.tick_fraction
+        return isinstance(other, TickGrid) and (self._digits, self._exponent) == (other._digits, other._exponent)
 
     def __hash__(self):
-        return hash(self.tick_fraction)
+        return hash((self._digits, self._exponent))
 
     def __repr__(self):
         return f"TickGrid({self.tick_text})"

@@ -30,12 +30,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .domain import AssetSpec
+from .domain import AssetSpec, TradeTape
 from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import IngestError, ParameterError, TickzoneError, show_field
 from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
-from .simulator import EfficientPathSpec, TapeConfig, equilibrium_fill_rate, simulate_day
+from .simulator import EfficientPathSpec, TapeConfig, TrueParams, equilibrium_fill_rate, simulate_day
 from .tick_policy import BETA_PRESETS, VERSIONS, TickScenario, optimal_tick
 from .tradefile import SessionFilter, ingest_trades, read_text, write_tape_csv
 
@@ -111,8 +111,17 @@ class SyntheticAsset:
             raise ParameterError(f"{self.asset_id}: sigma must be > 0")
         if not 0.0 <= self.sigma_jitter < 1.0:
             raise ParameterError(f"{self.asset_id}: sigma_jitter must lie in [0, 1)")
-        if isinstance(self.fills, str) and self.fills != "auto":
-            raise ParameterError(f"{self.asset_id}: fills must be 'auto' or a number")
+        object.__setattr__(self, "fills", read_fills(self.fills, f"synthetic.{self.asset_id}.fills"))
+
+
+def read_fills(value: Union[str, float], source: str) -> Union[str, float]:
+    """``'auto'``, or the fill rate ``value`` gives as a number; ``source`` names it in the error."""
+    if value == "auto":
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise ParameterError(f"{source} must be 'auto' or a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,8 @@ class PipelineConfig:
             raise ParameterError("synthetic mode needs at least one synthetic.<ID>.* block")
         if self.beta is not None and not 0.0 < self.beta < 2.0:
             raise ParameterError(f"beta must lie in (0, 2), got {self.beta!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_bool(value: str) -> bool:
@@ -154,12 +165,9 @@ _TOP_VALUES = {
     "seed": int, "beta": float, "pool": _parse_bool, "keep_flagged": _parse_bool,
     "start_date": date_type.fromisoformat, "input_dir": Path,
 }
-_SYN_VALUES = {
-    "eta": float, "sigma": float, "days": int, "x0": float, "sigma_jitter": float,
-    "fills": lambda value: value if value == "auto" else float(value),
-}
+_SYN_VALUES = {"eta": float, "sigma": float, "days": int, "x0": float, "sigma_jitter": float}
 _TOP_KEYS = {"mode", "out", "session", "timezone", *_TOP_VALUES}
-_SYN_KEYS = {"tick_value", *_SYN_VALUES}
+_SYN_KEYS = {"tick_value", "fills", *_SYN_VALUES}
 
 
 def _read_values(texts: Mapping[str, str], readers: Mapping, prefix: str = "") -> Dict:
@@ -217,7 +225,8 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
         if missing:
             raise ParameterError(f"synthetic.{aid}: missing {', '.join(sorted(missing))}")
         values = _read_values(params, _SYN_VALUES, f"synthetic.{aid}.")
-        synthetic[aid] = SyntheticAsset(asset_id=aid, tick_text=params["tick_value"], **values)
+        fills = params.get("fills", "auto")
+        synthetic[aid] = SyntheticAsset(asset_id=aid, tick_text=params["tick_value"], fills=fills, **values)
     return PipelineConfig(
         mode=raw.get("mode", "ingest" if "input_dir" in raw else "synthetic"),
         out=Path(raw["out"]),
@@ -248,36 +257,39 @@ class PipelineResult:
         for name in sorted(self.outputs):
             lines.append(f"  wrote {self.outputs[name]}")
         if self.skipped:
-            lines.append(f"{len(self.skipped)} item(s) skipped:")
-            lines.extend(f"  {msg}" for msg in self.skipped)
+            lines.append(f"{len(self.skipped)} item(s) skipped")
         return "\n".join(lines)
+
+
+def simulate_to_csv(
+    asset: AssetSpec, sigma: float, x0: float, fills: Union[str, float], seed: int,
+    session: SessionFilter, day: date_type, path: Path,
+) -> Tuple[TradeTape, TrueParams]:
+    """Simulate ``day`` over ``session`` into the trade file ``path``; ``fills`` is a rate or ``'auto'``."""
+    horizon = session.length_seconds
+    intensity = equilibrium_fill_rate(asset, sigma, horizon) if fills == "auto" else fills
+    spec = EfficientPathSpec(x0=x0, volatility=sigma, horizon=horizon)
+    tape, truth = simulate_day(spec, asset, TapeConfig(trade_intensity=intensity, seed=seed))
+    write_tape_csv(tape, path, day, session)
+    return tape, truth
 
 
 def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
     """Simulate every configured asset-day and write it as a trade CSV; returns each asset with its files."""
-    trade_dir = config.out / "trades"
     inputs: List[Tuple[AssetSpec, List[Path]]] = []
-    horizon = config.session.length_seconds
     for ai, aid in enumerate(sorted(config.synthetic)):
         syn = config.synthetic[aid]
         asset = AssetSpec(aid, syn.tick_text, eta=syn.eta)
         jitter_rng = np.random.default_rng([config.seed, 0x5117E5, ai])
-        asset_dir = trade_dir / aid
+        asset_dir = config.out / "trades" / aid
         asset_dir.mkdir(parents=True, exist_ok=True)
         paths: List[Path] = []
         for di in range(syn.days):
             sigma_day = syn.sigma * (1.0 + syn.sigma_jitter * (2.0 * jitter_rng.random() - 1.0))
-            if syn.fills == "auto":
-                intensity = equilibrium_fill_rate(asset, sigma_day, horizon)
-            else:
-                intensity = float(syn.fills)
             day_seed = int(np.random.SeedSequence([config.seed, ai, di]).generate_state(1)[0])
-            spec = EfficientPathSpec(x0=syn.x0, volatility=sigma_day, horizon=horizon)
-            tape, _ = simulate_day(spec, asset, TapeConfig(trade_intensity=intensity, seed=day_seed))
             day = config.start_date + timedelta(days=di)
-            path = asset_dir / f"{day.isoformat()}.csv"
-            write_tape_csv(tape, path, day, config.session)
-            paths.append(path)
+            paths.append(asset_dir / f"{day.isoformat()}.csv")
+            simulate_to_csv(asset, sigma_day, syn.x0, syn.fills, day_seed, config.session, day, paths[-1])
         inputs.append((asset, paths))
         logger.info("synthesized %d day(s) for %s", syn.days, aid)
     return inputs
@@ -300,6 +312,19 @@ def _discover(config: PipelineConfig, skipped: List[str]) -> List[Tuple[AssetSpe
             continue
         inputs.append((AssetSpec(aid, config.tick_values[aid]), found))
     return inputs
+
+
+def records_from_files(
+    asset: AssetSpec, paths: Sequence[Union[str, Path]], session: SessionFilter, skipped: List[str]
+) -> List[DailyRecord]:
+    """One record per day of the asset's trade files; each refused day goes to ``skipped``."""
+    records: List[DailyRecord] = []
+    for day, tape in ingest_trades(paths, asset, session=session):
+        try:
+            records.append(build_daily_record(tape, date=day.isoformat()))
+        except TickzoneError as exc:
+            skipped.append(f"record {exc}")  # the message starts with the asset and the date
+    return records
 
 
 def _daily_diagnostics(r: DailyRecord) -> List[str]:
@@ -384,25 +409,24 @@ def emit_cloud_csv(records: Sequence[DailyRecord], path: Path, fit_for=None) -> 
 
 
 def fit_groups(
-    records: Sequence[DailyRecord], split_regimes: bool, pool: bool, keep_flagged: bool
-) -> Tuple[Dict[str, RegressionFit], List[str]]:
+    records: Sequence[DailyRecord], split_regimes: bool, pool: bool, keep_flagged: bool, skipped: List[str]
+) -> Dict[str, RegressionFit]:
     """Fit each asset, or each asset and tick value, and with ``pool`` all records as ``ALL``.
 
-    Returns the fits in report order (groups sorted, then ``ALL``) and one
-    message per group that could not be fitted.
+    Returns the fits in report order (groups sorted, then ``ALL``); each
+    group that could not be fitted goes to ``skipped``.
     """
     groups: Dict[str, List[DailyRecord]] = {}
     for r in records:
         groups.setdefault(f"{r.asset_id}@{r.alpha:g}" if split_regimes else r.asset_id, []).append(r)
     named = sorted(groups.items()) + ([("ALL", records)] if pool else [])
     fits: Dict[str, RegressionFit] = {}
-    skipped: List[str] = []
     for key, group in named:
         try:
             fits[key] = fit_spread_vol(group, exclude_flagged=not keep_flagged)
         except TickzoneError as exc:
             skipped.append(f"regression {key}: {exc}")
-    return fits, skipped
+    return fits
 
 
 def write_regression_csv(fits: Mapping[str, RegressionFit], path: Union[str, Path, None]) -> None:
@@ -440,26 +464,21 @@ def _tick_scenarios(
     return scenarios
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute one full pipeline run; all outputs are deterministic in the config."""
+def run_pipeline(config: PipelineConfig, skipped: Optional[List[str]] = None) -> PipelineResult:
+    """Execute one full pipeline run; all outputs are deterministic in the config.
+
+    Each stage appends what it skips to ``skipped`` (a new list if None), so a run that fails leaves its skips there.
+    """
     config.out.mkdir(parents=True, exist_ok=True)
-    skipped: List[str] = []
+    skipped = [] if skipped is None else skipped
 
     inputs = _synthesize(config) if config.mode == "synthetic" else _discover(config, skipped)
     if not inputs:
         skipped.append(f"no input: nothing to ingest under {config.input_dir or config.out}")
 
-    records: List[DailyRecord] = []
-    for asset, paths in inputs:
-        for day, tape in ingest_trades(paths, asset, session=config.session):
-            try:
-                records.append(build_daily_record(tape, date=day.isoformat()))
-            except TickzoneError as exc:
-                skipped.append(f"record {exc}")  # the message starts with the asset and the date
-
+    records = [r for asset, paths in inputs for r in records_from_files(asset, paths, config.session, skipped)]
     # each pipeline asset has one tick value, so its fit is keyed by the asset id
-    fits, unfitted = fit_groups(records, False, config.pool, config.keep_flagged)
-    skipped.extend(unfitted)
+    fits = fit_groups(records, False, config.pool, config.keep_flagged, skipped)
 
     outputs = {name: config.out / f"{name}.csv" for name in REPORTS}
     write_daily_records_csv(records, outputs["daily_records"])
@@ -475,6 +494,4 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     write_csv(outputs["optimal_ticks"], *tick_table(scenarios, betas, VERSIONS, skipped))
 
     n_files = sum(len(paths) for _, paths in inputs)
-    for msg in skipped:
-        logger.warning("skipped: %s", msg)
     return PipelineResult(records=records, fits=fits, skipped=skipped, outputs=outputs, n_files=n_files)

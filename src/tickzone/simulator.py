@@ -367,6 +367,8 @@ class TapeConfig:
     def __post_init__(self):
         if not (math.isfinite(self.trade_intensity) and self.trade_intensity >= 0):
             raise ParameterError(f"trade_intensity must be finite and >= 0, got {self.trade_intensity!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 """Value types: grids, asset parameters and tape validation."""
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tape_from_rows
 from tickzone import (
@@ -97,6 +102,57 @@ class TestTickGrid:
             TickGrid("1/8")
         with pytest.raises(ParameterError):
             TickGrid("abc")
+
+    @pytest.mark.parametrize("tick", ["1e-400", "1e400", "1e99999999", "5e-324", "1e-318"])
+    def test_tick_whose_float_or_quantum_is_zero_or_infinite_is_refused(self, tick):
+        # 1e-318 is a float, but its millionth is not; 1e99999999 is refused without building 10**99999999
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=f"tick value {tick} is out of range"):
+            TickGrid(tick)
+        assert time.perf_counter() - start < 1.0
+
+    def test_smallest_and_largest_ticks_in_range(self):
+        assert TickGrid("1e-317").quantum > 0
+        assert TickGrid("1e308").tick_value == 1e308
+
+    @pytest.mark.parametrize("text", ["201/2", "1_00.5", "\uff11\uff10\uff10.\uff15", "nan", "inf", "0x10", "1e", "."])
+    def test_tick_outside_the_ascii_decimal_grammar_is_refused(self, text):
+        with pytest.raises(ParameterError, match="is not a decimal number"):
+            TickGrid(text)
+
+    def test_tick_of_more_than_1000_digits_is_refused(self):
+        assert TickGrid("0." + "1" * 1000).tick_value == pytest.approx(1 / 9)
+        with pytest.raises(ParameterError, match="more than 1000 significant digits"):
+            TickGrid("0." + "1" * 1001)
+
+    @pytest.mark.parametrize("text, q", [
+        (".5", 50 * SUBTICKS_PER_TICK), ("5.", 500 * SUBTICKS_PER_TICK), ("+1E1", 1000 * SUBTICKS_PER_TICK),
+        (" 1.00e-2 ", SUBTICKS_PER_TICK), ("-0", 0), ("0e99999999999999999999", 0),
+        ("1e0000000000000000000000000000000000000002", 10000 * SUBTICKS_PER_TICK),
+        ("-46116860184.27387903", -(2**62 - 1)),
+    ])
+    def test_price_forms_of_the_grammar(self, text, q):
+        assert TickGrid("0.01").subticks_from_text(text) == q
+
+    @pytest.mark.parametrize("text, cause", [
+        ("201/2", "malformed price '201/2'"), ("1_00.5", "malformed price '1_00.5'"),
+        ("\uff11\uff10\uff10.\uff15", "malformed price '\uff11\uff10\uff10.\uff15'"),
+        ("1e99999999", "price 1e99999999 is out of range for tick 0.01"),
+        ("1e9999999", "price 1e9999999 is out of range for tick 0.01"),
+        ("-1e99999999", "price -1e99999999 is out of range for tick 0.01"),
+        ("1e-99999999", "price 1e-99999999 is finer than the sub-tick lattice of tick 0.01"),
+        ("1e-1" + "0" * 30, "price 1e-1000000000000000000000000000000 is finer than"),
+        ("46116860184.27387904", "price 46116860184.27387904 is out of range for tick 0.01"),
+        # a grammar that could split the run of digits between two groups would refuse these in quadratic time
+        ("1" * 100_000 + "x", f"malformed price '{'1' * 40}…' (100001 characters)"),
+        ("1" * 100_000 + "e" + "1" * 100_000 + "x", f"malformed price '{'1' * 40}…' (200002 characters)"),
+    ])
+    def test_price_outside_the_grammar_or_range_fails_at_once(self, text, cause):
+        start = time.perf_counter()
+        with pytest.raises(OffGridError) as err:
+            TickGrid("0.01").subticks_from_text(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value).startswith(cause)
 
     def test_float_tick_matches_text_tick(self):
         assert TickGrid(0.01) == TickGrid("0.01")
@@ -303,3 +359,33 @@ class TestTapeError:
 
     def test_is_a_parameter_error(self):
         assert issubclass(TapeError, ParameterError)
+
+
+def _exact_subticks(tick: str, text: str):
+    """A price's sub-ticks read with exact fractions, or the cause that refuses it."""
+    q = Fraction(text) * SUBTICKS_PER_TICK / Fraction(tick)
+    if q.denominator != 1:
+        return "finer"
+    return q.numerator if abs(q) <= 2**62 - 1 else "range"
+
+
+_PRICE_TEXTS = st.builds(
+    lambda sign, whole, frac, exp: sign + (whole or ("" if frac[1:] else "0")) + frac + exp,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=22),
+    st.one_of(st.just(""), st.text("0123456789", max_size=12).map(lambda f: "." + f)),
+    st.one_of(st.just(""), st.builds("e{}{}".format, st.sampled_from(["", "-", "+"]), st.integers(0, 40))),
+)
+
+
+@given(st.sampled_from(["0.01", "7.8125", "0.005", "0.03", "25", "3e5", "1e-10", "0.1000000000000000055511151231257827"]),
+       _PRICE_TEXTS)
+@settings(max_examples=500, deadline=None)
+def test_price_reads_as_its_exact_fraction(tick, text):
+    # a price both too large and off the lattice is refused as out of range, as the exponents show first
+    want = _exact_subticks(tick, text)
+    try:
+        got = TickGrid(tick).subticks_from_text(text)
+    except OffGridError as exc:
+        got = "finer" if "finer than" in str(exc) else "range"
+    assert got == want or (got, want) == ("range", "finer")

@@ -22,6 +22,7 @@ from tickzone.pipeline import (
     SyntheticAsset,
     emit_cloud_csv,
     fmt_float,
+    load_config,
     parse_config_text,
     read_daily_records_csv,
     run_pipeline,
@@ -771,13 +772,32 @@ def _synth(key, value):
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "-inf"], None, "x0", id="simulate --x0 -inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "nan"], None, "trade_intensity",
                      id="simulate --fills nan"),
-        pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "abc"], None, "--fills",
-                     id="simulate --fills abc"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "abc"], None,
+                     "--fills must be 'auto' or a number, got 'abc'", id="simulate --fills abc"),
+        pytest.param(["pipeline"], _synth("fills", "abc"), "synthetic.A.fills must be 'auto' or a number, got 'abc'",
+                     id="synthetic.A.fills = abc"),
         pytest.param(["pipeline"], _synth("x0", "nan"), "x0", id="synthetic.A.x0 = nan"),
         pytest.param(["pipeline"], _synth("sigma", "nan"), "sigma", id="synthetic.A.sigma = nan"),
         pytest.param(["pipeline"], _synth("sigma", "inf"), "volatility", id="synthetic.A.sigma = inf"),
         pytest.param(["pipeline"], _synth("fills", "nan"), "trade_intensity",
                      id="synthetic.A.fills = nan"),
+        # a tick whose float, or whose millionth, is 0 or infinite; 1e99999999 is refused before 10**99999999 is made
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--tick-value", "1e-400"], None, "tick value 1e-400 is out of range",
+                     id="simulate --tick-value 1e-400"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--tick-value", "1e400"], None, "tick value 1e400 is out of range",
+                     id="simulate --tick-value 1e400"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--tick-value", "1e99999999"], None,
+                     "tick value 1e99999999 is out of range", id="simulate --tick-value 1e99999999"),
+        pytest.param(["pipeline"], _synth("tick_value", "1e-400"), "tick value 1e-400 is out of range",
+                     id="synthetic.A.tick_value = 1e-400"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--seed", "-1"], None, "seed must be >= 0, got -1",
+                     id="simulate --seed -1"),
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "seed": "-1"}, "seed must be >= 0, got -1", id="seed = -1"),
+        pytest.param(["pipeline", "--seed", "-1"], _SYNTH_KEYS, "seed must be >= 0, got -1", id="pipeline --seed -1"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--day", "2009-13-01"], None, "--day '2009-13-01'",
+                     id="simulate --day 2009-13-01"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--day", "yesterday"], None, "--day 'yesterday'",
+                     id="simulate --day yesterday"),
         pytest.param(_SIMULATE + ["--sigma", "1e200"], None, "sigma", id="simulate --sigma 1e200"),
         pytest.param(["pipeline"], _synth("sigma", "1e200"), "sigma", id="synthetic.A.sigma = 1e200"),
         pytest.param(_SIMULATE + ["--sigma", "1e100"], None, "expected trades", id="simulate --sigma 1e100"),
@@ -850,3 +870,74 @@ def test_negative_value_in_either_spelling_writes_the_same_file(x0, tmp_path, ca
         written.append(out.read_bytes())
     assert written[0] == written[1]
     assert capsys.readouterr().err == ""
+
+
+_DEGENERATE_DAY = "timestamp_ms,price,size,bid,ask\n1243843200000,100,1,,\n"  # one trade on 2009-06-01
+_DEGENERATE_SKIP = "record A 2009-06-01: need at least 2 price changes to compare directions, got 0"
+
+
+def _ingest_config(tmp_path):
+    """An ingest config over asset A (one degenerate day), B (no tick configured) and C (no files)."""
+    for aid in "ABC":
+        (tmp_path / "in" / aid).mkdir(parents=True)
+    (tmp_path / "in" / "A" / "2009-06-01.csv").write_text(_DEGENERATE_DAY)
+    (tmp_path / "in" / "B" / "2009-06-01.csv").write_text(_DEGENERATE_DAY)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"out = {tmp_path / 'out'}\ninput_dir = {tmp_path / 'in'}\ntick_value.A = 0.01\n")
+    return cfg
+
+
+def test_estimate_and_pipeline_skip_a_degenerate_day_in_one_text(tmp_path, capsys):
+    cfg = _ingest_config(tmp_path)
+    assert cli_main(["estimate", str(tmp_path / "in" / "A" / "2009-06-01.csv"), "--tick-value", "0.01",
+                     "--asset-id", "A"]) == 1
+    assert capsys.readouterr().err == f"skipped: {_DEGENERATE_SKIP}\n"
+    assert cli_main(["pipeline", "--config", str(cfg)]) == 1
+    assert f"skipped: {_DEGENERATE_SKIP}" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["estimate", "regress", "optimal-tick", "pipeline"])
+def test_each_skip_is_printed_once_on_stderr(command, tmp_path, capsys):
+    if command == "estimate":
+        good = tmp_path / "good.csv"
+        assert cli_main(_SIMULATE + ["--sigma", "0.003", "--day", "2009-06-02", "--out", str(good)]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(_DEGENERATE_DAY)
+        args = ["estimate", str(good), str(bad), "--asset-id", "A", "--tick-value", "0.01", "--session", "08:00-08:10"]
+        skips = [_DEGENERATE_SKIP]
+    elif command == "regress":
+        records = tmp_path / "records.csv"
+        write_daily_records_csv(_plane_records() + _plane_records(n=3, asset_id="B"), records)
+        args = ["regress", "--records", str(records)]
+        skips = ["regression B: need at least 4 usable asset-days, got 3"]
+    elif command == "optimal-tick":
+        args = ["optimal-tick", "--asset", "Bund", "--beta", "1.9999999"]
+        skips = None  # three blank cells, one per version
+    else:
+        cfg = _ingest_config(tmp_path)
+        args = ["pipeline", "--config", str(cfg)]
+        skips = run_pipeline(load_config(cfg)).skipped
+    capsys.readouterr()
+    cli_main(args)
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if not line.startswith("error: ")]
+    assert all(line.startswith("skipped: ") for line in lines)  # nothing through the logger
+    if skips is None:
+        assert len(lines) == 3 and len(set(lines)) == 3
+    else:
+        assert lines == [f"skipped: {msg}" for msg in skips]
+    # the pipeline summary counts the skips; stderr alone lists them
+    assert not any(msg in captured.out for msg in (skips or []))
+    if command == "pipeline":
+        assert len(skips) == 4 and f"{len(skips)} item(s) skipped" in captured.out.splitlines()
+
+
+def test_pipeline_that_fails_prints_its_skips_before_the_error(tmp_path, capsys):
+    cfg = _ingest_config(tmp_path)
+    (tmp_path / "in" / "A" / "2009-06-02.csv").write_text("timestamp_ms,price,size,bid,ask\n1243929600000,abc,1,,\n")
+    assert cli_main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "skipped: B: no tick_value.B configured, asset skipped",
+        f"skipped: C: no csv files under {tmp_path / 'in' / 'C'}",
+        f"error: {tmp_path / 'in' / 'A' / '2009-06-02.csv'}:2: price: malformed price 'abc'",
+    ]

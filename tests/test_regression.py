@@ -187,7 +187,8 @@ class TestFitGroups:
     def test_groups_sorted_pooled_last(self):
         recs = [_record(0.2 + 0.02 * i, 0.01, 1000 + 500 * i, asset_id="B", date=f"b{i}") for i in range(5)]
         recs += [_record(0.15 + 0.03 * i, 0.5, 2000 + 700 * i, asset_id="A", date=f"a{i}") for i in range(5)]
-        fits, skipped = fit_groups(recs, split_regimes=False, pool=True, keep_flagged=False)
+        skipped = []
+        fits = fit_groups(recs, split_regimes=False, pool=True, keep_flagged=False, skipped=skipped)
         assert list(fits) == ["A", "B", "ALL"]
         assert [f.n_days for f in fits.values()] == [5, 5, 10]
         assert skipped == []
@@ -195,24 +196,26 @@ class TestFitGroups:
     def test_split_regimes_keys(self):
         recs = [_record(0.2 + 0.02 * i, 0.01, 1000 + 500 * i, asset_id="A", date=f"x{i}") for i in range(5)]
         recs += [_record(0.15 + 0.03 * i, 0.025, 2000 + 700 * i, asset_id="A", date=f"y{i}") for i in range(5)]
-        fits, _ = fit_groups(recs, split_regimes=True, pool=False, keep_flagged=False)
+        fits = fit_groups(recs, split_regimes=True, pool=False, keep_flagged=False, skipped=[])
         assert list(fits) == ["A@0.01", "A@0.025"]
-        fits, _ = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=False)
+        fits = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=False, skipped=[])
         assert list(fits) == ["A"]
 
     def test_unfittable_group_skipped_others_fitted(self):
         recs = [_record(0.2 + 0.02 * i, 0.01, 1000 + 500 * i, asset_id="A", date=f"a{i}") for i in range(5)]
         recs += [_record(0.15 + 0.03 * i, 0.5, 2000 + 700 * i, asset_id="C", date=f"c{i}") for i in range(3)]
-        fits, skipped = fit_groups(recs, split_regimes=False, pool=True, keep_flagged=False)
+        skipped = ["an earlier stage's skip"]
+        fits = fit_groups(recs, split_regimes=False, pool=True, keep_flagged=False, skipped=skipped)
         assert list(fits) == ["A", "ALL"]
         assert fits["ALL"].n_days == 8
-        assert skipped == ["regression C: need at least 4 usable asset-days, got 3"]
+        # the skip is appended to the list handed in, after what is already there
+        assert skipped == ["an earlier stage's skip", "regression C: need at least 4 usable asset-days, got 3"]
 
     def test_keep_flagged(self):
         recs = [_record(0.2 + 0.02 * i, 0.01, 1000 + 500 * i, date=f"a{i}") for i in range(5)]
         recs.append(_record(0.9, 0.01, 4000, date="high"))
-        dropped, _ = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=False)
-        kept, _ = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=True)
+        dropped = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=False, skipped=[])
+        kept = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=True, skipped=[])
         assert (dropped["A"].n_days, kept["A"].n_days) == (5, 6)
 
 

@@ -5,6 +5,7 @@ import functools
 import io
 import os
 import tempfile
+import time
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
@@ -329,6 +330,23 @@ class TestReadTradeRows:
         p = _write(tmp_path / "px.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", f"{_JUN1_UTC_MS + 1},{big},1,,"])
         self._assert_error(p, 3, f"price: price {big} is out of range for tick 0.5")
         assert ingest_trades(p, _asset(), session=SessionFilter.from_text("08:00-09:00")) == []
+
+
+    @pytest.mark.parametrize("price, cause", [
+        ("201/2", "malformed price '201/2'"),
+        ("1_00.5", "malformed price '1_00.5'"),
+        ("\uff11\uff10\uff10.\uff15", "malformed price '\uff11\uff10\uff10.\uff15'"),
+        ("1e99999999", "price 1e99999999 is out of range for tick 0.5"),
+        ("1e9999999", "price 1e9999999 is out of range for tick 0.5"),
+    ])
+    def test_price_outside_the_ascii_grammar_or_range_fails_within_a_second(self, tmp_path, price, cause):
+        # Python's Fraction reads the first three as 100.5 and builds a 10**99999999 integer for the fourth
+        for column in ("price", "bid"):
+            row = f"{_JUN1_UTC_MS + 1},{price},1,,100.5" if column == "price" else f"{_JUN1_UTC_MS + 1},100.5,1,{price},"
+            p = _write(tmp_path / f"{column}.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", row])
+            start = time.perf_counter()
+            self._assert_error(p, 3, f"{column}: {cause}")
+            assert time.perf_counter() - start < 1.0
 
 
 def _asset(tick=0.5, eta=0.25):
