@@ -10,15 +10,13 @@ Subcommands::
     signature     realized-variance signature curve from trade CSVs
     pipeline      full batch run driven by a config file
 
-Every command prints each item it skips as one ``skipped: <msg>`` line on
-stderr, and a run that fails ends in one ``error: <msg>`` line there (exit 1).
-Set ``TICKZONE_LOG=INFO`` (or DEBUG) to see progress.
+Every command prints each item it skips as one
+``skipped: <stage>[ <item>]: <cause>`` line on stderr, and a run that fails
+ends in one ``error: <msg>`` line there (exit 1).
 """
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import re
 import sys
 from datetime import date as date_type
@@ -63,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+        self._negative_number_matcher = re.compile(r"^-(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
 def _session(args) -> SessionFilter:
@@ -152,7 +150,7 @@ def _cmd_signature(args, skipped: List[str]) -> int:
     # a bad value is an error before any file is read, not a skip per day
     check_sampling(args.samples_per_second, args.lag_max, _session(args).length_seconds)
     asset = AssetSpec(args.asset_id, args.tick_value)
-    day_tapes = ingest_trades(args.inputs, asset, session=_session(args))
+    day_tapes = ingest_trades(args.inputs, asset, _session(args), skipped)
     rows = []
     for day, tape in day_tapes:
         try:
@@ -255,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    level = os.environ.get("TICKZONE_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     skipped: List[str] = []
     try:

@@ -20,7 +20,6 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     PartialDataError,
-    TickzoneError,
 )
 
 # Raw estimates above this, or of zero, are kept but flagged; regressions drop them by default.
@@ -234,25 +233,20 @@ def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:
     """Compose the per-day estimates from one tape.
 
     Raises InsufficientDataError for days with fewer than two price changes.
-    Errors are re-raised as they are, with the asset and date put in front of
-    their message for pipeline logs.
+    Errors are raised unchanged: a caller that reports them names the asset and day.
     """
-    try:
-        counts = count_alternations(tape.change_directions)
-        eta_hat = estimate_eta(counts)
-        _, xhat = recover_efficient_prices(tape, eta_hat, tape.asset.tick_value)
-        variance = estimate_integrated_variance(xhat)
-        avg_spread, frac_one_tick = spread_stats(tape)
-        return DailyRecord(
-            date=date,
-            asset_id=tape.asset.asset_id,
-            eta_hat=eta_hat,
-            alpha=tape.asset.tick_value,
-            sigma_hat=math.sqrt(variance),
-            m_trades=tape.n_trades,
-            avg_spread=avg_spread,
-            frac_one_tick=frac_one_tick,
-        )
-    except TickzoneError as exc:
-        exc.args = (f"{tape.asset.asset_id} {date or '(no date)'}: {exc}".strip(),) + exc.args[1:]
-        raise
+    counts = count_alternations(tape.change_directions)
+    eta_hat = estimate_eta(counts)
+    _, xhat = recover_efficient_prices(tape, eta_hat, tape.asset.tick_value)
+    variance = estimate_integrated_variance(xhat)
+    avg_spread, frac_one_tick = spread_stats(tape)
+    return DailyRecord(
+        date=date,
+        asset_id=tape.asset.asset_id,
+        eta_hat=eta_hat,
+        alpha=tape.asset.tick_value,
+        sigma_hat=math.sqrt(variance),
+        m_trades=tape.n_trades,
+        avg_spread=avg_spread,
+        frac_one_tick=frac_one_tick,
+    )

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -37,9 +36,7 @@ from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
 from .simulator import EfficientPathSpec, TapeConfig, TrueParams, equilibrium_fill_rate, simulate_day
 from .tick_policy import BETA_PRESETS, VERSIONS, TickScenario, optimal_tick
-from .tradefile import SessionFilter, ingest_trades, read_text, write_tape_csv
-
-logger = logging.getLogger(__name__)
+from .tradefile import FULL_DAY, SessionFilter, ingest_trades, read_text, write_tape_csv
 
 DAILY_CSV_HEADER = [
     "date", "asset_id", "eta_hat", "alpha", "sigma_hat", "m_trades",
@@ -129,7 +126,7 @@ class PipelineConfig:
     mode: str
     out: Path
     seed: int = 0
-    session: SessionFilter = field(default_factory=lambda: SessionFilter(0, 86400))
+    session: SessionFilter = FULL_DAY
     pool: bool = True
     keep_flagged: bool = False
     start_date: date_type = date_type(2009, 6, 1)
@@ -291,7 +288,6 @@ def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
             paths.append(asset_dir / f"{day.isoformat()}.csv")
             simulate_to_csv(asset, sigma_day, syn.x0, syn.fills, day_seed, config.session, day, paths[-1])
         inputs.append((asset, paths))
-        logger.info("synthesized %d day(s) for %s", syn.days, aid)
     return inputs
 
 
@@ -305,10 +301,10 @@ def _discover(config: PipelineConfig, skipped: List[str]) -> List[Tuple[AssetSpe
         aid = sub.name
         found = sorted(sub.glob("*.csv"))
         if not found:
-            skipped.append(f"{aid}: no csv files under {sub}")
+            skipped.append(f"ingest {aid}: no csv files under {sub}")
             continue
         if aid not in config.tick_values:
-            skipped.append(f"{aid}: no tick_value.{aid} configured, asset skipped")
+            skipped.append(f"ingest {aid}: no tick_value.{aid} configured, asset skipped")
             continue
         inputs.append((AssetSpec(aid, config.tick_values[aid]), found))
     return inputs
@@ -317,13 +313,13 @@ def _discover(config: PipelineConfig, skipped: List[str]) -> List[Tuple[AssetSpe
 def records_from_files(
     asset: AssetSpec, paths: Sequence[Union[str, Path]], session: SessionFilter, skipped: List[str]
 ) -> List[DailyRecord]:
-    """One record per day of the asset's trade files; each refused day goes to ``skipped``."""
+    """One record per day of the asset's trade files; each file or day left out goes to ``skipped``."""
     records: List[DailyRecord] = []
-    for day, tape in ingest_trades(paths, asset, session=session):
+    for day, tape in ingest_trades(paths, asset, session, skipped):
         try:
             records.append(build_daily_record(tape, date=day.isoformat()))
         except TickzoneError as exc:
-            skipped.append(f"record {exc}")  # the message starts with the asset and the date
+            skipped.append(f"record {asset.asset_id} {day}: {exc}")
     return records
 
 
@@ -474,7 +470,7 @@ def run_pipeline(config: PipelineConfig, skipped: Optional[List[str]] = None) ->
 
     inputs = _synthesize(config) if config.mode == "synthetic" else _discover(config, skipped)
     if not inputs:
-        skipped.append(f"no input: nothing to ingest under {config.input_dir or config.out}")
+        skipped.append(f"ingest: no input under {config.input_dir or config.out}")
 
     records = [r for asset, paths in inputs for r in records_from_files(asset, paths, config.session, skipped)]
     # each pipeline asset has one tick value, so its fit is keyed by the asset id

@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import logging
 import os
 import re
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ import numpy as np
 
 from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
 from .errors import IngestError, OffGridError, ParameterError, TapeError, show_field
-
-logger = logging.getLogger(__name__)
 
 TRADE_CSV_HEADER = ["timestamp_ms", "price", "size", "bid", "ask"]
 
@@ -445,32 +442,30 @@ def _build_day_tape(
 
 
 def ingest_trades(
-    paths: Union[str, Path, Sequence[Union[str, Path]]],
-    asset: AssetSpec,
-    session: Optional[SessionFilter] = None,
+    paths: Sequence[Union[str, Path]], asset: AssetSpec, session: SessionFilter, skipped: List[str]
 ) -> List[DayTape]:
-    """Ingest one or more trade files into per-day tapes.
+    """Ingest an asset's trade files into per-day tapes; what is left out goes to ``skipped``.
 
-    The files are read one at a time in path order: the first file in that
-    order that fails raises, and an earlier file's warning is logged before it.
-    Every row of every file passes the read checks first. Rows outside the
-    session window are then dropped. When several files cover the same day
-    (different contract maturities), the file with the most in-session
-    trades wins; ties go to the lexicographically first path so reruns stay
-    deterministic. Only the winner's rows are parsed against the grid and
-    built into the tape, which checks the quotes and the one-tick rule. Days
-    with an empty session are skipped with a warning.
+    Each file is read once, however many of ``paths`` name it, one at a time
+    in path order: the first file in that order that fails raises, and an
+    earlier file's skip is already in ``skipped``. Every row of every file
+    passes the read checks first. Rows outside the session window are then
+    dropped; a file with none inside is a skip. When several files cover the
+    same day (different contract maturities), the file with the most
+    in-session trades wins; ties go to the lexicographically first path so
+    reruns stay deterministic, and each losing file is a skip naming the
+    winner. Only the winner's rows are parsed against the grid and built into
+    the tape, which checks the quotes and the one-tick rule.
     """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
-    session = session or FULL_DAY
-
-    per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
+    files: Dict[str, Path] = {}  # each file once, under the first of its paths in path order
     for p in sorted(Path(p) for p in paths):
+        files.setdefault(os.path.realpath(p), p)
+    per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
+    for p in files.values():
         cols = _read_columns(p)
         per_file.append((cols, session.rows_by_day(cols.stamps)))
         if not per_file[-1][1]:
-            logger.warning("%s: no trades inside session %s", p, session.label())
+            skipped.append(f"ingest {p}: no trades inside session {session.label()}")
 
     subticks = functools.cache(functools.partial(_subticks, asset.grid))  # the asset's days share most of their texts
     out: List[DayTape] = []
@@ -478,10 +473,11 @@ def ingest_trades(
         candidates = [(cols, by_day[day]) for cols, by_day in per_file if day in by_day]
         # max keeps the first candidate on ties; per_file holds sorted paths
         best, rows = max(candidates, key=lambda c: len(c[1]))
-        if len(candidates) > 1:
-            logger.info(
-                "%s %s: kept %s with %d trades, discarded %d other file(s)",
-                asset.asset_id, day, best.path, len(rows), len(candidates) - 1,
-            )
+        for cols, lost in candidates:
+            if cols is not best:
+                skipped.append(
+                    f"ingest {cols.path} {day}: lost the maturity choice to {best.path} "
+                    f"({len(rows)} trades inside session against {len(lost)})"
+                )
         out.append(DayTape(date=day, tape=_build_day_tape(asset, subticks, day, best, rows, session)))
     return out

@@ -255,7 +255,7 @@ def test_criterion_9_round_trip_determinism(capsys, tmp_path):
     tape, _ = simulate_day(spec, asset, TapeConfig(trade_intensity=2.0, seed=5))
     csv_path = tmp_path / "rt.csv"
     write_tape_csv(tape, csv_path, date(2009, 6, 1), session)
-    back = ingest_trades(csv_path, asset, session=session)[0].tape
+    back = ingest_trades([csv_path], asset, session, [])[0].tape
     rec_mem = build_daily_record(tape, date="2009-06-01")
     rec_csv = build_daily_record(back, date="2009-06-01")
     cols_equal = all(

@@ -355,15 +355,15 @@ class TestBuildDailyRecord:
         assert rec.m_trades == len(tape)
         assert (rec.avg_spread, rec.frac_one_tick) == spread_stats(tape)
 
-    def test_degenerate_day_names_asset_and_date(self):
+    @pytest.mark.parametrize("date", ["2009-06-02", ""], ids=["dated", "undated"])
+    def test_error_is_the_estimators_own(self, date):
+        # the caller that reports the error names the asset and the day
         tape = _tape_from_moves([1])
-        with pytest.raises(InsufficientDataError, match=r"TST 2009-06-02:"):
-            build_daily_record(tape, date="2009-06-02")
-
-    def test_missing_date_placeholder(self):
-        tape = _tape_from_moves([0, 0])
-        with pytest.raises(InsufficientDataError, match=r"\(no date\)"):
-            build_daily_record(tape)
+        with pytest.raises(InsufficientDataError) as err:
+            build_daily_record(tape, date=date)
+        with pytest.raises(InsufficientDataError) as own:
+            count_alternations(tape.change_directions)
+        assert str(err.value) == str(own.value) == "need at least 2 price changes to compare directions, got 1"
 
     def test_deterministic(self, sim_days):
         tape, _ = sim_days.days[0.40]
@@ -377,7 +377,7 @@ class TestBuildDailyRecord:
             (3.0, 100.5, 100.0, 100.5),
         ]
         tape = tape_from_rows(a, rows, session_length=10.0, opening_price=100.0)
-        with pytest.raises(PartialDataError, match=r"^TST 2009-06-03: missing quotes on rows 1$") as err:
+        with pytest.raises(PartialDataError, match=r"^missing quotes on rows 1$") as err:
             build_daily_record(tape, date="2009-06-03")
         assert err.value.rows == [1]
 

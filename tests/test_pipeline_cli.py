@@ -3,6 +3,9 @@ import csv
 import errno
 import math
 import os
+import re
+import shutil
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tickzone.cli import build_parser
 from tickzone.cli import main as cli_main
 from tickzone.errors import IngestError, ParameterError, TickzoneError
 from tickzone.estimators import DailyRecord
@@ -872,6 +876,15 @@ def test_negative_value_in_either_spelling_writes_the_same_file(x0, tmp_path, ca
     assert capsys.readouterr().err == ""
 
 
+def test_long_negative_text_that_is_no_number_is_refused_within_a_second(capsys):
+    # a pattern that can split a run of digits two ways took 31.6 s on this argument
+    start = time.perf_counter()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(_SIMULATE + ["--sigma", "0.003", "--out", "x.csv", "--x0", "-" + "1" * 20_000 + "x"])
+    assert time.perf_counter() - start < 1.0
+    assert "--x0: expected one argument" in capsys.readouterr().err
+
+
 _DEGENERATE_DAY = "timestamp_ms,price,size,bid,ask\n1243843200000,100,1,,\n"  # one trade on 2009-06-01
 _DEGENERATE_SKIP = "record A 2009-06-01: need at least 2 price changes to compare directions, got 0"
 
@@ -937,7 +950,71 @@ def test_pipeline_that_fails_prints_its_skips_before_the_error(tmp_path, capsys)
     (tmp_path / "in" / "A" / "2009-06-02.csv").write_text("timestamp_ms,price,size,bid,ask\n1243929600000,abc,1,,\n")
     assert cli_main(["pipeline", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "skipped: B: no tick_value.B configured, asset skipped",
-        f"skipped: C: no csv files under {tmp_path / 'in' / 'C'}",
+        "skipped: ingest B: no tick_value.B configured, asset skipped",
+        f"skipped: ingest C: no csv files under {tmp_path / 'in' / 'C'}",
         f"error: {tmp_path / 'in' / 'A' / '2009-06-02.csv'}:2: price: malformed price 'abc'",
     ]
+
+
+_SKIP_STAGES = re.compile(r"^skipped: (ingest|record|regression|cloud_adjusted|optimal_ticks|signature)[ :]")
+
+
+def _every_command_inputs(tmp_path, sim_csv):
+    """Trade files under ``in/A``: one day in two maturities, one degenerate day and one file
+    outside the 08:00-08:10 session; ``in/B`` has no tick configured. Returns the paths the
+    command lines name."""
+    a, b = tmp_path / "in" / "A", tmp_path / "in" / "B"
+    a.mkdir(parents=True)
+    b.mkdir()
+    lines = sim_csv.read_text().splitlines(keepends=True)
+    shutil.copy(sim_csv, a / "M9.csv")
+    (a / "U9.csv").write_text("".join(lines[:1] + lines[1::4]))  # the back month trades a quarter as much
+    (a / "degenerate.csv").write_text("timestamp_ms,price,size,bid,ask\n1243929600000,100,1,,\n")  # 2009-06-02 08:00
+    (a / "late.csv").write_text("timestamp_ms,price,size,bid,ask\n1243987200000,100,1,,\n")  # 2009-06-03 00:00
+    shutil.copy(sim_csv, b / "M9.csv")
+    records = tmp_path / "records.csv"
+    write_daily_records_csv(_plane_records() + _plane_records(n=3, asset_id="B"), records)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"out = {tmp_path / 'out'}\ninput_dir = {tmp_path / 'in'}\ntick_value.A = 0.01\n"
+                   "session = 08:00-08:10\n")
+    return {"A": a, "records": records, "cfg": cfg, "tmp": tmp_path}
+
+
+# (command line, exit code, stages its skips must come from); "{X}" is a name from _every_command_inputs
+@pytest.mark.parametrize("args, code, stages", [
+    pytest.param(_SIMULATE + ["--sigma", "0.003", "--out", "{tmp}/sim.csv"], 0, set(), id="simulate"),
+    pytest.param(["estimate", "{A}/M9.csv", "{A}/degenerate.csv", "--tick-value", "0.01", "--asset-id", "A",
+                  "--session", "08:00-08:10"], 0, {"record"}, id="estimate"),
+    pytest.param(["regress", "--records", "{records}"], 0, {"regression"}, id="regress"),
+    pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "0.91"], 0, set(),
+                 id="predict"),
+    pytest.param(["optimal-tick", "--asset", "Bund", "--beta", "1.9999999"], 0, {"optimal_ticks"}, id="optimal-tick"),
+    pytest.param(["signature", "{A}/M9.csv", "{A}/late.csv", "--tick-value", "0.01", "--session", "08:00-08:10",
+                  "--lag-max", "5"], 0, {"ingest"}, id="signature"),
+    pytest.param(["pipeline", "--config", "{cfg}"], 0,
+                 {"ingest", "record", "regression", "cloud_adjusted", "optimal_ticks"}, id="pipeline"),
+    pytest.param(["estimate", "{A}/missing.csv", "--tick-value", "0.01"], 1, set(), id="estimate missing file"),
+])
+def test_every_command_reports_on_stderr_only_in_skip_and_error_lines(args, code, stages, sim_csv, tmp_path, capsys):
+    names = _every_command_inputs(tmp_path, sim_csv)
+    args = [a.format(**names) for a in args]
+    capsys.readouterr()
+    assert cli_main(args) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert all(re.match(r"^(skipped|error): ", line) for line in lines), lines
+    skips = [line for line in lines if line.startswith("skipped: ")]
+    assert all(_SKIP_STAGES.match(line) for line in skips), skips
+    assert {_SKIP_STAGES.match(line)[1] for line in skips} == stages
+    if args[0] == "pipeline":
+        a = names["A"]
+        for expected in (
+            "skipped: ingest B: no tick_value.B configured, asset skipped",
+            f"skipped: ingest {a / 'late.csv'}: no trades inside session 08:00-08:10",
+            "skipped: record A 2009-06-02: need at least 2 price changes to compare directions, got 0",
+        ):
+            assert expected in skips
+        (lost,) = [line for line in skips if "maturity" in line]
+        assert re.fullmatch(
+            rf"skipped: ingest {re.escape(str(a / 'U9.csv'))} 2009-06-01: lost the maturity choice to "
+            rf"{re.escape(str(a / 'M9.csv'))} \(\d+ trades inside session against \d+\)", lost
+        )

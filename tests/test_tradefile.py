@@ -21,6 +21,7 @@ from conftest import tape_from_rows
 from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TradeTape
 from tickzone.errors import IngestError, ParameterError, TickzoneError, show_field
 from tickzone.estimators import build_daily_record
+from tickzone import tradefile
 from tickzone.simulator import EfficientPathSpec, TapeConfig, simulate_day
 from tickzone.tradefile import (
     _STAMP_RANGE,
@@ -94,7 +95,7 @@ class TestSessionFilter:
         # a print stamped at the open lands on that day, at time zero
         s = SessionFilter.from_text("08:00-17:15", tz="Europe/Berlin")
         p = _write(tmp_path / "o.csv", [_header(), f"{s.open_epoch_ms(date(2009, 6, 1))},100.5,1,,"])
-        (day,) = ingest_trades(p, _asset(), session=s)
+        (day,) = ingest_trades([p], _asset(), s, [])
         assert day.date == date(2009, 6, 1)
         assert list(day.tape.times) == [0.0]
 
@@ -102,7 +103,7 @@ class TestSessionFilter:
         session = SessionFilter.from_text("23:00-24:00")
         open_ms = session.open_epoch_ms(date(2009, 6, 1))
         p = _write(tmp_path / "late.csv", [_header(), f"{open_ms},100.5,1,,", f"{open_ms + 3_600_000},101,1,,"])
-        (day,) = ingest_trades(p, _asset(), session=session)
+        (day,) = ingest_trades([p], _asset(), session, [])
         assert day.date == date(2009, 6, 1)
         assert list(day.tape.times) == [0.0, 3600.0]
         assert list(day.tape.grid.currency(day.tape.price_q)) == [100.5, 101.0]
@@ -111,7 +112,7 @@ class TestSessionFilter:
         jun2 = _JUN1_UTC_MS + 86_400_000
         p = _write(tmp_path / "mid.csv", [_header(), f"{jun2 - 3_600_000},100.5,1,,", f"{jun2},101,1,,"])
         for session in (FULL_DAY, SessionFilter.from_text("00:00-01:00")):
-            days = ingest_trades(p, _asset(), session=session)
+            days = ingest_trades([p], _asset(), session, [])
             assert [d.date for d in days][-1] == date(2009, 6, 2)
             assert list(days[-1].tape.times) == [0.0]
             assert list(days[-1].tape.grid.currency(days[-1].tape.price_q)) == [101.0]
@@ -125,7 +126,7 @@ class TestReadTradeRows:
             tmp_path / "t.csv",
             [_header(), "1000,100.5,3,100.0,100.5", "", "2000,100.5,1,,"],
         )
-        (day,) = ingest_trades(p, _asset())
+        (day,) = ingest_trades([p], _asset(), FULL_DAY, [])
         assert day.date == date(1970, 1, 1)
         tape = day.tape
         assert list(tape.times) == [1.0, 2.0]
@@ -138,14 +139,14 @@ class TestReadTradeRows:
             [_header(), "1000,100.5,3,100.0,100.5", "", "2000,100.5,x,,"],
         )
         with pytest.raises(IngestError) as err:
-            ingest_trades(bad, _asset())
+            ingest_trades([bad], _asset(), FULL_DAY, [])
         assert err.value.line == 4
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
         with pytest.raises(IngestError) as err:
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         # an error without a line puts a space after the path, as one with a line does
         assert str(err.value) == f"{p}: file is empty"
         assert err.value.line is None
@@ -153,47 +154,47 @@ class TestReadTradeRows:
     def test_bad_header(self, tmp_path):
         p = _write(tmp_path / "h.csv", ["time,price,qty,bid,ask", "1,100,1,,"])
         with pytest.raises(IngestError, match="bad header"):
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
 
     def test_field_count(self, tmp_path):
         p = _write(tmp_path / "f.csv", [_header(), "1000,100.5,3"])
         with pytest.raises(IngestError) as err:
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         assert err.value.line == 2
 
     def test_bad_timestamp(self, tmp_path):
         p = _write(tmp_path / "ts.csv", [_header(), "noon,100.5,3,,"])
         with pytest.raises(IngestError, match="bad timestamp"):
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
 
     def test_decreasing_timestamps(self, tmp_path):
         p = _write(tmp_path / "d.csv", [_header(), "2000,100.5,1,,", "1000,100.5,1,,"])
         with pytest.raises(IngestError, match="non-decreasing") as err:
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         assert err.value.line == 3
 
     def test_equal_timestamps_allowed(self, tmp_path):
         p = _write(tmp_path / "eq.csv", [_header(), "1000,100.5,1,,", "1000,101.0,1,,"])
-        assert len(ingest_trades(p, _asset())[0].tape) == 2
+        assert len(ingest_trades([p], _asset(), FULL_DAY, [])[0].tape) == 2
 
     def test_bad_size(self, tmp_path):
         p = _write(tmp_path / "s.csv", [_header(), "1000,100.5,-2,,"])
         with pytest.raises(IngestError, match="negative size"):
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         p2 = _write(tmp_path / "s2.csv", [_header(), "1000,100.5,many,,"])
         with pytest.raises(IngestError, match="bad size"):
-            ingest_trades(p2, _asset())
+            ingest_trades([p2], _asset(), FULL_DAY, [])
 
     def test_missing_price(self, tmp_path):
         p = _write(tmp_path / "mp.csv", [_header(), "1000,,1,,"])
         with pytest.raises(IngestError, match="missing price"):
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
 
-    def test_header_only_file_has_no_days(self, tmp_path, caplog):
+    def test_header_only_file_has_no_days(self, tmp_path):
         p = _write(tmp_path / "ho.csv", [_header()])
-        with caplog.at_level("WARNING"):
-            assert ingest_trades(p, _asset()) == []
-        assert any("no trades inside session" in r.message for r in caplog.records)
+        skipped = []
+        assert ingest_trades([p], _asset(), FULL_DAY, skipped) == []
+        assert skipped == [f"ingest {p}: no trades inside session 00:00-24:00"]
 
     def test_read_checks_cover_rows_outside_the_session(self, tmp_path):
         # a bad row after the session still fails the file, before any grid check
@@ -204,12 +205,12 @@ class TestReadTradeRows:
             [_header(), f"{open_ms},100.3,1,,", f"{open_ms + 7_200_000},100.5,-1,,"],
         )
         with pytest.raises(IngestError, match="negative size") as err:
-            ingest_trades(p, _asset(), session=session)
+            ingest_trades([p], _asset(), session, [])
         assert err.value.line == 3
 
-    def _assert_error(self, path, line, message, session=None):
+    def _assert_error(self, path, line, message, session=FULL_DAY):
         with pytest.raises(IngestError) as err:
-            ingest_trades(path, _asset(), session=session)
+            ingest_trades([path], _asset(), session, [])
         assert err.value.line == line
         assert str(err.value) == f"{path}:{line}: {message}"
 
@@ -236,7 +237,7 @@ class TestReadTradeRows:
         p = _write(tmp_path / "head.csv", [head, "1000,100.5,1,,"])
         shown = repr(head.split(",")) if width <= 40 else f"'{head[:40]}…' ({width} characters)"
         with pytest.raises(IngestError) as err:
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         assert str(err.value) == f"{p}: bad header {shown}, expected {','.join(TRADE_CSV_HEADER)}"
 
     def test_parsing_runs_before_the_quote_checks(self, tmp_path):
@@ -290,7 +291,7 @@ class TestReadTradeRows:
         rows = [f" \t{_JUN1_UTC_MS}\t ,100.5,\t 3 ,,", f"{_JUN1_UTC_MS + 1},101,-0,,"]
         p = _write(tmp_path / "pad.csv", [_header()] + rows)
         assert _read_columns(p).stamps.tolist() == [_JUN1_UTC_MS, _JUN1_UTC_MS + 1]
-        (day,) = ingest_trades(p, _asset())
+        (day,) = ingest_trades([p], _asset(), FULL_DAY, [])
         assert list(day.tape.times) == [0.0, 0.001]
 
     @pytest.mark.parametrize("make", ["missing", "directory"])
@@ -300,7 +301,7 @@ class TestReadTradeRows:
             p.mkdir()
         reason = os.strerror(errno.ENOENT if make == "missing" else errno.EISDIR)
         with pytest.raises(IngestError) as err:
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         assert str(err.value) == f"{p}: cannot read file: {reason}"
 
     @pytest.mark.parametrize("column, message", [
@@ -316,7 +317,7 @@ class TestReadTradeRows:
         tracemalloc.start()
         try:
             with pytest.raises(IngestError) as err:
-                ingest_trades(p, _asset())
+                ingest_trades([p], _asset(), FULL_DAY, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,7 +330,7 @@ class TestReadTradeRows:
         big = "1000000000000000000000000000000"
         p = _write(tmp_path / "px.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,,", f"{_JUN1_UTC_MS + 1},{big},1,,"])
         self._assert_error(p, 3, f"price: price {big} is out of range for tick 0.5")
-        assert ingest_trades(p, _asset(), session=SessionFilter.from_text("08:00-09:00")) == []
+        assert ingest_trades([p], _asset(), SessionFilter.from_text("08:00-09:00"), []) == []
 
 
     @pytest.mark.parametrize("price, cause", [
@@ -368,7 +369,7 @@ def _day_file(tmp_path, name, offsets_prices, day=date(2009, 6, 1), session=None
 class TestIngestTrades:
     def test_single_trade_day(self, tmp_path):
         p = _day_file(tmp_path, "one.csv", [(10.0, 100.5)])
-        days = ingest_trades(p, _asset())
+        days = ingest_trades([p], _asset(), FULL_DAY, [])
         assert len(days) == 1
         assert days[0].date == date(2009, 6, 1)
         tape = days[0].tape
@@ -379,23 +380,39 @@ class TestIngestTrades:
     def test_first_row_anchors_the_day(self, tmp_path):
         # the file cannot say whether its first print moved the price
         p = _day_file(tmp_path, "a.csv", [(1.0, 100.5), (2.0, 101.0), (3.0, 100.5)])
-        tape = ingest_trades(p, _asset())[0].tape
+        tape = ingest_trades([p], _asset(), FULL_DAY, [])[0].tape
         assert tape.opening_price == 100.5
         assert list(tape.change_directions) == [1, -1]
 
     def test_maturity_selection_keeps_busiest_file(self, tmp_path):
         thin = _day_file(tmp_path, "h0.csv", [(1.0, 100.0), (2.0, 100.0), (3.0, 100.0)])
         busy = _day_file(tmp_path, "h1.csv", [(float(i), 101.0) for i in range(1, 6)])
-        days = ingest_trades([thin, busy], _asset())
+        skipped = []
+        days = ingest_trades([thin, busy], _asset(), FULL_DAY, skipped)
         assert len(days) == 1
         assert days[0].tape.opening_price == 101.0
         assert len(days[0].tape) == 5
+        assert skipped == [
+            f"ingest {thin} 2009-06-01: lost the maturity choice to {busy} (5 trades inside session against 3)"
+        ]
+
+    def test_a_file_given_twice_is_read_once(self, tmp_path, monkeypatch):
+        p = _day_file(tmp_path, "a.csv", [(1.0, 100.5), (2.0, 101.0)])
+        (tmp_path / "link.csv").symlink_to(p)
+        monkeypatch.chdir(tmp_path)
+        read = []
+        monkeypatch.setattr(tradefile, "_read_columns", lambda path: read.append(path) or _read_columns(path))
+        skipped = []
+        (day,) = ingest_trades(["a.csv", "./a.csv", p, "link.csv"], _asset(), FULL_DAY, skipped)
+        assert read == [p]  # under the first of its paths in path order
+        assert len(day.tape) == 2
+        assert skipped == []  # a file never loses the maturity choice to itself
 
     def test_session_boundaries_inclusive(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
         rows = [(-0.001, 100.5), (0.0, 100.5), (600.0, 100.5), (3600.0, 100.5), (3600.001, 100.5)]
         p = _day_file(tmp_path, "b.csv", rows, session=session)
-        days = ingest_trades(p, _asset(), session=session)
+        days = ingest_trades([p], _asset(), session, [])
         tape = days[0].tape
         assert len(tape) == 3
         assert tape.times[0] == 0.0
@@ -405,45 +422,44 @@ class TestIngestTrades:
     def test_same_millisecond_prints_keep_order(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
         p = _day_file(tmp_path, "ms.csv", [(5.0, 100.5), (5.0, 101.0)], session=session)
-        tape = ingest_trades(p, _asset(), session=session)[0].tape
+        tape = ingest_trades([p], _asset(), session, [])[0].tape
         assert np.all(np.diff(tape.times) > 0)
         assert list(tape.grid.currency(tape.price_q)) == [100.5, 101.0]
         assert tape.times[1] == pytest.approx(5.001)
 
-    def test_empty_session_warns_and_skips(self, tmp_path, caplog):
+    def test_empty_session_is_a_skip(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
         p = _day_file(tmp_path, "out.csv", [(7200.0, 100.5)], session=session)
-        with caplog.at_level("WARNING"):
-            days = ingest_trades(p, _asset(), session=session)
-        assert days == []
-        assert any("no trades inside session" in r.message for r in caplog.records)
+        skipped = []
+        assert ingest_trades([p], _asset(), session, skipped) == []
+        assert skipped == [f"ingest {p}: no trades inside session 08:00-09:00"]
 
     def test_off_grid_price(self, tmp_path):
         p = _write(tmp_path / "og.csv", [_header(), f"{_JUN1_UTC_MS},100.3,1,,"])
         with pytest.raises(IngestError, match="price") as err:
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
         assert err.value.line == 2
 
     def test_inverted_quotes(self, tmp_path):
         p = _write(tmp_path / "iq.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,101.0,100.5"])
         with pytest.raises(IngestError, match="ask must exceed bid"):
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
 
     def test_fractional_spread(self, tmp_path):
         # bid on the half-tick sub-lattice makes the spread 1.5 ticks
         p = _write(tmp_path / "fs.csv", [_header(), f"{_JUN1_UTC_MS},100.5,1,100.125,100.5"])
         with pytest.raises(IngestError, match="whole number of ticks"):
-            ingest_trades(p, AssetSpec("ING", "0.25", eta=0.2))
+            ingest_trades([p], AssetSpec("ING", "0.25", eta=0.2), FULL_DAY, [])
 
     def test_two_tick_jump(self, tmp_path):
         p = _day_file(tmp_path, "jump.csv", [(1.0, 100.5), (2.0, 101.5)])
         with pytest.raises(IngestError, match="more than one tick"):
-            ingest_trades(p, _asset())
+            ingest_trades([p], _asset(), FULL_DAY, [])
 
     def test_ingest_is_idempotent(self, tmp_path):
         p = _day_file(tmp_path, "tw.csv", [(1.0, 100.5), (2.0, 101.0), (3.0, 101.0), (4.0, 100.5)])
-        a = ingest_trades(p, _asset())[0].tape
-        b = ingest_trades(p, _asset())[0].tape
+        a = ingest_trades([p], _asset(), FULL_DAY, [])[0].tape
+        b = ingest_trades([p], _asset(), FULL_DAY, [])[0].tape
         for col in ("times", "price_q", "bid_q", "ask_q"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
         assert a.opening_price_q == b.opening_price_q
@@ -455,7 +471,7 @@ class TestIngestTrades:
             lines.append(f"{base + 1000},100.5,1,,")
             lines.append(f"{base + 2000},101,1,,")
         p = _write(tmp_path / "md.csv", lines)
-        days = ingest_trades(p, _asset())
+        days = ingest_trades([p], _asset(), FULL_DAY, [])
         assert [d.date for d in days] == [date(2009, 6, 1), date(2009, 6, 2)]
         assert all(len(d.tape) == 2 for d in days)
 
@@ -466,17 +482,18 @@ class TestIngestTrades:
         slow = _write(tmp_path / "a.csv", lines)
         quick = _write(tmp_path / "b.csv", [_header(), "x,100.5,1,,"])
         with pytest.raises(IngestError) as err:
-            ingest_trades([quick, slow], _asset())
+            ingest_trades([quick, slow], _asset(), FULL_DAY, [])
         assert str(err.value) == f"{slow}:20002: bad size 'y'"
 
-    def test_warning_of_an_earlier_file_comes_before_a_later_error(self, tmp_path, caplog):
+    def test_skip_of_an_earlier_file_is_kept_when_a_later_file_raises(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
         outside = _day_file(tmp_path, "a.csv", [(7200.0, 100.5)], session=session)
         bad = _write(tmp_path / "b.csv", [_header(), "x,100.5,1,,"])
-        with caplog.at_level("WARNING"), pytest.raises(IngestError, match="bad timestamp") as err:
-            ingest_trades([bad, outside], _asset(), session=session)
+        skipped = []
+        with pytest.raises(IngestError, match="bad timestamp") as err:
+            ingest_trades([bad, outside], _asset(), session, skipped)
         assert err.value.path == bad
-        assert [r.message for r in caplog.records] == [f"{outside}: no trades inside session 08:00-09:00"]
+        assert skipped == [f"ingest {outside}: no trades inside session 08:00-09:00"]
 
     def test_many_files_read_like_one_at_a_time(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -489,8 +506,8 @@ class TestIngestTrades:
                     ticks = 201 + np.cumsum(rng.integers(-1, 2, n))
                     rows = [(float(s), t / 2) for s, t in zip(np.sort(rng.uniform(0, 80_000, n)), ticks.tolist())]
                     paths.append(_day_file(tmp_path, f"{name}_{d}.csv", rows, day=day))
-        got = ingest_trades(paths, _asset())
-        singles = [{d.date: d.tape for d in ingest_trades(p, _asset())} for p in sorted(paths)]
+        got = ingest_trades(paths, _asset(), FULL_DAY, [])
+        singles = [{d.date: d.tape for d in ingest_trades([p], _asset(), FULL_DAY, [])} for p in sorted(paths)]
         want = {}
         for by_day in singles:
             for day, tape in by_day.items():
@@ -513,7 +530,7 @@ class TestIngestTrades:
         p = _write(tmp_path / "day.csv", lines)
         tracemalloc.start()
         try:
-            days = ingest_trades(p, _asset())
+            days = ingest_trades([p], _asset(), FULL_DAY, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,7 +555,7 @@ class TestWriteRoundTrip:
         tape = self._tape()
         out = tmp_path / "rt.csv"
         write_tape_csv(tape, out, day, session)
-        back = ingest_trades(out, _asset(), session=session)
+        back = ingest_trades([out], _asset(), session, [])
         assert len(back) == 1 and back[0].date == day
         got = back[0].tape
         for col in ("times", "price_q", "bid_q", "ask_q"):
@@ -573,7 +590,7 @@ class TestWriteRoundTrip:
         write_tape_csv(tape, out, date(2009, 6, 1), FULL_DAY)
         text = out.read_text().splitlines()
         assert text[1].endswith(",1,,")
-        got = ingest_trades(out, _asset())[0].tape
+        got = ingest_trades([out], _asset(), FULL_DAY, [])[0].tape
         assert got.bid_q[0] == NO_QUOTE and got.ask_q[0] == NO_QUOTE
         assert got.bid_q[1] != NO_QUOTE
 
@@ -588,7 +605,7 @@ class TestWriteRoundTrip:
         write_tape_csv(tape, out, date(2009, 6, 1), FULL_DAY)
         body = out.read_text()
         assert "101.5625" in body and "109.375" in body
-        got = ingest_trades(out, a)[0].tape
+        got = ingest_trades([out], a, FULL_DAY, [])[0].tape
         assert np.array_equal(got.price_q, tape.price_q)
 
 
@@ -645,7 +662,7 @@ def test_write_then_ingest_gives_the_same_tape(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rt.csv"
         write_tape_csv(tape, path, day, session)
-        back = ingest_trades(path, tape.asset, session=session)
+        back = ingest_trades([path], tape.asset, session, [])
     assert [d.date for d in back] == [day]
     got = back[0].tape
     for col in ("times", "price_q", "bid_q", "ask_q"):
@@ -681,7 +698,7 @@ def test_simulated_day_reads_back_on_any_decimal_tick(tick, x0_ticks, vol_ticks,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sim.csv"
         write_tape_csv(tape, path, day, session)
-        back = ingest_trades(path, AssetSpec("PRP", tick), session=session)
+        back = ingest_trades([path], AssetSpec("PRP", tick), session, [])
     assert [d.date for d in back] == ([day] if len(tape) else [])
     for got in (d.tape for d in back):
         for col in ("times", "price_q", "bid_q", "ask_q"):
@@ -771,7 +788,7 @@ def test_one_corrupted_cell_names_its_line(case, kind, bad_int, bad_decimal, bla
         lines[1 + row:1 + row] = blanks
         _write(path, lines)
         with pytest.raises(IngestError) as err:
-            ingest_trades(path, tape.asset, session=session)
+            ingest_trades([path], tape.asset, session, [])
     line = 2 + row + len(blanks)
     assert err.value.line == line
     assert str(err.value) == f"{path}:{line}: {message}"
@@ -816,7 +833,7 @@ def _oracle_days(stamps, session):
 
 def _assert_located_like_oracle(stamps, session, tmp_dir):
     path = _write(Path(tmp_dir) / "loc.csv", [_header()] + [f"{ms},100,1,," for ms in stamps])
-    got = ingest_trades(path, AssetSpec("LOC", 1.0), session=session)
+    got = ingest_trades([path], AssetSpec("LOC", 1.0), session, [])
     assert [(d.date, list(d.tape.times)) for d in got] == _oracle_days(stamps, session)
 
 
