@@ -83,7 +83,6 @@ from .tick_policy import (
 )
 from .tradefile import (
     TRADE_CSV_HEADER,
-    DayTape,
     SessionFilter,
     ingest_trades,
     write_tape_csv,

@@ -63,6 +63,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
+    def error(self, message):
+        """Raise argparse's message, so that ``main`` ends in one ``error:`` line and exit 1, not usage and exit 2."""
+        raise ParameterError(message)
+
 
 def _session(args) -> SessionFilter:
     return SessionFilter.from_text(args.session, tz=args.timezone)
@@ -253,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     skipped: List[str] = []
     try:
+        args = build_parser().parse_args(argv)
         code, error = args.func(args, skipped), None
     except TickzoneError as exc:
         code, error = 1, exc

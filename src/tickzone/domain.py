@@ -278,12 +278,8 @@ class TradeTape:
         return self.times[self.change_indices]
 
     @property
-    def change_subticks(self) -> np.ndarray:
-        return self.price_q[self.change_indices]
-
-    @property
     def change_prices(self) -> np.ndarray:
-        return self.grid.currency(self.change_subticks)
+        return self.grid.currency(self.price_q[self.change_indices])
 
     @property
     def change_directions(self) -> np.ndarray:

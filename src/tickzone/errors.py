@@ -1,4 +1,5 @@
 """Exception types raised across the package."""
+import contextlib
 
 # a longer field is shown by its head and its length, so one bad field cannot make a huge message
 _FIELD_SHOWN = 40
@@ -13,6 +14,15 @@ def show_field(text: str, short=repr) -> str:
 
 class TickzoneError(Exception):
     """Base class for all package errors."""
+
+
+@contextlib.contextmanager
+def writing(path, doing: str = "write file"):
+    """Turn an OSError in the block into ``TickzoneError("<path>: cannot <doing>: <strerror>")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise TickzoneError(f"{path}: cannot {doing}: {exc.strerror or exc}") from None
 
 
 class ParameterError(TickzoneError, ValueError):

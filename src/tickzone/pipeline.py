@@ -16,7 +16,6 @@ Outputs, all under ``out``:
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -31,7 +30,7 @@ import numpy as np
 
 from .domain import AssetSpec, TradeTape
 from .equilibrium import crossing_probabilities, market_order_cost
-from .errors import IngestError, ParameterError, TickzoneError, show_field
+from .errors import IngestError, ParameterError, TickzoneError, show_field, writing
 from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
 from .simulator import EfficientPathSpec, TapeConfig, TrueParams, equilibrium_fill_rate, simulate_day
@@ -82,10 +81,11 @@ def tick_table(
 
 def write_csv(path: Union[str, Path, None], header: Sequence, rows: Iterable[Sequence]) -> None:
     """Write one report CSV to ``path``, or to stdout when ``path`` is None."""
-    with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    if path is None:
+        csv.writer(sys.stdout).writerows([header, *rows])
+        return
+    with writing(path), open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,8 @@ def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
         asset = AssetSpec(aid, syn.tick_text, eta=syn.eta)
         jitter_rng = np.random.default_rng([config.seed, 0x5117E5, ai])
         asset_dir = config.out / "trades" / aid
-        asset_dir.mkdir(parents=True, exist_ok=True)
+        with writing(asset_dir, "make directory"):
+            asset_dir.mkdir(parents=True, exist_ok=True)
         paths: List[Path] = []
         for di in range(syn.days):
             sigma_day = syn.sigma * (1.0 + syn.sigma_jitter * (2.0 * jitter_rng.random() - 1.0))
@@ -465,7 +466,8 @@ def run_pipeline(config: PipelineConfig, skipped: Optional[List[str]] = None) ->
 
     Each stage appends what it skips to ``skipped`` (a new list if None), so a run that fails leaves its skips there.
     """
-    config.out.mkdir(parents=True, exist_ok=True)
+    with writing(config.out, "make directory"):
+        config.out.mkdir(parents=True, exist_ok=True)
     skipped = [] if skipped is None else skipped
 
     inputs = _synthesize(config) if config.mode == "synthetic" else _discover(config, skipped)

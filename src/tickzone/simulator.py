@@ -16,10 +16,11 @@ is a standard Brownian motion, so each change is its exit from an interval:
 
 Exit times and sides are exact: walks on symmetric intervals. The sides
 alone steer the walks of a batch, all along one orbit; each step's time is
-its interval's squared half-width times a unit exit time, and all the unit
-exit times of a batch come from one inversion of the theta-series
-distribution. Business time maps back to clock time through the piecewise-
-linear integrated variance, so a zero-volatility stretch gets no changes.
+its interval's squared half-width times a unit exit time. The unit exit
+times of a day's first exit and of its batch of later ones come from one
+inversion of the theta-series distribution. Business time maps back to
+clock time through the piecewise-linear integrated variance, so a
+zero-volatility stretch gets no changes.
 
 The inversion sums 4 terms of the long-time series and 3 of the short-time
 one. Each series is used on its own side of t = 1/2, where the first term
@@ -74,39 +75,41 @@ class EfficientPathSpec:
 
     ``volatility`` is either a constant or a piecewise-constant schedule
     given as (start_time, value) pairs, in price units per square-root
-    second. The latent price has no drift.
+    second. The latent price has no drift. ``knots`` holds the business
+    clock that :func:`_variance_clock` makes of them, computed once here.
     """
 
     x0: float
     volatility: Schedule
     horizon: float = 1.0
+    knots: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.x0):
             raise ParameterError(f"x0 must be finite, got {self.x0!r}")
         if not self.horizon > 0:
             raise ParameterError(f"horizon must be > 0, got {self.horizon!r}")
-        _, vols = _schedule_pieces(self.volatility)
+        starts, vols = _schedule_pieces(self.volatility)
         if not np.all(np.isfinite(vols) & (vols >= 0)):
             raise ParameterError(f"volatility must be finite and >= 0 everywhere, got {self.volatility!r}")
         with np.errstate(over="ignore"):
-            variance = _variance_clock(self)[1][-1]
-        if not np.isfinite(variance):
+            object.__setattr__(self, "knots", _variance_clock(starts, vols, self.horizon))
+        if not np.isfinite(self.knots[1][-1]):
             raise ParameterError(
                 f"volatility {self.volatility!r} over {self.horizon!r} s has an integrated variance beyond the float range"
             )
 
 
-def _variance_clock(spec: EfficientPathSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Knots (times, integrated variance) of the piecewise-linear business clock.
+def _variance_clock(starts: np.ndarray, vols: np.ndarray, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Knots (times, integrated variance) of the piecewise-linear business clock, read-only.
 
     The times run from 0 to the horizon; the last variance is the exact
     integral of sigma^2 over the day.
     """
-    starts, vols = _schedule_pieces(spec.volatility)
-    keep = starts < spec.horizon
-    times = np.append(starts[keep], spec.horizon)
+    keep = starts < horizon
+    times = np.append(starts[keep], horizon)
     variance = np.concatenate(([0.0], np.cumsum(vols[keep] ** 2 * np.diff(times))))
+    times.flags.writeable = variance.flags.writeable = False
     return times, variance
 
 
@@ -298,20 +301,33 @@ def _interval_walk(
     return at_hi, walks, scales, survivals
 
 
+def _walk_times(runs: Sequence[tuple]) -> np.ndarray:
+    """Exit times of the walks of each of ``runs`` of :func:`_interval_walk`, one run after another.
+
+    The unit exit times of all rounds of all runs are inverted in one solve and
+    added to each walk in round order.
+    """
+    walks, scales, survivals, n = [], [], [], 0
+    for at_hi, run_walks, run_scales, run_survivals in runs:
+        walks += [n + w for w in run_walks]
+        scales += run_scales
+        survivals += run_survivals
+        n += len(at_hi)
+    # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
+    steps = np.repeat(scales, [len(w) for w in walks]) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
+    # bincount adds the steps in the order given, so each walk's in round order
+    return np.bincount(np.concatenate(walks), weights=steps, minlength=n)
+
+
 def _interval_exits(
     lo: float, hi: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and sides of ``n`` exits of a standard Brownian motion from (-lo, hi).
 
-    Returns (exit_times, exited_at_hi). The unit exit times of all rounds of
-    :func:`_interval_walk` are inverted in one solve and added to each walk in
-    round order.
+    Returns (exit_times, exited_at_hi): :func:`_interval_walk`, then :func:`_walk_times`.
     """
-    at_hi, walks, scales, survivals = _interval_walk(lo, hi, n, rng)
-    # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
-    steps = np.repeat(scales, [len(w) for w in walks]) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
-    # bincount adds the steps in the order given, so each walk's in round order
-    return np.bincount(np.concatenate(walks), weights=steps, minlength=n), at_hi
+    walk = _interval_walk(lo, hi, n, rng)
+    return _walk_times([walk]), walk[0]
 
 
 def _change_sequence(
@@ -321,20 +337,29 @@ def _change_sequence(
 
     ``start`` is the latent price's offset from the opening grid point in
     ticks, and business time is measured in squared ticks up to ``budget``.
+    The day's first exit is walked, then a batch of later exits sized to cover
+    the whole budget; one solve times both, and the first exit is exit 0 of
+    one running sum. Only a batch that falls short is topped up, by a walk
+    and a solve of its own.
     """
-    first, first_up = _interval_exits(0.5 + eta + start, 0.5 + eta - start, 1, rng)
-    elapsed = [first]
-    turns = [np.where(first_up, 1, -1)]
     # later exits from (-2 eta, 1) have mean 2 eta and squared coefficient of
     # variation (1 + 4 eta^2) / (6 eta)
     mean = 2.0 * eta
     cv = math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
-    end = float(first[0])
-    while end < budget:
-        # the expected number of exits still needed plus four standard
+
+    def batch(left: float) -> int:
+        # the expected number of exits that cover ``left`` plus four standard
         # deviations, so that one batch nearly always covers the day
-        need = (budget - end) / mean
-        gaps, continued = _interval_exits(2.0 * eta, 1.0, int(need + 4.0 * cv * math.sqrt(need)) + 1, rng)
+        need = left / mean
+        return int(need + 4.0 * cv * math.sqrt(need)) + 1
+
+    first = _interval_walk(0.5 + eta + start, 0.5 + eta - start, 1, rng)
+    later = _interval_walk(2.0 * eta, 1.0, batch(budget), rng)
+    elapsed = [np.cumsum(_walk_times([first, later]))]
+    turns = [np.where(np.concatenate([first[0], later[0]]), 1, -1)]
+    end = float(elapsed[-1][-1])
+    while end < budget:
+        gaps, continued = _interval_exits(2.0 * eta, 1.0, batch(budget - end), rng)
         elapsed.append(end + np.cumsum(gaps))
         turns.append(np.where(continued, 1, -1))
         end = float(elapsed[-1][-1])
@@ -420,13 +445,16 @@ def simulate_day(
     side the next change takes out. Times are whole milliseconds. As in a
     vendor file, the first row never counts as a change and the tape opens at
     its price; the model-true changes are in ``TrueParams.price_changes``.
-    A day that expects more than ``_MAX_TRADES`` trades, or that opens so far
-    from 0 that its prices could leave the sub-tick range, is a ParameterError.
+    The changes come from :func:`_change_sequence` in business time, with one
+    exit-time solve for the day, and map back to clock time through the
+    spec's ``knots``. A day that expects more than ``_MAX_TRADES`` trades, or
+    that opens so far from 0 that its prices could leave the sub-tick range,
+    is a ParameterError.
     """
     eta = asset.require_eta()
     alpha = asset.tick_value
     horizon = path_spec.horizon
-    knot_t, knot_v = _variance_clock(path_spec)
+    knot_t, knot_v = path_spec.knots
     # a variance past the float range in squared ticks (or 0 / 0 where the tick's square
     # underflows) gives an inf or NaN count, which the bound below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 import numpy as np
 
 from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
-from .errors import IngestError, OffGridError, ParameterError, TapeError, show_field
+from .errors import IngestError, OffGridError, ParameterError, TapeError, show_field, writing
 
 TRADE_CSV_HEADER = ["timestamp_ms", "price", "size", "bid", "ask"]
 
@@ -145,7 +145,8 @@ def write_tape_csv(tape: TradeTape, path: Union[str, Path], day: date_type, sess
     prices, bids, asks = (cells.tolist() for cells in np.split(texts[codes], 3))
     rows = zip(stamps.tolist(), prices, bids, asks)
     body = "".join([f"{ts},{price},1,{bid},{ask}\r\n" for ts, price, bid, ask in rows])
-    Path(path).write_text(",".join(TRADE_CSV_HEADER) + "\r\n" + body, newline="")
+    with writing(path):
+        Path(path).write_text(",".join(TRADE_CSV_HEADER) + "\r\n" + body, newline="")
 
 
 class DayTape(NamedTuple):

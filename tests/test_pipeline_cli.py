@@ -749,8 +749,8 @@ def _synth(key, value):
     return {**_SYNTH_KEYS, f"synthetic.A.{key}": value}
 
 
-# (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file and
-# "{records}" a daily records file with a nan cell
+# (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file,
+# "{records}" a daily records file with a nan cell and "{tmp}" an empty directory
 @pytest.mark.parametrize(
     "args, config, named",
     [
@@ -842,6 +842,29 @@ def _synth(key, value):
                      "eta0", id="predict --eta0 nan"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--version", "3", "--m0", "nan"],
                      None, "m0", id="predict --m0 nan"),
+        # argparse's own errors end in one line and exit 1 as well, not in its usage block and exit 2
+        pytest.param(["estimate"], None, "the following arguments are required: inputs, --tick-value",
+                     id="estimate with no arguments"),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "-12x"], None, "argument --x0: expected one argument",
+                     id="simulate --x0 -12x"),
+        pytest.param(_SIMULATE + ["--sigma", "abc"], None, "argument --sigma: invalid float value: 'abc'",
+                     id="simulate --sigma abc"),
+        pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--bogus"], None,
+                     "unrecognized arguments: --bogus", id="predict --bogus"),
+        # an output that cannot be written names its path
+        pytest.param(["estimate", "{csv}", "--tick-value", "0.01", "--out", "{tmp}/nodir/x.csv"], None,
+                     "nodir/x.csv: cannot write file: No such file or directory", id="estimate --out nodir/x.csv"),
+        pytest.param(["estimate", "{csv}", "--tick-value", "0.01", "--out", "."], None,
+                     ".: cannot write file: Is a directory", id="estimate --out ."),
+        pytest.param(_SIMULATE + ["--sigma", "0.003", "--out", "{tmp}/nodir/y.csv"], None,
+                     "nodir/y.csv: cannot write file: No such file or directory", id="simulate --out nodir/y.csv"),
+        pytest.param(["optimal-tick", "--out", "{tmp}/nodir/o.csv"], None,
+                     "nodir/o.csv: cannot write file: No such file or directory", id="optimal-tick --out nodir/o.csv"),
+        pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--lag-max", "2", "--out", "{tmp}/nodir/s.csv"],
+                     None, "nodir/s.csv: cannot write file: No such file or directory",
+                     id="signature --out nodir/s.csv"),
+        pytest.param(["pipeline", "--out", "{csv}/sub"], _SYNTH_KEYS, "sim.csv/sub: cannot make directory: Not a directory",
+                     id="pipeline --out under a file"),
     ],
 )
 def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path, capsys):
@@ -850,8 +873,9 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     (inputs / "A" / "day.csv").write_bytes(sim_csv.read_bytes())
     records = tmp_path / "records.csv"
     records.write_text(",".join(DAILY_CSV_HEADER[:8]) + "\n2009-06-01,A,0.2,0.01,0.003,500,nan,90\n")
-    args = [a.replace("{csv}", str(sim_csv)).replace("{records}", str(records)) for a in args]
-    if args[0] == "simulate":
+    args = [a.replace("{csv}", str(sim_csv)).replace("{records}", str(records)).replace("{tmp}", str(tmp_path))
+            for a in args]
+    if args[0] == "simulate" and "--out" not in args:
         args += ["--out", str(tmp_path / "sim.csv")]
     if config is not None:
         lines = [f"out = {tmp_path / 'run'}"] + [f"{k} = {v}" for k, v in config.items()]
@@ -876,13 +900,28 @@ def test_negative_value_in_either_spelling_writes_the_same_file(x0, tmp_path, ca
     assert capsys.readouterr().err == ""
 
 
-def test_long_negative_text_that_is_no_number_is_refused_within_a_second(capsys):
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["estimate", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tickzone estimate")
+
+
+def test_trade_directory_under_a_file_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "trades").write_text("")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\n".join([f"out = {tmp_path / 'run'}"] + [f"{k} = {v}" for k, v in _SYNTH_KEYS.items()]) + "\n")
+    assert cli_main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'run' / 'trades' / 'A'}: cannot make directory: Not a directory\n"
+
+
+def test_long_negative_text_that_is_no_number_is_refused_within_a_second():
     # a pattern that can split a run of digits two ways took 31.6 s on this argument
     start = time.perf_counter()
-    with pytest.raises(SystemExit):
+    with pytest.raises(ParameterError, match="--x0: expected one argument"):
         build_parser().parse_args(_SIMULATE + ["--sigma", "0.003", "--out", "x.csv", "--x0", "-" + "1" * 20_000 + "x"])
     assert time.perf_counter() - start < 1.0
-    assert "--x0: expected one argument" in capsys.readouterr().err
 
 
 _DEGENERATE_DAY = "timestamp_ms,price,size,bid,ask\n1243843200000,100,1,,\n"  # one trade on 2009-06-01
@@ -994,6 +1033,13 @@ def _every_command_inputs(tmp_path, sim_csv):
     pytest.param(["pipeline", "--config", "{cfg}"], 0,
                  {"ingest", "record", "regression", "cloud_adjusted", "optimal_ticks"}, id="pipeline"),
     pytest.param(["estimate", "{A}/missing.csv", "--tick-value", "0.01"], 1, set(), id="estimate missing file"),
+    pytest.param(_SIMULATE + ["--sigma", "0.003", "--out", "{tmp}/nodir/sim.csv"], 1, set(), id="simulate fails"),
+    pytest.param(["regress", "--records", "{records}", "--out", "{tmp}"], 1, {"regression"}, id="regress fails"),
+    pytest.param(["predict", "--alpha0", "5"], 1, set(), id="predict fails"),
+    pytest.param(["optimal-tick", "--asset", "Nowhere"], 1, set(), id="optimal-tick fails"),
+    pytest.param(["signature", "{A}/M9.csv", "{A}/late.csv", "--tick-value", "0.01", "--session", "08:00-08:10",
+                  "--lag-max", "5", "--out", "{tmp}/nodir/sig.csv"], 1, {"ingest"}, id="signature fails"),
+    pytest.param(["pipeline", "--config", "{cfg}", "--out", "{records}/sub"], 1, set(), id="pipeline fails"),
 ])
 def test_every_command_reports_on_stderr_only_in_skip_and_error_lines(args, code, stages, sim_csv, tmp_path, capsys):
     names = _every_command_inputs(tmp_path, sim_csv)
@@ -1005,7 +1051,8 @@ def test_every_command_reports_on_stderr_only_in_skip_and_error_lines(args, code
     skips = [line for line in lines if line.startswith("skipped: ")]
     assert all(_SKIP_STAGES.match(line) for line in skips), skips
     assert {_SKIP_STAGES.match(line)[1] for line in skips} == stages
-    if args[0] == "pipeline":
+    assert sum(line.startswith("error: ") for line in lines) == code
+    if args[0] == "pipeline" and code == 0:
         a = names["A"]
         for expected in (
             "skipped: ingest B: no tick_value.B configured, asset skipped",

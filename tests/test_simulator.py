@@ -277,6 +277,31 @@ class TestExactExits:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "start, eta, budget, seed, top_ups",
+        [(0.0, 0.25, 0.0, 0, 0), (0.37, 0.25, 0.01, 1, 0), (-0.49, 0.1, 50.0, 2, 0), (0.2, 0.4, 300.0, 3, 0),
+         (0.5, 0.05, 1000.0, 4, 0), (-0.3, 1.0, 20.0, 5, 0), (0.3, 0.25, 10.0, 163, 1)],
+    )
+    def test_day_matches_walks_timed_one_round_at_a_time(self, monkeypatch, start, eta, budget, seed, top_ups):
+        # the first exit, then the batch sized from the whole budget, then any top-up, from one generator
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mean, cv = 2.0 * eta, math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
+        size = lambda left: int(left / mean + 4.0 * cv * math.sqrt(left / mean)) + 1
+        first, first_up = _per_round_interval_exits(0.5 + eta + start, 0.5 + eta - start, 1, want_rng)
+        gaps, continued = _per_round_interval_exits(2.0 * eta, 1.0, size(budget), want_rng)
+        times, ups = np.cumsum(np.concatenate([first, gaps])), [first_up, continued]
+        while times[-1] < budget:
+            gaps, continued = _per_round_interval_exits(2.0 * eta, 1.0, size(budget - times[-1]), want_rng)
+            times, ups = np.concatenate([times, times[-1] + np.cumsum(gaps)]), ups + [continued]
+        n = np.searchsorted(times, budget)
+        calls = []
+        monkeypatch.setattr(simulator, "_interval_exits", lambda *a: calls.append(a) or _interval_exits(*a))
+        got_times, got_directions = simulator._change_sequence(start, eta, budget, got_rng)
+        assert len(calls) == top_ups == len(ups) - 2
+        assert np.array_equal(got_times, times[:n])
+        assert np.array_equal(got_directions, np.cumprod(np.where(np.concatenate(ups), 1, -1)[:n]))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_unit_exit_times_of_a_concatenation(self):
         # a root must not depend on the batch it is solved in, nor on its place in it
         rng = np.random.default_rng(12)
@@ -285,8 +310,8 @@ class TestExactExits:
             whole = _unit_exit_times(np.concatenate(parts))
             assert np.array_equal(whole, np.concatenate([_unit_exit_times(u) for u in parts]))
 
-    def test_one_unit_exit_solve_per_walk(self, monkeypatch):
-        calls = {"walks": 0, "solves": 0}
+    def test_one_unit_exit_solve_per_day(self, monkeypatch):
+        calls = {"walks": 0, "solves": 0, "top-ups": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -294,12 +319,13 @@ class TestExactExits:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(simulator, "_interval_exits", counted("walks", simulator._interval_exits))
+        monkeypatch.setattr(simulator, "_interval_walk", counted("walks", simulator._interval_walk))
         monkeypatch.setattr(simulator, "_unit_exit_times", counted("solves", simulator._unit_exit_times))
+        monkeypatch.setattr(simulator, "_interval_exits", counted("top-ups", simulator._interval_exits))
         spec = EfficientPathSpec(x0=100.0037, volatility=0.01, horizon=3600.0)
         simulate_day(spec, AssetSpec("A", 0.01, eta=0.25), TapeConfig(seed=2))
-        assert calls["walks"] >= 2  # the first exit and at least one batch of later ones
-        assert calls["solves"] == calls["walks"]
+        # the first exit and one batch of later ones, timed together
+        assert calls == {"walks": 2, "solves": 1, "top-ups": 0}
 
     @pytest.mark.parametrize("u, solves", [([0.3], 1), ([0.9], 1), ([0.3, 0.9], 2)])
     def test_empty_branch_is_not_solved(self, monkeypatch, u, solves):
