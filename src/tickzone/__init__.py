@@ -15,17 +15,12 @@ from .domain import (
     TickGrid,
     TradeTape,
 )
-from .equilibrium import (
-    crossing_probabilities,
-    market_order_cost,
-)
 from .errors import (
     CollinearityError,
     DegenerateTapeError,
     DomainError,
     IngestError,
     InsufficientDataError,
-    MissingFitError,
     OffGridError,
     ParameterError,
     PartialDataError,
@@ -36,7 +31,6 @@ from .estimators import (
     ETA_FLAG_THRESHOLD,
     AlternationCounts,
     DailyRecord,
-    SpreadStats,
     build_daily_record,
     count_alternations,
     empirical_roll_measure,
@@ -49,7 +43,6 @@ from .estimators import (
 )
 from .pipeline import (
     PipelineConfig,
-    PipelineResult,
     SyntheticAsset,
     load_config,
     parse_config_text,
@@ -64,7 +57,6 @@ from .regression import (
 )
 from .simulator import (
     EfficientPathSpec,
-    PriceChangeSeries,
     TapeConfig,
     TrueParams,
     equilibrium_fill_rate,
@@ -72,11 +64,11 @@ from .simulator import (
 )
 from .tick_policy import (
     BETA_PRESETS,
-    EtaForecast,
-    ReferenceAsset,
     TickScenario,
     check_large_tick_regime,
+    crossing_probabilities,
     load_reference_assets,
+    market_order_cost,
     optimal_tick,
     predict_eta,
     scale_trade_count,

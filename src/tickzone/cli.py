@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .domain import AssetSpec
-from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import MissingFitError, ParameterError, TickzoneError
 from .estimators import check_sampling, signature_plot
 from .pipeline import (
@@ -45,7 +44,9 @@ from .tick_policy import (
     BETA_PRESETS,
     VERSIONS,
     TickScenario,
+    crossing_probabilities,
     load_reference_assets,
+    market_order_cost,
     predict_eta,
 )
 from .tradefile import SessionFilter, ingest_trades

@@ -154,9 +154,7 @@ class TickGrid:
 
     def currency(self, q) -> float:
         """Sub-ticks to float currency. Accepts scalars or arrays."""
-        if isinstance(q, np.ndarray):
-            return q * self.quantum
-        return float(q) * self.quantum
+        return q * self.quantum
 
     def text(self, q: int) -> str:
         """Sub-ticks to an exact decimal string."""
@@ -223,7 +221,7 @@ class TradeTape:
         self.session_length = float(session_length)
         self.opening_price_q = int(opening_price_q)
         self.direction = np.sign(self._validate()).astype(np.int8)
-        self._change_idx: Optional[np.ndarray] = None
+        self.change_indices = np.flatnonzero(self.direction)
 
     def _validate(self) -> np.ndarray:
         """Check the tape; returns each trade's price move in sub-ticks."""
@@ -260,18 +258,8 @@ class TradeTape:
         return len(self.times)
 
     @property
-    def n_trades(self) -> int:
-        return len(self.times)
-
-    @property
     def n_changes(self) -> int:
         return len(self.change_indices)
-
-    @property
-    def change_indices(self) -> np.ndarray:
-        if self._change_idx is None:
-            self._change_idx = np.flatnonzero(self.direction)
-        return self._change_idx
 
     @property
     def change_times(self) -> np.ndarray:
@@ -295,6 +283,6 @@ class TradeTape:
 
     def __repr__(self):
         return (
-            f"TradeTape({self.asset.asset_id}, trades={self.n_trades}, "
+            f"TradeTape({self.asset.asset_id}, trades={len(self)}, "
             f"changes={self.n_changes}, span={self.session_length:g}s)"
         )

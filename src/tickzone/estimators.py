@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple
+from typing import Dict
 
 import numpy as np
 
@@ -171,13 +171,8 @@ def empirical_roll_measure(change_prices) -> float:
     return math.sqrt(-2.0 * cov) if cov < 0 else 0.0
 
 
-class SpreadStats(NamedTuple):
-    avg_spread: float
-    frac_one_tick: float
-
-
-def spread_stats(tape: TradeTape) -> SpreadStats:
-    """Average quoted spread in currency and the percentage at one tick."""
+def spread_stats(tape: TradeTape) -> tuple[float, float]:
+    """(average quoted spread in currency, percentage of trades quoted at one tick)."""
     if len(tape) == 0:
         raise InsufficientDataError("empty tape")
     have = tape.quote_mask()
@@ -189,7 +184,7 @@ def spread_stats(tape: TradeTape) -> SpreadStats:
     spread_q = tape.ask_q - tape.bid_q
     avg = float(np.mean(spread_q)) * tape.grid.quantum
     one_tick = float(np.count_nonzero(spread_q == SUBTICKS_PER_TICK)) / len(tape) * 100.0
-    return SpreadStats(avg_spread=avg, frac_one_tick=one_tick)
+    return avg, one_tick
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:
         eta_hat=eta_hat,
         alpha=tape.asset.tick_value,
         sigma_hat=math.sqrt(variance),
-        m_trades=tape.n_trades,
+        m_trades=len(tape),
         avg_spread=avg_spread,
         frac_one_tick=frac_one_tick,
     )

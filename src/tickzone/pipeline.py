@@ -29,12 +29,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .domain import AssetSpec, TradeTape
-from .equilibrium import crossing_probabilities, market_order_cost
 from .errors import IngestError, ParameterError, TickzoneError, show_field, writing
 from .estimators import DailyRecord, build_daily_record
 from .regression import REGRESSION_CSV_HEADER, RegressionFit, fit_spread_vol
 from .simulator import EfficientPathSpec, TapeConfig, TrueParams, equilibrium_fill_rate, simulate_day
-from .tick_policy import BETA_PRESETS, VERSIONS, TickScenario, optimal_tick
+from .tick_policy import BETA_PRESETS, VERSIONS, TickScenario, crossing_probabilities, market_order_cost, optimal_tick
 from .tradefile import FULL_DAY, SessionFilter, ingest_trades, read_text, write_tape_csv
 
 DAILY_CSV_HEADER = [
@@ -276,6 +275,11 @@ def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
     inputs: List[Tuple[AssetSpec, List[Path]]] = []
     for ai, aid in enumerate(sorted(config.synthetic)):
         syn = config.synthetic[aid]
+        try:  # the last day must be a date, as each day's file is named by it
+            config.start_date + timedelta(days=syn.days - 1)
+        except OverflowError:
+            raise ParameterError(f"start_date {config.start_date} with synthetic.{aid}.days = {syn.days} "
+                                 "runs past the last date, 9999-12-31") from None
         asset = AssetSpec(aid, syn.tick_text, eta=syn.eta)
         jitter_rng = np.random.default_rng([config.seed, 0x5117E5, ai])
         asset_dir = config.out / "trades" / aid
@@ -415,7 +419,7 @@ def fit_groups(
     """
     groups: Dict[str, List[DailyRecord]] = {}
     for r in records:
-        groups.setdefault(f"{r.asset_id}@{r.alpha:g}" if split_regimes else r.asset_id, []).append(r)
+        groups.setdefault(f"{r.asset_id}@{fmt_float(r.alpha)}" if split_regimes else r.asset_id, []).append(r)
     named = sorted(groups.items()) + ([("ALL", records)] if pool else [])
     fits: Dict[str, RegressionFit] = {}
     for key, group in named:

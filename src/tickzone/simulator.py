@@ -319,17 +319,6 @@ def _walk_times(runs: Sequence[tuple]) -> np.ndarray:
     return np.bincount(np.concatenate(walks), weights=steps, minlength=n)
 
 
-def _interval_exits(
-    lo: float, hi: float, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times and sides of ``n`` exits of a standard Brownian motion from (-lo, hi).
-
-    Returns (exit_times, exited_at_hi): :func:`_interval_walk`, then :func:`_walk_times`.
-    """
-    walk = _interval_walk(lo, hi, n, rng)
-    return _walk_times([walk]), walk[0]
-
-
 def _change_sequence(
     start: float, eta: float, budget: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,32 +326,25 @@ def _change_sequence(
 
     ``start`` is the latent price's offset from the opening grid point in
     ticks, and business time is measured in squared ticks up to ``budget``.
-    The day's first exit is walked, then a batch of later exits sized to cover
-    the whole budget; one solve times both, and the first exit is exit 0 of
-    one running sum. Only a batch that falls short is topped up, by a walk
-    and a solve of its own.
+    Each round walks a batch of later exits sized to cover what is left of
+    the budget, and one solve times it; the first round also walks the day's
+    first exit, which is exit 0 of its running sum. Only a batch that falls
+    short is followed by another round.
     """
     # later exits from (-2 eta, 1) have mean 2 eta and squared coefficient of
     # variation (1 + 4 eta^2) / (6 eta)
     mean = 2.0 * eta
     cv = math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
-
-    def batch(left: float) -> int:
-        # the expected number of exits that cover ``left`` plus four standard
+    runs = [_interval_walk(0.5 + eta + start, 0.5 + eta - start, 1, rng)]
+    elapsed, turns, end = [], [], 0.0
+    while not elapsed or end < budget:
+        # the expected number of exits that cover what is left plus four standard
         # deviations, so that one batch nearly always covers the day
-        need = left / mean
-        return int(need + 4.0 * cv * math.sqrt(need)) + 1
-
-    first = _interval_walk(0.5 + eta + start, 0.5 + eta - start, 1, rng)
-    later = _interval_walk(2.0 * eta, 1.0, batch(budget), rng)
-    elapsed = [np.cumsum(_walk_times([first, later]))]
-    turns = [np.where(np.concatenate([first[0], later[0]]), 1, -1)]
-    end = float(elapsed[-1][-1])
-    while end < budget:
-        gaps, continued = _interval_exits(2.0 * eta, 1.0, batch(budget - end), rng)
-        elapsed.append(end + np.cumsum(gaps))
-        turns.append(np.where(continued, 1, -1))
-        end = float(elapsed[-1][-1])
+        need = (budget - end) / mean
+        runs.append(_interval_walk(2.0 * eta, 1.0, int(need + 4.0 * cv * math.sqrt(need)) + 1, rng))
+        elapsed.append(end + np.cumsum(_walk_times(runs)))
+        turns.append(np.where(np.concatenate([at_hi for at_hi, *_ in runs]), 1, -1))
+        end, runs = float(elapsed[-1][-1]), []
     times = np.concatenate(elapsed)
     n = int(np.searchsorted(times, budget))
     return times[:n], np.cumprod(np.concatenate(turns)[:n]).astype(np.int8)

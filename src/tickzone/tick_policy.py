@@ -1,4 +1,9 @@
-"""Forecasting the zone ratio across a tick-size change, and inverting it.
+"""Exit odds and market-order cost at a zone ratio, its forecast across a tick-size change, and its inverse.
+
+Right after a price change the efficient price sits on the barrier it just
+crossed: one tick from the barrier that would continue the move, and one
+buy/sell-band width from the barrier that would revert it. The two exit
+probabilities follow from the gambler's ruin and drive who pays whom.
 
 A tick change rescales the zone ratio through the spread-volatility fit: per
 trade volatility is invariant, trade counts scale as a power of the tick
@@ -58,6 +63,27 @@ class TickScenario:
             raise ParameterError(f"m0 must be finite and >= 1, got {self.m0!r}")
         if self.sigma0 is not None and not 0 <= self.sigma0 < math.inf:
             raise ParameterError(f"sigma0 must be finite and >= 0, got {self.sigma0!r}")
+
+
+def crossing_probabilities(eta: float) -> Tuple[float, float]:
+    """(probability the next move reverts, probability it continues).
+
+    A reversion needs the efficient price to travel 2*eta*alpha against
+    one tick for a continuation, hence (1, 2*eta) / (1 + 2*eta).
+    """
+    if not (0.0 < eta <= 1.0):
+        raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+    return 1.0 / (1.0 + 2.0 * eta), 2.0 * eta / (1.0 + 2.0 * eta)
+
+
+def market_order_cost(eta: float, tick_value: float) -> float:
+    """Expected loss of a market order against the next efficient price.
+
+    Half a tick paid over the mid, minus the zone half-width the efficient
+    price has already conceded: alpha/2 - eta*alpha. Negative above
+    eta = 1/2, where market orders stop subsidizing the book.
+    """
+    return tick_value * (0.5 - eta)
 
 
 @dataclass(frozen=True)
@@ -167,11 +193,7 @@ class ReferenceAsset:
     """One row of the shipped 2009 futures estimates."""
 
     asset_id: str
-    exchange: str
-    asset_class: str
     tick_value: float
-    currency: str
-    session: str
     trades_per_day: float
     eta: float
     frac_one_tick: float
@@ -199,11 +221,7 @@ def load_reference_assets() -> List[ReferenceAsset]:
         out.append(
             ReferenceAsset(
                 asset_id=rec["asset_id"],
-                exchange=rec["exchange"],
-                asset_class=rec["asset_class"],
                 tick_value=float(rec["tick_value"]),
-                currency=rec["currency"],
-                session=rec["session"],
                 trades_per_day=float(rec["trades_per_day"]),
                 eta=float(rec["eta"]),
                 frac_one_tick=float(rec["frac_one_tick"]),

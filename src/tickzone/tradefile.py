@@ -138,8 +138,14 @@ FULL_DAY = SessionFilter(0, 86400, tz="UTC")
 
 
 def write_tape_csv(tape: TradeTape, path: Union[str, Path], day: date_type, session: SessionFilter) -> None:
-    """Write a tape in the trade CSV format, anchored at the session open."""
+    """Write a tape in the trade CSV format, anchored at the session open.
+
+    A stamp that ingest would refuse as out of range is a ParameterError, and nothing is written.
+    """
     stamps = session.open_epoch_ms(day) + np.rint(tape.times * 1000.0).astype(np.int64)
+    outside = (stamps < _STAMP_RANGE.start) | (stamps >= _STAMP_RANGE.stop)
+    if outside.any():
+        raise ParameterError(f"{path}: timestamp {stamps[outside][0]} out of range")
     values, codes = np.unique(np.concatenate([tape.price_q, tape.bid_q, tape.ask_q]), return_inverse=True)
     texts = np.array(["" if q == NO_QUOTE else tape.grid.text(q) for q in values.tolist()], dtype=object)
     prices, bids, asks = (cells.tolist() for cells in np.split(texts[codes], 3))

@@ -11,7 +11,6 @@ import numpy as np
 
 from conftest import first_passage_frequencies
 from tickzone.domain import AssetSpec
-from tickzone.equilibrium import crossing_probabilities
 from tickzone.estimators import (
     DailyRecord,
     build_daily_record,
@@ -26,7 +25,13 @@ from tickzone.estimators import (
 from tickzone.pipeline import parse_config_text, run_pipeline
 from tickzone.regression import fit_spread_vol
 from tickzone.simulator import EfficientPathSpec, TapeConfig, simulate_day
-from tickzone.tick_policy import TickScenario, load_reference_assets, optimal_tick, predict_eta
+from tickzone.tick_policy import (
+    TickScenario,
+    crossing_probabilities,
+    load_reference_assets,
+    optimal_tick,
+    predict_eta,
+)
 from tickzone.tradefile import SessionFilter, ingest_trades, write_tape_csv
 
 SIM_TICK = 0.01

@@ -227,7 +227,7 @@ class TestTradeTape:
     def test_views(self):
         tape = _tape()
         assert len(tape) == 4
-        assert tape.n_trades == 4
+        assert len(tape) == 4
         assert tape.n_changes == 2
         assert list(tape.change_indices) == [1, 3]
         assert np.allclose(tape.change_times, [1.0, 3.0])

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import first_passage_frequencies
-from tickzone.equilibrium import crossing_probabilities, market_order_cost
 from tickzone.errors import ParameterError
 from tickzone.estimators import DailyRecord
 from tickzone.pipeline import _daily_diagnostics, fmt_float
+from tickzone.tick_policy import crossing_probabilities, market_order_cost
 
 
 class TestCrossingProbabilities:

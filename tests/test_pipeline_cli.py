@@ -865,6 +865,13 @@ def _synth(key, value):
                      id="signature --out nodir/s.csv"),
         pytest.param(["pipeline", "--out", "{csv}/sub"], _SYNTH_KEYS, "sim.csv/sub: cannot make directory: Not a directory",
                      id="pipeline --out under a file"),
+        # a simulated day is written only if ingest can read it back, and only if it is a date at all
+        pytest.param(["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", "0001-01-01", "--timezone",
+                      "America/New_York", "--session", "00:00-00:10"], None,
+                     "sim.csv: timestamp -62135579037810 out of range", id="simulate --day 0001-01-01"),
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "start_date": "9999-12-31", "synthetic.A.days": "2"},
+                     "start_date 9999-12-31 with synthetic.A.days = 2 runs past the last date",
+                     id="start_date = 9999-12-31 with 2 days"),
     ],
 )
 def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path, capsys):

@@ -200,6 +200,12 @@ class TestFitGroups:
         assert list(fits) == ["A@0.01", "A@0.025"]
         fits = fit_groups(recs, split_regimes=False, pool=False, keep_flagged=False, skipped=[])
         assert list(fits) == ["A"]
+        # ticks that agree to 6 significant digits are still two regimes: the key holds the records CSV's 12
+        recs = [_record(0.2 + 0.02 * i, 0.1, 1000 + 500 * i, date=f"x{i}") for i in range(6)]
+        recs += [_record(0.15 + 0.03 * i, 0.1000001, 2000 + 700 * i, date=f"y{i}") for i in range(6)]
+        fits = fit_groups(recs, split_regimes=True, pool=False, keep_flagged=False, skipped=[])
+        assert list(fits) == ["A@0.1", "A@0.1000001"]
+        assert [fit.n_days for fit in fits.values()] == [6, 6]
 
     def test_unfittable_group_skipped_others_fitted(self):
         recs = [_record(0.2 + 0.02 * i, 0.01, 1000 + 500 * i, asset_id="A", date=f"a{i}") for i in range(5)]

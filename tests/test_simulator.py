@@ -22,7 +22,7 @@ from tickzone import (
 )
 from tickzone import simulator
 from tickzone.domain import strictly_increasing_seconds
-from tickzone.simulator import _interval_exits, _unit_exit_times
+from tickzone.simulator import _interval_walk, _unit_exit_times, _walk_times
 
 
 # ------------------------------------------------------------ latent price
@@ -200,7 +200,8 @@ class TestExactExits:
         # closed forms for an exit from (-lo, hi): E tau = lo hi,
         # Var tau = lo hi (lo^2 + hi^2) / 3, P(exit at hi) = lo / (lo + hi)
         n = 200_000
-        tau, at_hi = _interval_exits(lo, hi, n, np.random.default_rng(11))
+        walk = _interval_walk(lo, hi, n, np.random.default_rng(11))
+        tau, at_hi = _walk_times([walk]), walk[0]
         mean, var = lo * hi, lo * hi * (lo**2 + hi**2) / 3.0
         assert abs(tau.mean() - mean) <= 5.0 * math.sqrt(var / n)
         fourth = float(np.mean((tau - tau.mean()) ** 4))
@@ -254,9 +255,9 @@ class TestExactExits:
         # (0.375, 1.125) the walks that go on stand at 0.375, 0.75 from both sides in floats
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
-        got = _interval_exits(lo, hi, n, got_rng)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        walk = _interval_walk(lo, hi, n, got_rng)
+        assert np.array_equal(_walk_times([walk]), want[0])
+        assert np.array_equal(walk[0], want[1])
         # both drew the same numbers, so the next batch of a day starts from the same state
         assert got_rng.random() == want_rng.random()
 
@@ -273,8 +274,8 @@ class TestExactExits:
         lo, hi = (0.5 + eta + s, 0.5 + eta - s) if first else (2.0 * eta, 1.0)
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
-        got = _interval_exits(lo, hi, n, got_rng)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        walk = _interval_walk(lo, hi, n, got_rng)
+        assert np.array_equal(_walk_times([walk]), want[0]) and np.array_equal(walk[0], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -295,9 +296,10 @@ class TestExactExits:
             times, ups = np.concatenate([times, times[-1] + np.cumsum(gaps)]), ups + [continued]
         n = np.searchsorted(times, budget)
         calls = []
-        monkeypatch.setattr(simulator, "_interval_exits", lambda *a: calls.append(a) or _interval_exits(*a))
+        monkeypatch.setattr(simulator, "_walk_times", lambda runs: calls.append(runs) or _walk_times(runs))
         got_times, got_directions = simulator._change_sequence(start, eta, budget, got_rng)
-        assert len(calls) == top_ups == len(ups) - 2
+        # the first timing covers the first exit and the first batch; every later one is a top-up
+        assert len(calls) - 1 == top_ups == len(ups) - 2
         assert np.array_equal(got_times, times[:n])
         assert np.array_equal(got_directions, np.cumprod(np.where(np.concatenate(ups), 1, -1)[:n]))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -311,7 +313,7 @@ class TestExactExits:
             assert np.array_equal(whole, np.concatenate([_unit_exit_times(u) for u in parts]))
 
     def test_one_unit_exit_solve_per_day(self, monkeypatch):
-        calls = {"walks": 0, "solves": 0, "top-ups": 0}
+        calls = {"walks": 0, "solves": 0, "timings": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -321,11 +323,12 @@ class TestExactExits:
 
         monkeypatch.setattr(simulator, "_interval_walk", counted("walks", simulator._interval_walk))
         monkeypatch.setattr(simulator, "_unit_exit_times", counted("solves", simulator._unit_exit_times))
-        monkeypatch.setattr(simulator, "_interval_exits", counted("top-ups", simulator._interval_exits))
+        monkeypatch.setattr(simulator, "_walk_times", counted("timings", simulator._walk_times))
         spec = EfficientPathSpec(x0=100.0037, volatility=0.01, horizon=3600.0)
         simulate_day(spec, AssetSpec("A", 0.01, eta=0.25), TapeConfig(seed=2))
-        # the first exit and one batch of later ones, timed together
-        assert calls == {"walks": 2, "solves": 1, "top-ups": 0}
+        # the first exit and one batch of later ones, timed together; each further timing is a top-up
+        top_ups = calls.pop("timings") - 1
+        assert (calls, top_ups) == ({"walks": 2, "solves": 1}, 0)
 
     @pytest.mark.parametrize("u, solves", [([0.3], 1), ([0.9], 1), ([0.3, 0.9], 2)])
     def test_empty_branch_is_not_solved(self, monkeypatch, u, solves):
@@ -398,12 +401,10 @@ class TestApplyUncertaintyZones:
             assert t[-1] <= 80000.0 + 1e-9
 
     def test_deterministic_in_rng_seed(self):
-        a = _interval_exits(0.5, 1.0, 1000, np.random.default_rng(9))
-        b = _interval_exits(0.5, 1.0, 1000, np.random.default_rng(9))
-        c = _interval_exits(0.5, 1.0, 1000, np.random.default_rng(10))
+        a, b, c = (_interval_walk(0.5, 1.0, 1000, np.random.default_rng(seed)) for seed in (9, 9, 10))
+        assert np.array_equal(_walk_times([a]), _walk_times([b]))
         assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-        assert not np.array_equal(a[0], c[0])
+        assert not np.array_equal(_walk_times([a]), _walk_times([c]))
 
 
 # ------------------------------------------------------------- tape assembly
