@@ -80,7 +80,7 @@ def _add_session_args(p: argparse.ArgumentParser, default: str) -> None:
 
 def _cmd_simulate(args, skipped: List[str]) -> int:
     session = _session(args)
-    asset = AssetSpec(args.asset_id, args.tick_value, eta=args.eta)
+    asset = AssetSpec("SIM", args.tick_value, eta=args.eta)
     fills = read_fills(args.fills, "--fills")
     try:
         day = date_type.fromisoformat(args.day)
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate one asset-day into a trade CSV")
-    p.add_argument("--asset-id", default="SIM")
     p.add_argument("--tick-value", default="0.01", help="tick value as decimal text")
     p.add_argument("--eta", type=float, required=True, help="zone ratio in (0, 1]")
     p.add_argument("--sigma", type=float, required=True, help="volatility per sqrt(second)")

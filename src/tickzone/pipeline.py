@@ -207,6 +207,8 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
                 raise ParameterError(
                     f"unknown synthetic key {key!r}; use synthetic.<ID>.<{'|'.join(sorted(_SYN_KEYS))}>"
                 )
+            if "/" in parts[1] or "\\" in parts[1]:  # the id names the asset's trade directory under out
+                raise ParameterError(f"synthetic key {key!r}: the asset id must not hold '/' or '\\'")
             syn_params.setdefault(parts[1], {})[parts[2]] = raw.pop(key)
     unknown = set(raw) - _TOP_KEYS
     if unknown:

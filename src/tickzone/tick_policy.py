@@ -57,6 +57,9 @@ class TickScenario:
             raise ParameterError(f"alpha must be finite and > 0, got {self.alpha!r}")
         if not 0 < self.eta0 < math.inf:
             raise ParameterError(f"eta0 must be finite and > 0, got {self.eta0!r}")
+        for name, value in (("p1_0", self.p1_0), ("p2_0", self.p2_0)):
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if not (0.0 < self.beta < 2.0):
             raise DomainError(f"beta must lie in (0, 2), got {self.beta!r}")
         if self.m0 is not None and not 1 <= self.m0 < math.inf:
@@ -88,7 +91,6 @@ def market_order_cost(eta: float, tick_value: float) -> float:
 
 @dataclass(frozen=True)
 class EtaForecast:
-    version: int
     eta_pred: float
     in_large_tick_regime: bool
     warning: Optional[str] = None
@@ -148,6 +150,9 @@ def predict_eta(s: TickScenario, version: int = 1) -> EtaForecast:
         raise ParameterError("scenario needs the candidate tick alpha")
     ratio = p2 / p1
     eta = (s.eta0 + ratio) * (s.alpha0 / s.alpha) ** (1.0 - 0.5 * s.beta) - ratio
+    if not math.isfinite(eta):
+        raise DomainError(f"alpha0 {s.alpha0!r} over alpha {s.alpha!r} with p2 / p1 = {ratio:.6g} puts the forecast "
+                          "ratio out of the float range")
     warning = None
     if not (0.0 < eta <= 0.5):
         warning = (
@@ -159,7 +164,7 @@ def predict_eta(s: TickScenario, version: int = 1) -> EtaForecast:
         regime = check_large_tick_regime(s.alpha, s.sigma0, m_new)
     else:
         regime = 0.0 < eta <= 0.5
-    return EtaForecast(version=version, eta_pred=eta, in_large_tick_regime=regime, warning=warning)
+    return EtaForecast(eta_pred=eta, in_large_tick_regime=regime, warning=warning)
 
 
 def optimal_tick(s: TickScenario, version: int = 1) -> float:

@@ -92,10 +92,16 @@ class SessionFilter:
         return f"{clock(self.open_seconds)}-{clock(self.close_seconds)}"
 
     def open_epoch_ms(self, day: date_type) -> int:
-        """UTC epoch milliseconds of this session's open on ``day``."""
-        midnight = datetime.combine(day, time(0), tzinfo=ZoneInfo(self.tz))
-        opened = midnight + timedelta(seconds=self.open_seconds)
-        return int(round(opened.timestamp() * 1000))
+        """UTC epoch milliseconds of the first instant at which the local clock reads this session's open on
+        ``day``; where a clock change skips the open, that is the instant of the jump."""
+        zone = ZoneInfo(self.tz)
+        opened = datetime.combine(day, time(0), tzinfo=zone) + timedelta(seconds=self.open_seconds)
+        at, early = (round(opened.replace(fold=f).timestamp()) for f in (0, 1))
+        if early < at:  # a gap: the old offset reads the open late, the new one early, and the jump lies between
+            wall = opened.replace(tzinfo=None)
+            at = early + bisect.bisect_left(
+                range(early, at), True, key=lambda s: datetime.fromtimestamp(s, zone).replace(tzinfo=None) >= wall)
+        return at * 1000
 
     def rows_by_day(self, stamps: np.ndarray) -> Dict[date_type, np.ndarray]:
         """Indices of the in-session stamps per local date, for non-decreasing UTC stamps.

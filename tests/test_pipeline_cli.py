@@ -368,7 +368,7 @@ class TestRunPipelineSynthetic:
             assert r.avg_spread == pytest.approx(r.alpha)  # one-tick book
             assert r.frac_one_tick == 100.0
 
-    def test_output_files_and_headers(self, synth_run):
+    def test_output_files_and_headers(self, synth_run, tmp_path):
         cfg, result = synth_run
         expect = {
             "daily_records": DAILY_CSV_HEADER,
@@ -386,6 +386,10 @@ class TestRunPipelineSynthetic:
                 assert first == header
         ticks_header = result.outputs["optimal_ticks"].read_text().splitlines()[0]
         assert ticks_header.startswith("asset_id,tick_value,v1_beta1")
+        # the pipeline's tick table and the optimal-tick command are both made by `tick_table`
+        reference = tmp_path / "reference_ticks.csv"
+        assert cli_main(["optimal-tick", "--out", str(reference)]) == 0
+        assert ticks_header == reference.read_text().splitlines()[0]
 
     def test_regression_rows_ordered_pooled_last(self, synth_run):
         _, result = synth_run
@@ -500,7 +504,7 @@ def sim_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "sim.csv"
     rc = cli_main(
         [
-            "simulate", "--asset-id", "SIM", "--eta", "0.25", "--sigma", "0.003",
+            "simulate", "--eta", "0.25", "--sigma", "0.003",
             "--seed", "1", "--day", "2009-06-01", "--session", "08:00-08:10",
             "--out", str(path),
         ]
@@ -750,7 +754,8 @@ def _synth(key, value):
 
 
 # (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file,
-# "{records}" a daily records file with a nan cell and "{tmp}" an empty directory
+# "{crossed}" the same file with the quotes of its line 3 swapped, "{records}" a daily records file
+# with a nan cell and "{tmp}" an empty directory
 @pytest.mark.parametrize(
     "args, config, named",
     [
@@ -831,7 +836,7 @@ def _synth(key, value):
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,
                      "samples_per_second", id="signature --samples-per-second nan"),
         # a grid of 2.88e10 points is refused before any file is read, so the file need not exist
-        pytest.param(["signature", "missing.csv", "--tick-value", "0.01", "--session", "08:00-16:00",
+        pytest.param(["signature", "{tmp}/missing.csv", "--tick-value", "0.01", "--session", "08:00-16:00",
                       "--samples-per-second", "1e6", "--lag-max", "2"], None,
                      "samples_per_second 1000000.0 over a 28800-s session gives a grid of 2.88e+10 points",
                      id="signature --samples-per-second 1e6"),
@@ -842,6 +847,15 @@ def _synth(key, value):
                      "eta0", id="predict --eta0 nan"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--version", "3", "--m0", "nan"],
                      None, "m0", id="predict --m0 nan"),
+        pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "0.91", "--p2", "nan"],
+                     None, "p2_0 must be finite, got nan", id="predict --p2 nan"),
+        # an infinite slope would read p2 / p1 as 0 and give version 3's forecast under version 1's name
+        pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "inf", "--p2", "0.08"],
+                     None, "p1_0 must be finite, got inf", id="predict --p1 inf"),
+        # 5 / 1e-320 overflows to inf, and so would the forecast
+        pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "1e-320", "--p1", "0.91", "--p2", "0.08"],
+                     None, "alpha 1e-320 with p2 / p1 = 0.0879121 puts the forecast ratio out of the float range",
+                     id="predict --alpha 1e-320"),
         # argparse's own errors end in one line and exit 1 as well, not in its usage block and exit 2
         pytest.param(["estimate"], None, "the following arguments are required: inputs, --tick-value",
                      id="estimate with no arguments"),
@@ -872,6 +886,14 @@ def _synth(key, value):
         pytest.param(["pipeline"], {**_SYNTH_KEYS, "start_date": "9999-12-31", "synthetic.A.days": "2"},
                      "start_date 9999-12-31 with synthetic.A.days = 2 runs past the last date",
                      id="start_date = 9999-12-31 with 2 days"),
+        # the asset id names its trade directory under out, so a path there would write elsewhere
+        pytest.param(["pipeline"], {k.replace(".A.", ".{tmp}/elsewhere."): v for k, v in _SYNTH_KEYS.items()},
+                     "/elsewhere.tick_value': the asset id must not hold '/' or '\\'", id="synthetic.<path>.tick_value"),
+        pytest.param(["pipeline"], {k.replace(".A.", ".A\\B."): v for k, v in _SYNTH_KEYS.items()},
+                     "the asset id must not hold", id="synthetic.A\\B.tick_value"),
+        # a crossed quote is an error naming its line
+        pytest.param(["estimate", "{crossed}", "--tick-value", "0.01", "--session", "08:00-08:10"], None,
+                     "crossed.csv:3: ask must exceed bid", id="estimate a crossed quote"),
     ],
 )
 def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path, capsys):
@@ -880,14 +902,19 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     (inputs / "A" / "day.csv").write_bytes(sim_csv.read_bytes())
     records = tmp_path / "records.csv"
     records.write_text(",".join(DAILY_CSV_HEADER[:8]) + "\n2009-06-01,A,0.2,0.01,0.003,500,nan,90\n")
-    args = [a.replace("{csv}", str(sim_csv)).replace("{records}", str(records)).replace("{tmp}", str(tmp_path))
-            for a in args]
+    rows = sim_csv.read_text().splitlines()
+    fields = rows[2].split(",")
+    fields[3], fields[4] = fields[4], fields[3]
+    crossed = tmp_path / "crossed.csv"
+    crossed.write_text("\n".join(rows[:2] + [",".join(fields)] + rows[3:]) + "\n")
+    args = [a.replace("{csv}", str(sim_csv)).replace("{crossed}", str(crossed)).replace("{records}", str(records))
+            .replace("{tmp}", str(tmp_path)) for a in args]
     if args[0] == "simulate" and "--out" not in args:
         args += ["--out", str(tmp_path / "sim.csv")]
     if config is not None:
         lines = [f"out = {tmp_path / 'run'}"] + [f"{k} = {v}" for k, v in config.items()]
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("\n".join(lines).replace("{inputs}", str(inputs)) + "\n")
+        cfg.write_text("\n".join(lines).replace("{inputs}", str(inputs)).replace("{tmp}", str(tmp_path)) + "\n")
         args += ["--config", str(cfg)]
     assert cli_main(args) == 1
     err = capsys.readouterr().err
@@ -1007,7 +1034,8 @@ _SKIP_STAGES = re.compile(r"^skipped: (ingest|record|regression|cloud_adjusted|o
 
 def _every_command_inputs(tmp_path, sim_csv):
     """Trade files under ``in/A``: one day in two maturities, one degenerate day and one file
-    outside the 08:00-08:10 session; ``in/B`` has no tick configured. Returns the paths the
+    outside the 08:00-08:10 session; ``in/B`` has no tick configured; ``gap.csv`` trades at
+    01:05-01:40 in Sao Paulo on 2018-11-04, the night 00:00 became 01:00. Returns the paths the
     command lines name."""
     a, b = tmp_path / "in" / "A", tmp_path / "in" / "B"
     a.mkdir(parents=True)
@@ -1018,12 +1046,16 @@ def _every_command_inputs(tmp_path, sim_csv):
     (a / "degenerate.csv").write_text("timestamp_ms,price,size,bid,ask\n1243929600000,100,1,,\n")  # 2009-06-02 08:00
     (a / "late.csv").write_text("timestamp_ms,price,size,bid,ask\n1243987200000,100,1,,\n")  # 2009-06-03 00:00
     shutil.copy(sim_csv, b / "M9.csv")
+    gap = tmp_path / "gap.csv"  # one trade a minute from 03:05Z at the bid, 0, 1, 2, 1, 2, 3, 2, ... ticks up
+    prices = [100 + (i // 3 + i % 3) / 100 for i in range(36)]
+    gap.write_text("timestamp_ms,price,size,bid,ask\n" + "".join(
+        f"{1_541_300_700_000 + 60_000 * i},{p:.2f},1,{p:.2f},{p + 0.01:.2f}\n" for i, p in enumerate(prices)))
     records = tmp_path / "records.csv"
     write_daily_records_csv(_plane_records() + _plane_records(n=3, asset_id="B"), records)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"out = {tmp_path / 'out'}\ninput_dir = {tmp_path / 'in'}\ntick_value.A = 0.01\n"
                    "session = 08:00-08:10\n")
-    return {"A": a, "records": records, "cfg": cfg, "tmp": tmp_path}
+    return {"A": a, "gap": gap, "records": records, "cfg": cfg, "tmp": tmp_path}
 
 
 # (command line, exit code, stages its skips must come from); "{X}" is a name from _every_command_inputs
@@ -1031,6 +1063,8 @@ def _every_command_inputs(tmp_path, sim_csv):
     pytest.param(_SIMULATE + ["--sigma", "0.003", "--out", "{tmp}/sim.csv"], 0, set(), id="simulate"),
     pytest.param(["estimate", "{A}/M9.csv", "{A}/degenerate.csv", "--tick-value", "0.01", "--asset-id", "A",
                   "--session", "08:00-08:10"], 0, {"record"}, id="estimate"),
+    pytest.param(["estimate", "{gap}", "--tick-value", "0.01", "--session", "00:30-02:00", "--timezone",
+                  "America/Sao_Paulo"], 0, set(), id="estimate a session whose open the clock skips"),
     pytest.param(["regress", "--records", "{records}"], 0, {"regression"}, id="regress"),
     pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "0.91"], 0, set(),
                  id="predict"),

@@ -91,6 +91,18 @@ class TestSessionFilter:
         # and UTC+1 in winter
         assert s.open_epoch_ms(date(2009, 1, 5)) % 86_400_000 == 7 * 3600 * 1000
 
+    @pytest.mark.parametrize("tz, day, window, utc", [
+        # in Sao Paulo 00:00 became 01:00 that night, at 03:00Z: a skipped open opens at the jump
+        ("America/Sao_Paulo", date(2018, 11, 4), "00:30-02:00", datetime(2018, 11, 4, 3, tzinfo=timezone.utc)),
+        ("Europe/Berlin", date(2009, 3, 29), "02:30-04:00", datetime(2009, 3, 29, 1, tzinfo=timezone.utc)),
+        # Lord Howe moves half an hour, 02:00 to 02:30, at 15:30Z
+        ("Australia/Lord_Howe", date(2009, 10, 4), "02:15-04:00", datetime(2009, 10, 3, 15, 30, tzinfo=timezone.utc)),
+        # an open the clock reads twice opens the first time
+        ("Europe/Berlin", date(2009, 10, 25), "02:30-04:00", datetime(2009, 10, 25, 0, 30, tzinfo=timezone.utc)),
+    ])
+    def test_open_is_the_first_instant_the_local_clock_reads_it(self, tz, day, window, utc):
+        assert SessionFilter.from_text(window, tz=tz).open_epoch_ms(day) == utc.timestamp() * 1000
+
     def test_locate_inverts_open(self, tmp_path):
         # a print stamped at the open lands on that day, at time zero
         s = SessionFilter.from_text("08:00-17:15", tz="Europe/Berlin")
@@ -797,9 +809,9 @@ def test_one_corrupted_cell_names_its_line(case, kind, bad_int, bad_decimal, bla
 _UTC_2008 = 1_199_145_600_000  # 2008-01-01T00:00:00Z
 _UTC_2011 = 1_293_840_000_000  # 2011-01-01T00:00:00Z
 _DAY_MS = 86_400_000
-# sessions whose open never falls in a summer-time gap of the three zones
+# the 02:15 open falls in the spring gap of all three zones, so it opens at the jump
 _LOCATE_SESSIONS = (
-    "00:00-24:00", "01:00-04:00", "00:30-02:15", "01:45-02:45", "03:00-17:15", "21:30-23:59",
+    "00:00-24:00", "01:00-04:00", "00:30-02:15", "01:45-02:45", "02:15-04:00", "03:00-17:15", "21:30-23:59",
 )
 
 
@@ -853,6 +865,8 @@ def _located_stamps(draw):
 # the first UTC day ends after the autumn change and the next stamp follows the spring one,
 # so the offsets at the first stamp of each UTC day are equal
 @example(([1_224_979_200_000, 1_224_982_800_000, 1_269_738_000_000], SessionFilter(1800, 8100, "Europe/Berlin")))
+# Berlin's clock skips 02:15 on 2009-03-29, so the day opens at the jump, 01:00Z, and 01:05Z is 5 minutes in
+@example(([1_238_288_700_000, 1_238_289_600_000], SessionFilter(8100, 14400, "Europe/Berlin")))
 @settings(max_examples=80, deadline=None)
 def test_session_location_matches_a_datetime_per_row(case):
     stamps, session = case
