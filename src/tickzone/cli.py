@@ -110,16 +110,14 @@ def _cmd_regress(args, skipped: List[str]) -> int:
 
 
 def _cmd_predict(args, skipped: List[str]) -> int:
-    scenario = TickScenario(
-        alpha0=args.alpha0,
-        eta0=args.eta0,
-        alpha=args.alpha,
-        p1_0=args.p1,
-        p2_0=args.p2,
-        beta=args.beta,
-        m0=args.m0,
-        sigma0=args.sigma0,
-    )
+    flags = {"alpha0": "alpha0", "eta0": "eta0", "alpha": "alpha", "p1_0": "p1", "p2_0": "p2",
+             "beta": "beta", "m0": "m0", "sigma0": "sigma0"}
+    try:
+        scenario = TickScenario(**{field: getattr(args, flag) for field, flag in flags.items()})
+    except TickzoneError as exc:
+        # each check names its field first; the user typed the flag
+        field, _, rest = str(exc).partition(" ")
+        raise type(exc)(f"--{flags[field]} {rest}") from None
     try:
         forecast = predict_eta(scenario, version=args.version)
     except MissingFitError:

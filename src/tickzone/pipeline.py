@@ -264,7 +264,7 @@ def simulate_to_csv(
     session: SessionFilter, day: date_type, path: Path,
 ) -> Tuple[TradeTape, TrueParams]:
     """Simulate ``day`` over ``session`` into the trade file ``path``; ``fills`` is a rate or ``'auto'``."""
-    horizon = session.length_seconds
+    horizon = session.elapsed_seconds(day)
     intensity = equilibrium_fill_rate(asset, sigma, horizon) if fills == "auto" else fills
     spec = EfficientPathSpec(x0=x0, volatility=sigma, horizon=horizon)
     tape, truth = simulate_day(spec, asset, TapeConfig(trade_intensity=intensity, seed=seed))

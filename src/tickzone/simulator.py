@@ -27,17 +27,17 @@ one. Each series is used on its own side of t = 1/2, where the first term
 left out is below 1e-21 of the partial sum: under half an ulp, so neither it
 nor any later term could change a double. The short-time series needs erfc
 only at arguments of 1 and above, which Cody's rational approximations give
-in numpy. Each side takes the number of steps that a closed-form bound on
-the error of its start fixes, with S(1/2) = P(T > 1/2) between them:
+in numpy. Each side starts from a closed form close enough for one step,
+with S(1/2) = P(T > 1/2) between them:
 
 - For u < S(1/2), x = exp(-pi^2 t / 8) solves x - x^9/3 + x^25/5 - x^49/7 =
-  pi u / 4 = c, by products alone. The start c + c^9/3 is off by about 5e-5
-  relative at t = 1/2, less beyond (like x^16). A Newton step squares the
-  relative error and scales it by at most 12 x^8 < 0.09: to 2e-10, then 5e-21.
+  pi u / 4 = c, by products alone. Its series reversion in y = c^8 to y^4
+  starts within 1.9e-9 relative at t = 1/2 (the next term, 13846/135 y^5),
+  less beyond. A Newton step leaves at most 12 x^8 < 0.09 of its square: 3e-19.
 - Otherwise z = 1/sqrt(2t) solves erfc z - erfc 3z + erfc 5z = q/2 = (1 - u)/2.
-  AS 70 gives the root of erfc z = q/2 to 1e-8; the omitted erfc(3z) shifts
-  it by about 5e-5 at z = 1, less above (like exp(-8 z^2)). Halley's error
-  shrinks with the cube: to 2e-14 after one step, under 1e-40 after two.
+  AS 70's root of erfc z = q/2, moved by the leading terms of erfc 3z, starts
+  within 4.7e-7 relative, worst near z = 1. A Halley step cubes the error and
+  scales it by about 0.16: to 2e-20. The step is taken on t to second order.
 """
 from __future__ import annotations
 
@@ -216,16 +216,16 @@ _SURVIVAL_AT_HALF = float(4.0 / math.pi * sum(s / o * _X_AT_HALF ** (o * o) for 
 
 
 def _long_exit_times(u: np.ndarray) -> np.ndarray:
-    """Unit exit times for survival probabilities ``u`` below S(1/2): two Newton steps in x."""
+    """Unit exit times for survival probabilities ``u`` below S(1/2): one Newton step in x."""
     odd, sign = _LONG_TERMS
     c = (math.pi / 4.0) * u
-    x = c + _theta_powers(c, 2)[1] / 3.0
-    for _ in range(2):
-        powers = _theta_powers(x, len(odd))
-        # c < x < 2c, so x - c is exact and the residual rounds once
-        residual = (x - c) + _series(sign[1:] / odd[1:], powers[1:])
-        # the slope times x is sum_k sign_k odd_k x^(odd_k^2)
-        x -= x * residual / _series(sign * odd, powers)
+    y = np.square(np.square(c * c))  # the series reversion of x - x^9/3 + ... = c in y = c^8, to y^4
+    x = c + c * y * _horner((2669.0 / 135.0, 62.0 / 15.0, 1.0, 1.0 / 3.0), y)
+    powers = _theta_powers(x, len(odd))
+    # c < x < 2c, so x - c is exact and the residual rounds once
+    residual = (x - c) + _series(sign[1:] / odd[1:], powers[1:])
+    # the slope times x is sum_k sign_k odd_k x^(odd_k^2)
+    x -= x * residual / _series(sign * odd, powers)
     return (-8.0 / math.pi**2) * np.log(x)
 
 
@@ -242,16 +242,16 @@ def _halley_step(z: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 
 def _short_exit_times(q: np.ndarray) -> np.ndarray:
-    """Unit exit times for P(T <= t) = ``q`` above 1 - S(1/2): two Halley steps in z."""
-    half = 0.5 * q
-    # erfc(z) = q / 2 is the chance that |N| > sqrt(2) z for a standard normal N
+    """Unit exit times for P(T <= t) = ``q`` above 1 - S(1/2): one Halley step in z."""
+    # AS 70 at P(N > sqrt(2) z) = q / 4 gives the root of erfc z = q / 2 for a standard normal N; the
+    # omitted erfc 3z = exp(-9 z^2) (1 - 1 / (18 z^2) + ...) / (3 z sqrt(pi)) moves that root so
     z = math.sqrt(0.5) * _normal_upper_quantile(0.25 * q)
-    z -= _halley_step(z, half)
-    step = _halley_step(z, half)
-    # the last step moves t = 1 / (2 z^2) by 2 t step / z, up to a term under 1e-25 of t;
+    z -= np.exp(-8.0 * z * z) / (6.0 * z) * (1.0 - 1.0 / (18.0 * z * z))
+    s = _halley_step(z, 0.5 * q) / z
+    # the step moves t = 1 / (2 z^2) to t / (1 - s)^2 = t (1 + 2s + 3s^2), up to 4 s^3 < 1e-18 of t;
     # taken on t, it is not held to the values of 1 / (2 z^2) at doubles z, up to 4 ulps of t apart
     t = 0.5 / (z * z)
-    return t + t * (2.0 * step / z)
+    return t + t * (s * (2.0 + 3.0 * s))
 
 
 def _unit_exit_times(u: np.ndarray) -> np.ndarray:
@@ -260,11 +260,11 @@ def _unit_exit_times(u: np.ndarray) -> np.ndarray:
     ``u`` must lie in the open interval (0, 1). A side of t = 1/2 with no draws is not solved.
     """
     t = np.empty_like(u)
-    long = u < _SURVIVAL_AT_HALF
-    if long.any():
+    long, short = np.flatnonzero(u < _SURVIVAL_AT_HALF), np.flatnonzero(u >= _SURVIVAL_AT_HALF)
+    if len(long):
         t[long] = _long_exit_times(u[long])
-    if not long.all():
-        t[~long] = _short_exit_times(1.0 - u[~long])
+    if len(short):
+        t[short] = _short_exit_times(1.0 - u[short])
     return t
 
 

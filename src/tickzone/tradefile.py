@@ -94,13 +94,22 @@ class SessionFilter:
     def open_epoch_ms(self, day: date_type) -> int:
         """UTC epoch milliseconds of the first instant at which the local clock reads this session's open on
         ``day``; where a clock change skips the open, that is the instant of the jump."""
+        return self._reading_ms(day, self.open_seconds)
+
+    def elapsed_seconds(self, day: date_type) -> float:
+        """Seconds from the open instant of ``day`` to the first instant at which the local clock reads the close,
+        or to the millisecond before the jump where a clock change skips the close."""
+        return (self._reading_ms(day, self.close_seconds, closing=True) - self.open_epoch_ms(day)) / 1000.0
+
+    def _reading_ms(self, day: date_type, seconds: int, closing: bool = False) -> int:
         zone = ZoneInfo(self.tz)
-        opened = datetime.combine(day, time(0), tzinfo=zone) + timedelta(seconds=self.open_seconds)
-        at, early = (round(opened.replace(fold=f).timestamp()) for f in (0, 1))
-        if early < at:  # a gap: the old offset reads the open late, the new one early, and the jump lies between
-            wall = opened.replace(tzinfo=None)
+        wall = datetime.combine(day, time(0), tzinfo=zone) + timedelta(seconds=seconds)
+        at, early = (round(wall.replace(fold=f).timestamp()) for f in (0, 1))
+        if early < at:  # a gap: the old offset reads the time late, the new one early, and the jump lies between
+            naive = wall.replace(tzinfo=None)
             at = early + bisect.bisect_left(
-                range(early, at), True, key=lambda s: datetime.fromtimestamp(s, zone).replace(tzinfo=None) >= wall)
+                range(early, at), True, key=lambda s: datetime.fromtimestamp(s, zone).replace(tzinfo=None) >= naive)
+            return at * 1000 - (1 if closing else 0)
         return at * 1000
 
     def rows_by_day(self, stamps: np.ndarray) -> Dict[date_type, np.ndarray]:

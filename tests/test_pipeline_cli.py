@@ -533,6 +533,24 @@ class TestCli:
         assert back[0].date == "2009-06-01"
         assert 0.0 < back[0].eta_hat < 0.7
 
+    @pytest.mark.parametrize("day, session, zone, hours", [
+        pytest.param("2018-11-04", "00:30-02:00", "America/Sao_Paulo", 1.0, id="the clock skips the open"),
+        pytest.param("2009-10-25", "01:00-04:00", "Europe/Berlin", 4.0, id="the clock goes back"),
+        # the clock reads past 02:30 for half an hour before it reads 02:30 again, so the day ends the first time
+        pytest.param("2009-10-25", "00:00-02:30", "Europe/Berlin", 2.5, id="the clock reads the close twice"),
+    ])
+    def test_clock_change_day_is_simulated_over_its_elapsed_session(self, day, session, zone, hours, tmp_path, capsys):
+        where = ["--session", session, "--timezone", zone]
+        trades, daily = tmp_path / "day.csv", tmp_path / "daily.csv"
+        simulate = ["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", day, "--out", str(trades), *where]
+        assert cli_main(simulate) == 0
+        stamps = [int(line.split(",")[0]) for line in trades.read_text().splitlines()[1:]]
+        # the trades run from the open to the close as the local clock first reads it, and estimate keeps them all
+        assert (stamps[-1] - stamps[0]) / 3.6e6 == pytest.approx(hours, abs=0.01)
+        assert cli_main(["estimate", str(trades), "--tick-value", "0.01", "--out", str(daily), *where]) == 0
+        (record,) = read_daily_records_csv(daily)
+        assert record.m_trades == len(stamps)
+
     def test_estimate_degenerate_day_exits_nonzero(self, tmp_path, capsys):
         one = tmp_path / "one.csv"
         one.write_text("timestamp_ms,price,size,bid,ask\n1243814400000,100.5,1,100,100.5\n")
@@ -848,10 +866,10 @@ def _synth(key, value):
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.2", "--alpha", "10", "--version", "3", "--m0", "nan"],
                      None, "m0", id="predict --m0 nan"),
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "0.91", "--p2", "nan"],
-                     None, "p2_0 must be finite, got nan", id="predict --p2 nan"),
+                     None, "error: --p2 must be finite, got nan", id="predict --p2 nan"),
         # an infinite slope would read p2 / p1 as 0 and give version 3's forecast under version 1's name
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "10", "--p1", "inf", "--p2", "0.08"],
-                     None, "p1_0 must be finite, got inf", id="predict --p1 inf"),
+                     None, "error: --p1 must be finite, got inf", id="predict --p1 inf"),
         # 5 / 1e-320 overflows to inf, and so would the forecast
         pytest.param(["predict", "--alpha0", "5", "--eta0", "0.268", "--alpha", "1e-320", "--p1", "0.91", "--p2", "0.08"],
                      None, "alpha 1e-320 with p2 / p1 = 0.0879121 puts the forecast ratio out of the float range",

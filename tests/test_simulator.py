@@ -183,17 +183,44 @@ class TestExactExits:
         monkeypatch.setattr(simulator, "_SHORT_TERMS", simulator._theta_terms(4))
         assert np.array_equal(_unit_exit_times(u), t)
 
-    @pytest.mark.parametrize("solve", [_unit_exit_times, _newton_unit_exit_times], ids=["fixed-step", "newton"])
-    def test_ulp_error_against_a_40_digit_table(self, solve):
-        # the bounds are what Newton's method on the log tails, the solver before the
-        # fixed-step one, measures on this table (3.99133 and 0.81484), rounded up
+    # each solver's bounds are what it measures on this table, rounded up: the fixed-step one
+    # 2.44124 and 0.52403, and Newton's method on the log tails, the solver before it, 3.99133 and 0.81484
+    @pytest.mark.parametrize("solve, max_ulps, mean_ulps", [
+        (_unit_exit_times, 2.4413, 0.5241), (_newton_unit_exit_times, 3.9914, 0.8149)], ids=["fixed-step", "newton"])
+    def test_ulp_error_against_a_40_digit_table(self, solve, max_ulps, mean_ulps):
         u, want = _reference_roots()
         assert u[0] == 2.0**-55 and u[-1] == 1.0 - 2.0**-53
         long = u < simulator._SURVIVAL_AT_HALF
         assert long.sum() > 200 and (~long).sum() > 200
         got = solve(u)
         ulps = [float(abs(Decimal(float(g)) - w) / Decimal(math.ulp(float(w)))) for g, w in zip(got, want)]
-        assert max(ulps) <= 3.9914 and np.mean(ulps) <= 0.8149
+        assert max(ulps) <= max_ulps and np.mean(ulps) <= mean_ulps
+
+    def test_each_start_is_close_enough_for_one_step(self, monkeypatch):
+        # from 2e-9 relative in x, one Newton step leaves at most 0.09 (2e-9)^2; from 5e-7 relative
+        # in z, one Halley step leaves about 0.16 (5e-7)^3: both far under an ulp (the table's
+        # starts measure 1.86e-9 and 4.12e-7)
+        u, want = _reference_roots()
+        t = np.array([float(w) for w in want])
+        long = u < simulator._SURVIVAL_AT_HALF
+        starts = {}
+
+        def first_argument(name):
+            step = getattr(simulator, name)
+
+            def recorded(x, *rest):
+                starts.setdefault(name, x.copy())
+                return step(x, *rest)
+            return recorded
+
+        # the long side takes its powers of x once, at the start; the short side takes one step, from the start
+        for name in ("_theta_powers", "_halley_step"):
+            monkeypatch.setattr(simulator, name, first_argument(name))
+        simulator._long_exit_times(u[long])
+        simulator._short_exit_times(1.0 - u[~long])
+        x_start, z_start = starts["_theta_powers"], starts["_halley_step"]
+        assert np.max(np.abs(x_start / np.exp(-(math.pi**2 / 8.0) * t[long]) - 1.0)) <= 2e-9
+        assert np.max(np.abs(z_start * np.sqrt(2.0 * t[~long]) - 1.0)) <= 5e-7
 
     @pytest.mark.parametrize("lo, hi", [(0.2, 1.0), (0.5, 1.0), (0.37, 0.91)])
     def test_exit_moments_and_sides(self, lo, hi):

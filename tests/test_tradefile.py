@@ -103,6 +103,26 @@ class TestSessionFilter:
     def test_open_is_the_first_instant_the_local_clock_reads_it(self, tz, day, window, utc):
         assert SessionFilter.from_text(window, tz=tz).open_epoch_ms(day) == utc.timestamp() * 1000
 
+    @pytest.mark.parametrize("tz, day, window, seconds", [
+        ("Europe/Berlin", date(2009, 6, 1), "08:00-17:15", 33_300.0),
+        # the clock skips the open, 00:00 to 01:00, and the session lasts an hour
+        ("America/Sao_Paulo", date(2018, 11, 4), "00:30-02:00", 3_600.0),
+        # the clock goes back, 03:00 to 02:00, inside the session
+        ("Europe/Berlin", date(2009, 10, 25), "01:00-04:00", 14_400.0),
+        # ... and reads the close twice: the session ends at the first reading, after which the clock reads
+        # past the close for half an hour
+        ("Europe/Berlin", date(2009, 10, 25), "00:00-02:30", 9_000.0),
+        # the clock skips the close, 02:00 to 03:00: the session ends the millisecond before the jump
+        ("Europe/Berlin", date(2009, 3, 29), "01:00-02:30", 3_599.999),
+    ])
+    def test_elapsed_session_ends_where_the_clock_first_reads_past_the_close(self, tz, day, window, seconds):
+        session = SessionFilter.from_text(window, tz=tz)
+        assert session.elapsed_seconds(day) == seconds
+        end = session.open_epoch_ms(day) + round(seconds * 1000)
+        # a stamp at the end is in that day's session and one a millisecond later is not
+        located = session.rows_by_day(np.array([end, end + 1]))
+        assert list(located) == [day] and list(located[day]) == [0]
+
     def test_locate_inverts_open(self, tmp_path):
         # a print stamped at the open lands on that day, at time zero
         s = SessionFilter.from_text("08:00-17:15", tz="Europe/Berlin")
