@@ -265,6 +265,8 @@ def simulate_to_csv(
 ) -> Tuple[TradeTape, TrueParams]:
     """Simulate ``day`` over ``session`` into the trade file ``path``; ``fills`` is a rate or ``'auto'``."""
     horizon = session.elapsed_seconds(day)
+    if horizon <= 0:
+        raise ParameterError(f"the clock in {session.tz} skips all of session {session.label()} on {day}")
     intensity = equilibrium_fill_rate(asset, sigma, horizon) if fills == "auto" else fills
     spec = EfficientPathSpec(x0=x0, volatility=sigma, horizon=horizon)
     tape, truth = simulate_day(spec, asset, TapeConfig(trade_intensity=intensity, seed=seed))

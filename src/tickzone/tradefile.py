@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import date as date_type
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, time, timedelta
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -58,8 +58,11 @@ def _parse_session_clock(text: str) -> int:
 class SessionFilter:
     """A trading session window in an exchange's local wall-clock time.
 
-    The window is inclusive of both endpoints so a final trade stamped
-    exactly at the close survives the millisecond rounding of timestamps.
+    On each local date the session is one interval of UTC time, from
+    :meth:`open_epoch_ms` for :meth:`elapsed_seconds`; the writer anchors a
+    day there and ingest keeps the rows inside it. The interval includes both
+    ends so a final trade stamped exactly at the close survives the
+    millisecond rounding of timestamps.
     """
 
     open_seconds: int
@@ -112,41 +115,25 @@ class SessionFilter:
             return at * 1000 - (1 if closing else 0)
         return at * 1000
 
-    def rows_by_day(self, stamps: np.ndarray) -> Dict[date_type, np.ndarray]:
-        """Indices of the in-session stamps per local date, for non-decreasing UTC stamps.
+    def rows_by_day(self, stamps: np.ndarray) -> Dict[date_type, slice]:
+        """The rows of each local date's session, for non-decreasing UTC stamps.
 
-        The UTC offset is piecewise constant. It is read at the first and last
-        stamp of each UTC day, so a gap between days, however long, lies
-        between two readings; where two readings differ, the first stamp with
-        the new offset is found by bisection. Rows keep file order within a
-        date even where a change at local midnight steps back.
+        A date's session is the epoch interval from :meth:`open_epoch_ms` to
+        the end that :meth:`elapsed_seconds` gives, both ends included, found
+        by two searches. A session holds its stamps within a day of theirs, so
+        the dates tried are each stamp's UTC date and the dates either side. A
+        stamp that closes one date and opens the next goes to the next. Dates
+        with no rows are left out.
         """
-        zone = ZoneInfo(self.tz)
-
-        def offset(i: int) -> int:
-            utc = datetime.fromtimestamp(int(stamps[i]) // 1000, tz=timezone.utc)
-            return utc.astimezone(zone).utcoffset() // timedelta(milliseconds=1)
-
-        if len(stamps) == 0:
-            return {}
-        firsts = np.flatnonzero(np.diff(stamps // _DAY_MS)) + 1
-        samples = sorted({0, *firsts.tolist(), *(firsts - 1).tolist(), len(stamps) - 1})
-        starts, offsets = [0], [offset(0)]
-        for a, b in zip(samples, samples[1:]):
-            if offset(b) != offsets[-1]:
-                moved = bisect.bisect_left(range(a, b), True, key=lambda i: offset(i) != offsets[-1])
-                starts.append(a + moved)
-                offsets.append(offset(b))
-        local = stamps + np.repeat(offsets, np.diff([*starts, len(stamps)]))
-        # a stamp at local midnight closes a 24:00 session, unless the session opens at 00:00
-        late = int(self.close_seconds == 86400 and self.open_seconds > 0)
-        day, clock = np.divmod(local - late, _DAY_MS)
-        clock += late
-        rows = np.flatnonzero((clock >= self.open_seconds * 1000) & (clock <= self.close_seconds * 1000))
-        rows = rows[np.argsort(day[rows], kind="stable")]
-        days, firsts = np.unique(day[rows], return_index=True)
-        dates = (date_type.fromordinal(_EPOCH_ORDINAL + d) for d in days.tolist())
-        return dict(zip(dates, np.split(rows, firsts[1:])))
+        utc_days = stamps // _DAY_MS
+        utc_days = utc_days[np.flatnonzero(np.diff(utc_days, prepend=utc_days[:1] - 1))].tolist()
+        tried = sorted({d + k for d in utc_days for k in (-1, 0, 1)})
+        dates = [date_type.fromordinal(_EPOCH_ORDINAL + d) for d in tried]
+        starts = np.searchsorted(stamps, [self.open_epoch_ms(d) for d in dates], "left")
+        closes = [self._reading_ms(d, self.close_seconds, closing=True) for d in dates]
+        stops = np.searchsorted(stamps, closes, "right")
+        stops = np.minimum(stops, np.append(starts[1:], len(stamps)))
+        return {d: slice(a, b) for d, a, b in zip(dates, starts.tolist(), stops.tolist()) if a < b}
 
 
 FULL_DAY = SessionFilter(0, 86400, tz="UTC")
@@ -425,11 +412,11 @@ def _subticks(grid: TickGrid, what: str, text: str) -> Union[int, str]:
 
 
 def _parse_column(
-    subticks: Callable[[str, str], Union[int, str]], what: str, column: tuple, rows: np.ndarray
+    subticks: Callable[[str, str], Union[int, str]], what: str, column: tuple, rows: slice
 ) -> tuple[Optional[np.ndarray], int, Optional[str]]:
     """Sub-ticks of the rows' cells, parsing each distinct text they use once.
 
-    Returns (sub-ticks, len(rows), None), or (None, first failing row, its message).
+    Returns (sub-ticks, the number of rows, None), or (None, first failing row in ``rows``, its message).
     """
     values, codes = column
     row_codes = codes[rows].astype(np.intp)  # numpy indexes faster with intp than with the int32 codes
@@ -437,30 +424,31 @@ def _parse_column(
     used[row_codes] = True
     cells = [subticks(what, v) if u else 0 for v, u in zip(values, used.tolist())]
     i = _first(np.array([isinstance(c, str) for c in cells])[row_codes])
-    if i < len(rows):
+    if i < len(row_codes):
         return None, i, cells[row_codes[i]]
     return np.array(cells, dtype=np.int64)[row_codes], i, None
 
 
 def _build_day_tape(
     asset: AssetSpec, subticks: Callable[[str, str], Union[int, str]], day: date_type,
-    cols: _TradeColumns, rows: np.ndarray, session: SessionFilter,
+    cols: _TradeColumns, rows: slice, session: SessionFilter,
 ) -> TradeTape:
     # the tape itself checks the quotes and the moves
     parsed = [_parse_column(subticks, what, column, rows) for what, column in zip(("price", "bid", "ask"), cols.texts)]
     _, i, message = min(parsed, key=lambda p: p[1])  # on a tie, price before bid before ask
     if message is not None:
-        raise IngestError(message, path=cols.path, line=int(cols.lines[rows[i]]))
+        raise IngestError(message, path=cols.path, line=int(cols.lines[rows.start + i]))
     price_q, bid_q, ask_q = (q for q, _, _ in parsed)
     times = strictly_increasing_seconds(cols.stamps[rows] - session.open_epoch_ms(day))
-    session_length = max(session.length_seconds, times[-1])
+    # prints sharing the close's stamp are pushed a millisecond apart, past the close
+    session_length = max(session.elapsed_seconds(day), times[-1])
     try:
         return TradeTape(
             asset, times, price_q, bid_q, ask_q,
             session_length=session_length, opening_price_q=int(price_q[0]),
         )
     except TapeError as exc:
-        raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows[exc.row]])) from None
+        raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows.start + exc.row])) from None
 
 
 def ingest_trades(
@@ -482,7 +470,7 @@ def ingest_trades(
     files: Dict[str, Path] = {}  # each file once, under the first of its paths in path order
     for p in sorted(Path(p) for p in paths):
         files.setdefault(os.path.realpath(p), p)
-    per_file: List[tuple[_TradeColumns, Dict[date_type, np.ndarray]]] = []
+    per_file: List[tuple[_TradeColumns, Dict[date_type, slice]]] = []
     for p in files.values():
         cols = _read_columns(p)
         per_file.append((cols, session.rows_by_day(cols.stamps)))
@@ -494,12 +482,12 @@ def ingest_trades(
     for day in sorted({d for _, by_day in per_file for d in by_day}):
         candidates = [(cols, by_day[day]) for cols, by_day in per_file if day in by_day]
         # max keeps the first candidate on ties; per_file holds sorted paths
-        best, rows = max(candidates, key=lambda c: len(c[1]))
+        best, rows = max(candidates, key=lambda c: c[1].stop - c[1].start)
         for cols, lost in candidates:
             if cols is not best:
                 skipped.append(
                     f"ingest {cols.path} {day}: lost the maturity choice to {best.path} "
-                    f"({len(rows)} trades inside session against {len(lost)})"
+                    f"({rows.stop - rows.start} trades inside session against {lost.stop - lost.start})"
                 )
         out.append(DayTape(date=day, tape=_build_day_tape(asset, subticks, day, best, rows, session)))
     return out

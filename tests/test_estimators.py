@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import tape_from_rows
@@ -32,6 +32,7 @@ from tickzone.estimators import (
     spread_stats,
 )
 from tickzone.regression import fit_spread_vol
+from tickzone.simulator import EfficientPathSpec, TapeConfig, simulate_day
 
 
 def _asset(tick=0.5, eta=0.25):
@@ -428,3 +429,18 @@ def test_variance_shift_invariant(xs, shift):
     x = np.asarray(xs)
     base = estimate_integrated_variance(x)
     assert estimate_integrated_variance(x + shift) == pytest.approx(base, rel=1e-9, abs=1e-9)
+
+
+@given(eta=st.floats(0.05, 0.5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_variance_of_a_simulated_day_is_set_by_eta_hat_and_the_change_count(eta, seed):
+    # a continuation moves the recovered price one tick and an alternation 2 eta_hat ticks; with
+    # eta_hat = continuations / (2 alternations) the squared moves sum to 2 eta_hat alpha^2 (changes - 1)
+    spec = EfficientPathSpec(x0=100.0, volatility=0.003, horizon=3600.0)
+    tape, _ = simulate_day(spec, _asset(tick=0.01, eta=eta), TapeConfig(trade_intensity=0.2, seed=seed))
+    try:
+        record = build_daily_record(tape, date="d")
+    except (InsufficientDataError, DegenerateTapeError):
+        assume(False)
+    identity = 2.0 * record.eta_hat * record.alpha**2 * (tape.n_changes - 1)
+    assert record.sigma_hat**2 == pytest.approx(identity, rel=1e-11)

@@ -538,6 +538,7 @@ class TestCli:
         pytest.param("2009-10-25", "01:00-04:00", "Europe/Berlin", 4.0, id="the clock goes back"),
         # the clock reads past 02:30 for half an hour before it reads 02:30 again, so the day ends the first time
         pytest.param("2009-10-25", "00:00-02:30", "Europe/Berlin", 2.5, id="the clock reads the close twice"),
+        pytest.param("2009-10-25", "02:30-04:00", "Europe/Berlin", 2.5, id="the clock reads the open twice"),
     ])
     def test_clock_change_day_is_simulated_over_its_elapsed_session(self, day, session, zone, hours, tmp_path, capsys):
         where = ["--session", session, "--timezone", zone]
@@ -901,6 +902,15 @@ def _synth(key, value):
         pytest.param(["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", "0001-01-01", "--timezone",
                       "America/New_York", "--session", "00:00-00:10"], None,
                      "sim.csv: timestamp -62135579037810 out of range", id="simulate --day 0001-01-01"),
+        # the clock skips 02:00-03:00 that day, so the session has no time to simulate
+        pytest.param(["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", "2009-03-29", "--timezone",
+                      "Europe/Berlin", "--session", "02:15-02:45"], None,
+                     "the clock in Europe/Berlin skips all of session 02:15-02:45 on 2009-03-29",
+                     id="simulate a session the clock skips"),
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "session": "02:15-02:45", "timezone": "Europe/Berlin",
+                                    "start_date": "2009-03-28", "synthetic.A.days": "2"},
+                     "the clock in Europe/Berlin skips all of session 02:15-02:45 on 2009-03-29",
+                     id="pipeline over a session the clock skips"),
         pytest.param(["pipeline"], {**_SYNTH_KEYS, "start_date": "9999-12-31", "synthetic.A.days": "2"},
                      "start_date 9999-12-31 with synthetic.A.days = 2 runs past the last date",
                      id="start_date = 9999-12-31 with 2 days"),

@@ -21,6 +21,7 @@ from conftest import tape_from_rows
 from tickzone.domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TradeTape
 from tickzone.errors import IngestError, ParameterError, TickzoneError, show_field
 from tickzone.estimators import build_daily_record
+from tickzone.pipeline import simulate_to_csv
 from tickzone import tradefile
 from tickzone.simulator import EfficientPathSpec, TapeConfig, simulate_day
 from tickzone.tradefile import (
@@ -121,7 +122,7 @@ class TestSessionFilter:
         end = session.open_epoch_ms(day) + round(seconds * 1000)
         # a stamp at the end is in that day's session and one a millisecond later is not
         located = session.rows_by_day(np.array([end, end + 1]))
-        assert list(located) == [day] and list(located[day]) == [0]
+        assert located == {day: slice(0, 1)}
 
     def test_locate_inverts_open(self, tmp_path):
         # a print stamped at the open lands on that day, at time zero
@@ -450,6 +451,13 @@ class TestIngestTrades:
         assert tape.times[0] == 0.0
         assert tape.times[-1] == 3600.0
         assert tape.session_length == 3600.0
+
+    def test_prints_sharing_the_close_stamp_stretch_the_session(self, tmp_path):
+        session = SessionFilter.from_text("08:00-09:00")
+        p = _day_file(tmp_path, "close.csv", [(3599.0, 100.5), (3600.0, 100.5), (3600.0, 101.0)], session=session)
+        tape = ingest_trades([p], _asset(), session, [])[0].tape
+        assert list(tape.times) == [3599.0, 3600.0, 3600.001]
+        assert tape.session_length == 3600.001
 
     def test_same_millisecond_prints_keep_order(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
@@ -849,18 +857,46 @@ def _offset_change_days(tz):
 
 
 def _oracle_days(stamps, session):
-    """Per local day, the tape times of the in-session stamps, one datetime per stamp."""
+    """Per local day, the tape times of the in-session stamps, one datetime per stamp.
+
+    A stamp is in a date's session when it lies from the open to the open plus the elapsed session, both
+    included; of the stamp's local date and the dates either side, the latest such date wins.
+    """
     zone = ZoneInfo(session.tz)
     days = {}
     for ms in stamps:
-        local = _utc(ms).astimezone(zone)
-        clock_ms = (local.hour * 3600 + local.minute * 60 + local.second) * 1000 + local.microsecond // 1000
-        if session.open_seconds * 1000 <= clock_ms <= session.close_seconds * 1000:
-            days.setdefault(local.date(), []).append(ms)
+        local = _utc(ms).astimezone(zone).date()
+        held = [
+            d for d in (local - timedelta(days=1), local, local + timedelta(days=1))
+            if session.open_epoch_ms(d) <= ms <= session.open_epoch_ms(d) + round(session.elapsed_seconds(d) * 1000)
+        ]
+        if held:
+            days.setdefault(held[-1], []).append(ms)
     return [
         (day, [(ms - session.open_epoch_ms(day)) / 1000.0 for ms in got])
         for day, got in sorted(days.items())
     ]
+
+
+@pytest.mark.parametrize("tz, window, utc, day", [
+    # the clock reads 02:30 first at 00:30Z and falls back at 01:00Z: 02:15 CET lies inside that day
+    ("Europe/Berlin", "02:30-04:00", datetime(2009, 10, 25, 1, 15), date(2009, 10, 25)),
+    # ... and reads 02:30 first at 00:30Z, where the day ends: 02:00 CET lies outside it
+    ("Europe/Berlin", "00:00-02:30", datetime(2009, 10, 25, 1, 0), None),
+    # the clock skips 02:00-03:00, and all of 02:15-02:45 with it
+    ("Europe/Berlin", "02:15-02:45", datetime(2009, 3, 29, 1, 0), None),
+    # Sao Paulo skips 00:00-01:00 at 03:00Z: the millisecond before closes the 3rd and the jump opens the 4th
+    ("America/Sao_Paulo", "00:00-24:00", datetime(2018, 11, 4, 2, 59, 59, 999000), date(2018, 11, 3)),
+    ("America/Sao_Paulo", "00:00-24:00", datetime(2018, 11, 4, 3, 0), date(2018, 11, 4)),
+    # a stamp that closes one date and opens the next goes to the next
+    ("UTC", "00:00-24:00", datetime(2009, 6, 2), date(2009, 6, 2)),
+    ("UTC", "23:00-24:00", datetime(2009, 6, 2), date(2009, 6, 1)),
+])
+def test_a_stamp_lies_in_the_session_whose_epoch_interval_holds_it(tz, window, utc, day):
+    session = SessionFilter.from_text(window, tz=tz)
+    ms = round(utc.replace(tzinfo=timezone.utc).timestamp() * 1000)
+    assert session.rows_by_day(np.array([ms])) == ({} if day is None else {day: slice(0, 1)})
+    assert [d for d, _ in _oracle_days([ms], session)] == ([] if day is None else [day])
 
 
 def _assert_located_like_oracle(stamps, session, tmp_dir):
@@ -871,7 +907,8 @@ def _assert_located_like_oracle(stamps, session, tmp_dir):
 
 @st.composite
 def _located_stamps(draw):
-    tz = draw(st.sampled_from(_ZONES))
+    # Sao Paulo's clock changes at midnight; it stays out of _ZONES, where 00:00-01:00 has no time on 2018-11-04
+    tz = draw(st.sampled_from(_ZONES + ("America/Sao_Paulo",)))
     near_change = st.tuples(
         st.sampled_from(_offset_change_days(tz)), st.integers(-2 * _DAY_MS, 3 * _DAY_MS)
     ).map(sum)
@@ -882,8 +919,7 @@ def _located_stamps(draw):
 
 
 @given(_located_stamps())
-# the first UTC day ends after the autumn change and the next stamp follows the spring one,
-# so the offsets at the first stamp of each UTC day are equal
+# the first UTC day ends after the autumn change of 2008 and the last stamp follows the spring change of 2010
 @example(([1_224_979_200_000, 1_224_982_800_000, 1_269_738_000_000], SessionFilter(1800, 8100, "Europe/Berlin")))
 # Berlin's clock skips 02:15 on 2009-03-29, so the day opens at the jump, 01:00Z, and 01:05Z is 5 minutes in
 @example(([1_238_288_700_000, 1_238_289_600_000], SessionFilter(8100, 14400, "Europe/Berlin")))
@@ -906,6 +942,39 @@ def test_session_location_across_both_2009_changes(tz, window, tmp_path):
     session = SessionFilter.from_text(window, tz=tz)
     assert sum(start <= c < stop for c in _offset_change_days(tz)) == 2
     _assert_located_like_oracle(sorted(stamps), session, tmp_path)
+
+
+@st.composite
+def _clock_change_days(draw):
+    """A session, a day within one of a 2009 clock change in its zone (by UTC date), and a seed."""
+    tz = draw(st.sampled_from(_ZONES + ("America/Sao_Paulo",)))
+    change = draw(st.sampled_from([ms for ms in _offset_change_days(tz) if _utc(ms).year == 2009]))
+    day = _utc(change).date() + timedelta(days=draw(st.integers(-1, 1)))
+    session = SessionFilter.from_text(draw(st.sampled_from(_LOCATE_SESSIONS + ("02:30-04:00",))), tz=tz)
+    return session, day, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_clock_change_days())
+# the clock reads 02:30-03:00 twice, and the day runs from the first 02:30 to 04:00
+@example((SessionFilter.from_text("02:30-04:00", tz="Europe/Berlin"), date(2009, 10, 25), 1))
+# the clock reads 01:45-02:00 twice, and the day runs from the first 01:45 to 02:45
+@example((SessionFilter.from_text("01:45-02:45", tz="America/New_York"), date(2009, 11, 1), 1))
+@settings(max_examples=40, deadline=None)
+def test_a_simulated_clock_change_day_reads_back_whole(case):
+    session, day, seed = case
+    asset = AssetSpec("CLK", "0.01", eta=0.25)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "day.csv"
+        tape, _ = simulate_to_csv(asset, 0.002, 100.0, 0.05, seed, session, day, path)
+        written = len(path.read_text().splitlines()) - 1
+        back = ingest_trades([path], AssetSpec("CLK", "0.01"), session, [])
+    assert written == len(tape)
+    assert [(d.date, len(d.tape)) for d in back] == ([(day, written)] if written else [])
+    for got in (d.tape for d in back):
+        for col in ("times", "price_q", "bid_q", "ask_q"):
+            assert np.array_equal(getattr(tape, col), getattr(got, col)), col
+        assert (got.opening_price_q, got.session_length) == (tape.opening_price_q, tape.session_length)
+        assert _record_or_error(got) == _record_or_error(tape)
 
 
 def _narrowed_out(text: str) -> bool:
