@@ -151,7 +151,7 @@ def _cmd_optimal_tick(args, skipped: List[str]) -> int:
 
 def _cmd_signature(args, skipped: List[str]) -> int:
     # a bad value is an error before any file is read, not a skip per day
-    check_sampling(args.samples_per_second, args.lag_max, _session(args).length_seconds)
+    check_sampling(args.samples_per_second, args.lag_max)
     asset = AssetSpec(args.asset_id, args.tick_value)
     day_tapes = ingest_trades(args.inputs, asset, _session(args), skipped)
     rows = []

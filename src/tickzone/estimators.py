@@ -99,24 +99,16 @@ def estimate_integrated_variance(xhat) -> float:
     return float(d @ d)
 
 
-# Most points a signature grid may have. Sampling holds two arrays of 8 B per point
-# at once, 16 B in all, so a curve peaks at about 1.6 GB; a 24-h session sampled
-# every millisecond has 8.64e7 points.
-_MAX_GRID_POINTS = 10**8
+# Most lags a signature curve may have: 10^6 lags hold about 100 MB of curve and take 25-50 s on 5,000 changes.
+_MAX_LAGS = 10**6
 
 
-def check_sampling(samples_per_second: float, lag_max: int, session_length: float) -> None:
-    """The checks of :func:`signature_plot`'s grid over ``session_length`` seconds, which do not read the tape."""
+def check_sampling(samples_per_second: float, lag_max: int) -> None:
+    """The checks of :func:`signature_plot`'s sampling, which do not read the tape."""
     if not 0 < samples_per_second < math.inf:
         raise ParameterError(f"samples_per_second must be finite and > 0, got {samples_per_second!r}")
-    if lag_max < 1:
-        raise ParameterError("lag_max must be >= 1")
-    points = session_length * samples_per_second + 1.0
-    if not points <= _MAX_GRID_POINTS:
-        raise ParameterError(
-            f"samples_per_second {samples_per_second!r} over a {session_length:g}-s session gives a grid of "
-            f"{points:.3g} points, more than the limit of {_MAX_GRID_POINTS:.0e}"
-        )
+    if not 1 <= lag_max <= _MAX_LAGS:
+        raise ParameterError(f"lag_max must lie in [1, {_MAX_LAGS}], got {lag_max!r}")
 
 
 def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: int = 50) -> Dict[int, float]:
@@ -126,21 +118,32 @@ def signature_plot(tape: TradeTape, samples_per_second: float = 1.0, lag_max: in
     previous-tick interpolation (the opening price before the first trade).
     For each lag the realized variance sums squared increments of every
     ``lag``-th sample. The lags run from 1 to ``lag_max`` in increasing order.
+    The grid is not built: memory grows with the changes plus the lags.
     """
-    check_sampling(samples_per_second, lag_max, tape.session_length)
+    check_sampling(samples_per_second, lag_max)
     if len(tape) == 0:
         raise InsufficientDataError("empty tape")
     span = tape.session_length * samples_per_second
+    if span == math.inf:
+        raise ParameterError(f"samples_per_second {samples_per_second!r} over {tape.session_length:g} s overflows")
     if span < lag_max:
         raise InsufficientDataError(
             f"tape must span at least lag_max/samples_per_second seconds ({lag_max / samples_per_second:g}s)"
         )
-    n_grid = int(math.floor(span + 1e-9)) + 1
+    t = np.concatenate(([0.0], tape.change_times))  # the opening price is a change at time 0
     ladder = np.concatenate(([tape.opening_price], tape.change_prices))
-    # of the grid times, their indices and the sampled prices, two are alive at a time
-    sampled = ladder[np.searchsorted(tape.change_times, np.arange(n_grid) / samples_per_second, side="right")]
-    # each lag's increments are freed before the next lag's are taken
-    return {lag: estimate_integrated_variance(sampled[::lag]) for lag in range(1, lag_max + 1)}
+    # each change's first grid index k: the first with k / samples_per_second >= t, by the grid's own division
+    k = np.ceil(t * samples_per_second)
+    k += k / samples_per_second < t
+    k -= (k >= 1) & ((k - 1) / samples_per_second >= t)
+    last = np.floor(span + 1e-9)  # the last grid index
+    curve = {}
+    for lag in range(1, lag_max + 1):
+        first = np.ceil(k / lag)  # the sample of this lag that first reads each change
+        n = np.searchsorted(first, last // lag, side="right")
+        d = np.diff(ladder[:n][np.append(first[1:n] != first[: n - 1], True)])  # the last change each sample reads
+        curve[lag] = float(d @ d)
+    return curve
 
 
 def roll_implicit_measure(eta: float, tick_value: float) -> float:

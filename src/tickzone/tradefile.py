@@ -84,10 +84,6 @@ class SessionFilter:
             raise ParameterError(f"malformed session {text!r}, expected HH:MM-HH:MM")
         return cls(_parse_session_clock(parts[0]), _parse_session_clock(parts[1]), tz=tz)
 
-    @property
-    def length_seconds(self) -> float:
-        return float(self.close_seconds - self.open_seconds)
-
     def label(self) -> str:
         def clock(s):
             return f"{s // 3600:02d}:{s % 3600 // 60:02d}"

@@ -256,7 +256,7 @@ def test_criterion_9_round_trip_determinism(capsys, tmp_path):
     # (a) simulate -> CSV -> ingest must reproduce the in-memory record exactly
     session = SessionFilter.from_text("08:00-08:20")
     asset = AssetSpec("RT", SIM_TICK, eta=0.25)
-    spec = EfficientPathSpec(x0=100.0, volatility=0.003, horizon=session.length_seconds)
+    spec = EfficientPathSpec(x0=100.0, volatility=0.003, horizon=session.elapsed_seconds(date(2009, 6, 1)))
     tape, _ = simulate_day(spec, asset, TapeConfig(trade_intensity=2.0, seed=5))
     csv_path = tmp_path / "rt.csv"
     write_tape_csv(tape, csv_path, date(2009, 6, 1), session)

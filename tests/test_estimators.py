@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tape_from_rows
@@ -198,33 +198,80 @@ class TestSignaturePlot:
         with pytest.raises(InsufficientDataError):
             signature_plot(empty)
 
-    def test_grid_limit_is_checked_without_a_tape(self):
-        # 100 s at 1e6 samples a second is a grid of 1e8 + 1 points, one past the limit
-        check_sampling(999_999.99, 2, 100.0)
-        with pytest.raises(ParameterError, match=r"samples_per_second 1000000.0 over a 100-s session .* 1e\+08 points"):
-            check_sampling(1e6, 2, 100.0)
+    def test_lag_bound_is_checked_without_a_tape(self):
+        check_sampling(1e6, 10**6)
+        for bad in (0, 10**6 + 1, 10**20):
+            with pytest.raises(ParameterError, match=rf"lag_max must lie in \[1, 1000000\], got {bad}"):
+                check_sampling(1.0, bad)
 
-    # far past the limit, so that a grid built before the check fails at once instead of filling memory
-    @pytest.mark.parametrize("samples_per_second", [1e9, 1e300])
-    def test_grid_past_the_limit_is_refused_before_it_is_built(self, samples_per_second):
+    def test_rate_that_overflows_the_span_is_refused(self):
+        with pytest.raises(ParameterError, match=r"samples_per_second 1e\+307 over 100 s overflows"):
+            signature_plot(self._single_jump_tape(), samples_per_second=1e307, lag_max=2)
+
+    # 16 arrays of 8 B per change and 128 B per curve entry, plus 64 kB; a grid outgrows it at every rate here
+    @pytest.mark.parametrize("samples_per_second, changes, lag_max", [
+        (1e9, 1, 2), (1e300, 1, 2), (10_000.0, 20_000, 2_000), (1e6, 20_000, 50),
+    ])
+    def test_memory_grows_with_changes_plus_lags(self, samples_per_second, changes, lag_max):
+        if changes == 1:
+            tape = self._single_jump_tape()
+        else:
+            tape = _tape_from_moves([1, -1] * (changes // 2))
         tracemalloc.start()
         try:
-            with pytest.raises(ParameterError, match=r"samples_per_second .* 100-s session .* points, more than"):
-                signature_plot(self._single_jump_tape(), samples_per_second=samples_per_second, lag_max=2)
-            assert tracemalloc.get_traced_memory()[1] < 1_000_000
-        finally:
-            tracemalloc.stop()
-
-    def test_grid_costs_16_bytes_a_point(self):
-        # the bound on the grid size is set from this peak
-        tape = self._single_jump_tape()
-        tracemalloc.start()
-        try:
-            signature_plot(tape, samples_per_second=10_000.0, lag_max=3)
+            curve = signature_plot(tape, samples_per_second=samples_per_second, lag_max=lag_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16.1 * 1_000_001
+        assert len(curve) == lag_max and all(rv > 0 for rv in curve.values())
+        assert peak <= 128 * (tape.n_changes + lag_max) + 65_536
+
+
+def _grid_signature(tape, samples_per_second, lag_max):
+    """The signature curve from the materialised grid of every sample: the oracle of the event-time form."""
+    n_grid = int(math.floor(tape.session_length * samples_per_second + 1e-9)) + 1
+    ladder = np.concatenate(([tape.opening_price], tape.change_prices))
+    sampled = ladder[np.searchsorted(tape.change_times, np.arange(n_grid) / samples_per_second, side="right")]
+    return {lag: estimate_integrated_variance(sampled[::lag]) for lag in range(1, lag_max + 1)}
+
+
+@st.composite
+def _sampled_tapes(draw):
+    """(samples per second, session length, change times, directions, lag_max) with a grid of at most 10^5 points;
+    the rates are ratios of small integers, mostly not dyadic, and some change times fall on or just after grid
+    times."""
+    rate = draw(st.integers(1, 1000)) / draw(st.integers(1, 9))
+    session_length = draw(st.floats(1.0, 100.0))
+    span = session_length * rate
+    assume(span >= 1.0)
+    on_grid = st.integers(0, math.floor(span)).map(lambda j: j / rate)
+    just_after = on_grid.map(lambda t: math.nextafter(t, math.inf))
+    anywhere = st.floats(0.0, session_length)
+    times = sorted(draw(st.lists(st.one_of(on_grid, just_after, anywhere), min_size=1, max_size=40, unique=True)))
+    directions = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(times), max_size=len(times)))
+    return rate, session_length, times, directions, draw(st.integers(1, min(60, math.floor(span))))
+
+
+@given(_sampled_tapes())
+# a change at t = 0 is read by the sample at index 0, in place of the opening price
+@example((1 / 3, 30.0, [0.0, 4.5], [1, -1], 3))
+# a change on grid time 7 / rate, where t * rate rounds up to 7.000000000000001
+@example((1000 / 7, 1.0, [7 / (1000 / 7), 7.5 / (1000 / 7)], [1, -1], 4))
+# a change one ulp after grid time 3.0, where t * rate rounds down to 1.0
+@example((1 / 3, 30.0, [math.nextafter(3.0, math.inf), 5.0], [1, -1], 2))
+@settings(max_examples=200, deadline=None)
+def test_event_time_curve_equals_the_grid(case):
+    rate, session_length, times, directions, lag_max = case
+    rows, price = [], 100.0
+    for t, d in zip(times, directions):
+        price += d * 0.5
+        rows.append((t, price, price - 0.5, price))
+    tape = tape_from_rows(_asset(), rows, session_length=session_length, opening_price=100.0)
+    curve = signature_plot(tape, samples_per_second=rate, lag_max=lag_max)
+    want = _grid_signature(tape, rate, lag_max)
+    assert list(curve) == list(want)
+    for lag, rv in curve.items():
+        assert rv == pytest.approx(want[lag], rel=1e-13, abs=0), lag
 
 
 class TestRollMeasures:

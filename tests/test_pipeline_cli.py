@@ -132,7 +132,7 @@ class TestParseConfig:
     def test_session_timezone(self):
         cfg = parse_config_text(self._minimal() + "session = 08:00-17:15\ntimezone = Europe/Berlin\n")
         assert cfg.session.tz == "Europe/Berlin"
-        assert cfg.session.length_seconds == 33300.0
+        assert (cfg.session.open_seconds, cfg.session.close_seconds) == (28800, 62100)
 
     def test_numeric_fills_and_jitter(self):
         cfg = parse_config_text(
@@ -699,6 +699,23 @@ class TestCli:
         assert [int(r[1]) for r in rows[1:]] == list(range(1, 21))
         assert all(r[0] == "2009-06-01" for r in rows[1:])
 
+    @pytest.mark.parametrize("day, session, zone, rate", [
+        # the clock goes back, so the session runs 4 h: 1.15e8 samples at 8000 a second, though its clock reads 3 h
+        pytest.param("2009-10-25", "01:00-04:00", "Europe/Berlin", "8000", id="a clock-change day at 8000/s"),
+        pytest.param("2009-06-01", "08:00-08:10", "UTC", "1e6", id="a million samples a second"),
+    ])
+    def test_signature_at_a_high_rate(self, day, session, zone, rate, tmp_path, capsys):
+        where = ["--session", session, "--timezone", zone]
+        trades, out = tmp_path / "day.csv", tmp_path / "sig.csv"
+        simulate = ["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", day, "--seed", "1", "--out", str(trades)]
+        assert cli_main(simulate + where) == 0
+        signature = ["signature", str(trades), "--tick-value", "0.01", "--samples-per-second", rate, "--lag-max", "2"]
+        assert cli_main(signature + ["--out", str(out)] + where) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [r[:2] for r in rows[1:]] == [[day, "1"], [day, "2"]]
+        assert all(float(r[2]) > 0 for r in rows[1:])
+
     @pytest.mark.parametrize("command", ["estimate", "regress", "signature", "optimal-tick"])
     def test_stdout_matches_out_file(self, command, sim_csv, tmp_path, capsysbinary):
         records = tmp_path / "records.csv"
@@ -854,11 +871,14 @@ def _synth(key, value):
                      "samples_per_second", id="signature --samples-per-second 0"),
         pytest.param(["signature", "{csv}", "--tick-value", "0.01", "--samples-per-second", "nan"], None,
                      "samples_per_second", id="signature --samples-per-second nan"),
-        # a grid of 2.88e10 points is refused before any file is read, so the file need not exist
-        pytest.param(["signature", "{tmp}/missing.csv", "--tick-value", "0.01", "--session", "08:00-16:00",
-                      "--samples-per-second", "1e6", "--lag-max", "2"], None,
-                     "samples_per_second 1000000.0 over a 28800-s session gives a grid of 2.88e+10 points",
+        # a lag bound is refused before any file is read, so the file need not exist
+        pytest.param(["signature", "{tmp}/missing.csv", "--tick-value", "0.01", "--samples-per-second", "1e6",
+                      "--lag-max", "2000000"], None, "lag_max must lie in [1, 1000000], got 2000000",
                      id="signature --samples-per-second 1e6"),
+        pytest.param(["signature", "{tmp}/missing.csv", "--tick-value", "0.01", "--lag-max", "0"], None,
+                     "lag_max must lie in [1, 1000000], got 0", id="signature --lag-max 0"),
+        pytest.param(["signature", "{tmp}/missing.csv", "--tick-value", "0.01", "--lag-max", "1" + "0" * 20], None,
+                     "lag_max must lie in [1, 1000000], got 100000000000000000000", id="signature --lag-max 1e20"),
         # a negative value in exponent form reaches the range check, not argparse's usage error
         pytest.param(["simulate", "--eta", "-1e-3", "--sigma", "0.003", "--session", "08:00-08:10"], None,
                      "eta must lie in (0, 1], got -0.001", id="simulate --eta -1e-3"),

@@ -262,11 +262,21 @@ def test_interval_quantile_for_large_dof():
         assert _t_quantile(dof) == pytest.approx(expansion, rel=1e-15, abs=0)
 
 
-# the README's round trip, run with scipy made unimportable: the program must not need it
+# the README's round trip, run with scipy made unimportable: the program must not need it; each command
+# runs as `python -m tickzone.cli` does
 _WITHOUT_SCIPY = """
+import runpy
 import sys
 sys.modules["scipy"] = None
-from tickzone.cli import main
+
+
+def main(args):
+    sys.argv = ["tickzone", *args]
+    try:
+        runpy.run_module("tickzone.cli", run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+
 
 with open("synth.cfg", "w") as fh:
     fh.write("out = run\\nseed = 3\\nsession = 08:00-09:00\\nsynthetic.A1.tick_value = 0.01\\n"

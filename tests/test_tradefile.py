@@ -54,7 +54,7 @@ class TestSessionFilter:
     def test_from_text(self):
         s = SessionFilter.from_text("08:00-17:15")
         assert (s.open_seconds, s.close_seconds) == (28800, 62100)
-        assert s.length_seconds == 33300.0
+        assert s.elapsed_seconds(date(2009, 6, 1)) == 33300.0
         assert s.label() == "08:00-17:15"
 
     def test_midnight_close(self):
