@@ -174,12 +174,6 @@ class TickGrid:
         return f"TickGrid({self.tick_text})"
 
 
-def strictly_increasing_seconds(ms: np.ndarray) -> np.ndarray:
-    """Seconds of non-decreasing millisecond stamps; a print sharing a stamp is pushed a millisecond forward."""
-    ramp = np.arange(len(ms), dtype=np.int64)
-    return (np.maximum.accumulate(ms - ramp) + ramp) / 1000.0
-
-
 def _first_fault(mask: np.ndarray, message: str) -> None:
     """Raise a TapeError at the first row where ``mask`` is set."""
     if mask.any():
@@ -190,14 +184,15 @@ class TradeTape:
     """Time-ordered trades of one asset-day, stored as column arrays.
 
     Prices and quotes are integer sub-ticks on the asset's grid. Times are seconds
-    since session open with millisecond resolution, strictly increasing.
+    since session open with millisecond resolution, non-decreasing: prints
+    sharing a millisecond keep it.
     A trade either repeats the previous traded price or moves it by exactly
     one tick, so ``direction`` (0, +1 or -1 per trade) is derived from the
     prices; the first trade's move is taken against ``opening_price_q``.
 
     Construction is the one check of a tape. A row that breaks a rule raises
     a :class:`TapeError` naming the row; rows are checked rule by rule:
-    strictly increasing times, prices on the tick grid, quotes (the ask above
+    non-decreasing times, prices on the tick grid, quotes (the ask above
     the bid by a whole number of ticks, where both are present), and moves of
     at most one tick.
     """
@@ -236,7 +231,7 @@ class TradeTape:
             return moves
         if self.times[0] < 0 or self.times[-1] > self.session_length + 1e-9:
             raise ParameterError("trade times must lie within [0, session_length]")
-        _first_fault(~(np.diff(self.times, prepend=-np.inf) > 0), "trade times must be strictly increasing")
+        _first_fault(~(np.diff(self.times, prepend=-np.inf) >= 0), "trade times must be non-decreasing")
         _first_fault(self.price_q % SUBTICKS_PER_TICK != 0, "traded price off the tick grid")
         if self.opening_price_q % SUBTICKS_PER_TICK != 0:
             raise OffGridError("opening price off the tick grid")

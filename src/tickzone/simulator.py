@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import _MAX_SUBTICKS, SUBTICKS_PER_TICK, AssetSpec, TradeTape, strictly_increasing_seconds
+from .domain import _MAX_SUBTICKS, SUBTICKS_PER_TICK, AssetSpec, TradeTape
 from .errors import ParameterError
 
 Schedule = Union[float, Sequence[Tuple[float, float]]]
@@ -464,7 +464,8 @@ def simulate_day(
     # merged by time; on a tie the change prints first
     all_times = np.concatenate([times, fill_times])
     order = np.argsort(all_times, kind="stable")
-    seconds = strictly_increasing_seconds(np.round(all_times[order] * 1000.0).astype(np.int64))
+    # whole milliseconds, none after the horizon's last one, so every print lies in the session
+    seconds = np.minimum(np.round(all_times[order] * 1000.0), math.floor(horizon * 1000.0)) / 1000.0
     price_q = np.concatenate([ticks, fill_ticks])[order] * SUBTICKS_PER_TICK
     bid_q = price_q - np.concatenate([directions > 0, fill_at_ask])[order] * SUBTICKS_PER_TICK
     tape = TradeTape(
@@ -473,7 +474,7 @@ def simulate_day(
         price_q=price_q,
         bid_q=bid_q,
         ask_q=bid_q + SUBTICKS_PER_TICK,
-        session_length=max(horizon, seconds[-1]) if len(seconds) else horizon,
+        session_length=horizon,
         opening_price_q=price_q[0] if len(price_q) else k0 * SUBTICKS_PER_TICK,
     )
     barriers = (ticks + directions * (eta - 0.5)) * alpha

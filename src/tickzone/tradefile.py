@@ -27,7 +27,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape, strictly_increasing_seconds
+from .domain import NO_QUOTE, SUBTICKS_PER_TICK, AssetSpec, TickGrid, TradeTape
 from .errors import IngestError, OffGridError, ParameterError, TapeError, show_field, writing
 
 TRADE_CSV_HEADER = ["timestamp_ms", "price", "size", "bid", "ask"]
@@ -435,13 +435,11 @@ def _build_day_tape(
     if message is not None:
         raise IngestError(message, path=cols.path, line=int(cols.lines[rows.start + i]))
     price_q, bid_q, ask_q = (q for q, _, _ in parsed)
-    times = strictly_increasing_seconds(cols.stamps[rows] - session.open_epoch_ms(day))
-    # prints sharing the close's stamp are pushed a millisecond apart, past the close
-    session_length = max(session.elapsed_seconds(day), times[-1])
+    times = (cols.stamps[rows] - session.open_epoch_ms(day)) / 1000.0
     try:
         return TradeTape(
             asset, times, price_q, bid_q, ask_q,
-            session_length=session_length, opening_price_q=int(price_q[0]),
+            session_length=session.elapsed_seconds(day), opening_price_q=int(price_q[0]),
         )
     except TapeError as exc:
         raise IngestError(exc.message, path=cols.path, line=int(cols.lines[rows.start + exc.row])) from None

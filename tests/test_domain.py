@@ -256,10 +256,13 @@ class TestTradeTape:
         assert tape.bid_q[0] == NO_QUOTE
         assert not tape.quote_mask().any()
 
-    def test_rejects_non_increasing_times(self):
+    def test_rejects_decreasing_times(self):
         asset = AssetSpec("T", 1.0)
-        with pytest.raises(ParameterError, match="strictly increasing"):
-            TradeTape(asset, [1.0, 1.0], [0, 0], [NO_QUOTE] * 2, [NO_QUOTE] * 2, 10.0, 0)
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            TradeTape(asset, [1.0, 2.0, 3.0, 2.5], [0] * 4, [NO_QUOTE] * 4, [NO_QUOTE] * 4, 10.0, 0)
+        # prints sharing a time keep it
+        tape = TradeTape(asset, [1.0, 1.0, 1.0], [0] * 3, [NO_QUOTE] * 3, [NO_QUOTE] * 3, 10.0, 0)
+        assert list(tape.times) == [1.0, 1.0, 1.0]
 
     def test_rejects_times_outside_session(self):
         asset = AssetSpec("T", 1.0)
@@ -327,10 +330,10 @@ _T = SUBTICKS_PER_TICK
 class TestTapeError:
     """Each row rule names its first failing row, in the message and in ``row``."""
 
-    def test_non_increasing_time(self):
-        err = _fault([0, 0, 0, 0], times=[1.0, 2.0, 3.0, 3.0])
-        assert (err.row, err.message) == (3, "trade times must be strictly increasing")
-        assert str(err) == "row 3: trade times must be strictly increasing"
+    def test_decreasing_time(self):
+        err = _fault([0, 0, 0, 0], times=[1.0, 2.0, 3.0, 2.5])
+        assert (err.row, err.message) == (3, "trade times must be non-decreasing")
+        assert str(err) == "row 3: trade times must be non-decreasing"
 
     def test_off_grid_price(self):
         err = _fault([0, _T, _T + _T // 4])

@@ -238,8 +238,8 @@ def _grid_signature(tape, samples_per_second, lag_max):
 @st.composite
 def _sampled_tapes(draw):
     """(samples per second, session length, change times, directions, lag_max) with a grid of at most 10^5 points;
-    the rates are ratios of small integers, mostly not dyadic, and some change times fall on or just after grid
-    times."""
+    the rates are ratios of small integers, mostly not dyadic, some change times fall on or just after grid
+    times, and some are tied."""
     rate = draw(st.integers(1, 1000)) / draw(st.integers(1, 9))
     session_length = draw(st.floats(1.0, 100.0))
     span = session_length * rate
@@ -247,7 +247,7 @@ def _sampled_tapes(draw):
     on_grid = st.integers(0, math.floor(span)).map(lambda j: j / rate)
     just_after = on_grid.map(lambda t: math.nextafter(t, math.inf))
     anywhere = st.floats(0.0, session_length)
-    times = sorted(draw(st.lists(st.one_of(on_grid, just_after, anywhere), min_size=1, max_size=40, unique=True)))
+    times = sorted(draw(st.lists(st.one_of(on_grid, just_after, anywhere), min_size=1, max_size=40)))
     directions = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(times), max_size=len(times)))
     return rate, session_length, times, directions, draw(st.integers(1, min(60, math.floor(span))))
 
@@ -259,6 +259,10 @@ def _sampled_tapes(draw):
 @example((1000 / 7, 1.0, [7 / (1000 / 7), 7.5 / (1000 / 7)], [1, -1], 4))
 # a change one ulp after grid time 3.0, where t * rate rounds down to 1.0
 @example((1 / 3, 30.0, [math.nextafter(3.0, math.inf), 5.0], [1, -1], 2))
+# three changes tied on grid time 3.0: the sample there reads the last of them
+@example((1.0, 10.0, [3.0, 3.0, 3.0, 4.0], [1, -1, -1, 1], 2))
+# two changes tied at t = 0: the sample at index 0 reads the second
+@example((1 / 3, 30.0, [0.0, 0.0, 4.5], [1, 1, -1], 3))
 @settings(max_examples=200, deadline=None)
 def test_event_time_curve_equals_the_grid(case):
     rate, session_length, times, directions, lag_max = case

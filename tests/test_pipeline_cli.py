@@ -7,6 +7,7 @@ import re
 import shutil
 import time
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,20 @@ class TestRunPipelineSynthetic:
         assert [msg.split(":")[0] for msg in blank] == [f"optimal_ticks H v{v} beta2" for v in (1, 2, 3)]
         assert all("beta 1.9999999 puts the optimal tick 0.01 * 1." in msg for msg in blank)
 
+    @pytest.mark.parametrize("extra, keep_flagged, cause", [
+        # every simulated day's eta_hat comes out above the flag's 0.55
+        ("synthetic.X.eta = 0.9\nsynthetic.X.sigma = 0.004\nsession = 08:00-08:20\n", "false", "every day flagged"),
+        # at eta 0.01 a continuation is rare, and each day that has a record counts none: eta_hat 0
+        ("synthetic.X.eta = 0.01\nsynthetic.X.sigma = 0.0003\nsession = 08:00-08:02\n", "true",
+         "mean zone ratio is zero"),
+    ])
+    def test_asset_without_a_zone_ratio_has_no_tick_row(self, extra, keep_flagged, cause, tmp_path):
+        text = f"out = {tmp_path / 'x'}\nseed = 3\nsynthetic.X.tick_value = 0.01\nsynthetic.X.days = 4\n" + extra
+        result = run_pipeline(parse_config_text(text, {"keep_flagged": keep_flagged}))
+        assert result.records
+        assert [m for m in result.skipped if m.startswith("optimal_ticks ")] == [f"optimal_ticks X: {cause}"]
+        assert result.outputs["optimal_ticks"].read_text().splitlines()[1:] == []
+
     def test_rerun_is_byte_identical(self, synth_run, tmp_path):
         cfg, result = synth_run
         cfg2 = parse_config_text(_SYNTH_CONFIG.format(out=tmp_path / "out2"))
@@ -716,6 +731,24 @@ class TestCli:
         assert [r[:2] for r in rows[1:]] == [[day, "1"], [day, "2"]]
         assert all(float(r[2]) > 0 for r in rows[1:])
 
+    def test_signature_skips_a_day_shorter_than_its_lags(self, tmp_path, capsys):
+        # the clock goes back on 2009-10-25, so its session runs 4 h and the day before's 3 h;
+        # 1200 lags at 0.1 samples a second need 12000 s
+        where = ["--session", "01:00-04:00", "--timezone", "Europe/Berlin"]
+        days = [tmp_path / f"{day}.csv" for day in ("2009-10-24", "2009-10-25")]
+        for path in days:
+            simulate = ["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", path.stem, "--seed", "1"]
+            assert cli_main(simulate + ["--out", str(path)] + where) == 0
+        capsys.readouterr()
+        out = tmp_path / "sig.csv"
+        signature = ["signature", *map(str, days), "--tick-value", "0.01", "--samples-per-second", "0.1"]
+        assert cli_main(signature + ["--lag-max", "1200", "--out", str(out)] + where) == 0
+        assert capsys.readouterr().err == (
+            "skipped: signature ASSET 2009-10-24: tape must span at least lag_max/samples_per_second seconds (12000s)\n"
+        )
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert [r[:2] for r in rows] == [["2009-10-25", str(lag)] for lag in range(1, 1201)]
+
     @pytest.mark.parametrize("command", ["estimate", "regress", "signature", "optimal-tick"])
     def test_stdout_matches_out_file(self, command, sim_csv, tmp_path, capsysbinary):
         records = tmp_path / "records.csv"
@@ -754,6 +787,21 @@ class TestCli:
         assert "4 asset-day record(s) from 4 file(s)" in stdout
         assert (out / "daily_records.csv").exists()
         assert (out / "regression.csv").exists()
+
+    def test_pipeline_session_flag_overrides_the_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"out = {out}\nsession = 08:00-08:30\nsynthetic.P1.tick_value = 0.01\n"
+            "synthetic.P1.eta = 0.25\nsynthetic.P1.sigma = 0.002\nsynthetic.P1.days = 2\n"
+        )
+        assert cli_main(["pipeline", "--config", str(cfg), "--session", "10:00-10:05"]) == 0
+        files = sorted((out / "trades" / "P1").glob("*.csv"))
+        assert [p.name for p in files] == ["2009-06-01.csv", "2009-06-02.csv"]
+        for path in files:
+            open_ms = int(datetime.fromisoformat(f"{path.stem}T10:00+00:00").timestamp() * 1000)
+            stamps = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
+            assert stamps and open_ms <= min(stamps) and max(stamps) <= open_ms + 5 * 60_000, path.name
 
     def test_tick_of_34_digits_survives_the_round_trip(self, tmp_path, capsys):
         tick = "0.1000000000000000055511151231257827"  # the float 0.1 is this tick to 34 digits

@@ -21,7 +21,6 @@ from tickzone import (
     simulate_day,
 )
 from tickzone import simulator
-from tickzone.domain import strictly_increasing_seconds
 from tickzone.simulator import _interval_walk, _unit_exit_times, _walk_times
 
 
@@ -500,30 +499,12 @@ class TestGenerateTape:
         with pytest.raises(ParameterError, match="1e\\+08 expected trades"):
             _day(sigma=0.0, fills=1e6, seed=0)
 
-    def test_millisecond_times_strictly_increasing(self):
+    def test_millisecond_times_stay_inside_the_horizon(self):
         tape, _ = _day(sigma=0.3, fills=2000.0, seed=5, horizon=40.0)  # force collisions
-        assert np.all(np.diff(tape.times) > 0)
-        ms = np.round(tape.times * 1000).astype(np.int64)
-        assert np.all(np.diff(ms) >= 1)
-        assert tape.session_length > 40.0  # the pushed prints run past the horizon
-
-
-def test_ms_canonicalization_bumps_collisions():
-    ms = strictly_increasing_seconds(np.array([0, 0, 0, 1])) * 1000.0
-    assert list(ms) == [0, 1, 2, 3]
-
-
-def test_ms_canonicalization_is_idempotent():
-    rng = np.random.default_rng(0)
-    t = np.sort(rng.integers(0, 2000, 500))
-    once = np.round(strictly_increasing_seconds(t) * 1000.0).astype(np.int64)
-    twice = np.round(strictly_increasing_seconds(once) * 1000.0).astype(np.int64)
-    assert np.array_equal(once, twice)
-    assert np.all(np.diff(once) >= 1)
-
-
-def test_ms_canonicalization_keeps_strict_inputs():
-    assert list(strictly_increasing_seconds(np.array([1, 4, 9]))) == [0.001, 0.004, 0.009]
+        assert np.array_equal(np.round(tape.times * 1000.0) / 1000.0, tape.times)  # whole milliseconds
+        assert np.all(np.diff(tape.times) >= 0)
+        assert tape.times[-1] <= 40.0
+        assert tape.session_length == 40.0
 
 
 # ------------------------------------------------------------- whole-day run

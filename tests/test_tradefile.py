@@ -452,20 +452,19 @@ class TestIngestTrades:
         assert tape.times[-1] == 3600.0
         assert tape.session_length == 3600.0
 
-    def test_prints_sharing_the_close_stamp_stretch_the_session(self, tmp_path):
+    def test_prints_sharing_the_close_stamp_stay_at_the_close(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
         p = _day_file(tmp_path, "close.csv", [(3599.0, 100.5), (3600.0, 100.5), (3600.0, 101.0)], session=session)
         tape = ingest_trades([p], _asset(), session, [])[0].tape
-        assert list(tape.times) == [3599.0, 3600.0, 3600.001]
-        assert tape.session_length == 3600.001
+        assert list(tape.times) == [3599.0, 3600.0, 3600.0]
+        assert tape.session_length == 3600.0
 
     def test_same_millisecond_prints_keep_order(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
         p = _day_file(tmp_path, "ms.csv", [(5.0, 100.5), (5.0, 101.0)], session=session)
         tape = ingest_trades([p], _asset(), session, [])[0].tape
-        assert np.all(np.diff(tape.times) > 0)
+        assert list(tape.times) == [5.0, 5.0]
         assert list(tape.grid.currency(tape.price_q)) == [100.5, 101.0]
-        assert tape.times[1] == pytest.approx(5.001)
 
     def test_empty_session_is_a_skip(self, tmp_path):
         session = SessionFilter.from_text("08:00-09:00")
@@ -975,6 +974,19 @@ def test_a_simulated_clock_change_day_reads_back_whole(case):
             assert np.array_equal(getattr(tape, col), getattr(got, col)), col
         assert (got.opening_price_q, got.session_length) == (tape.opening_price_q, tape.session_length)
         assert _record_or_error(got) == _record_or_error(tape)
+
+
+def test_a_day_of_shared_milliseconds_reads_back_whole(tmp_path):
+    # at 2,000 fills a second, 86% of the prints share their millisecond with another print
+    session = SessionFilter.from_text("08:00-08:01")
+    asset = AssetSpec("BSY", "0.01", eta=0.25)
+    path = tmp_path / "busy.csv"
+    tape, _ = simulate_to_csv(asset, 0.002, 100.0, 2000.0, 1, session, date(2009, 6, 1), path)
+    [got] = ingest_trades([path], AssetSpec("BSY", "0.01"), session, [])
+    assert len(got.tape) == len(tape) == len(path.read_text().splitlines()) - 1
+    assert np.array_equal(got.tape.times, tape.times)
+    assert np.any(np.diff(tape.times) == 0)
+    assert tape.times[-1] <= tape.session_length == got.tape.session_length == 60.0
 
 
 def _narrowed_out(text: str) -> bool:
