@@ -235,7 +235,7 @@ class TradeTape:
         _first_fault(self.price_q % SUBTICKS_PER_TICK != 0, "traded price off the tick grid")
         if self.opening_price_q % SUBTICKS_PER_TICK != 0:
             raise OffGridError("opening price off the tick grid")
-        quoted = np.flatnonzero((self.bid_q != NO_QUOTE) & (self.ask_q != NO_QUOTE))
+        quoted = np.flatnonzero(self.quote_mask())
         spread = self.ask_q[quoted] - self.bid_q[quoted]
         crossed = spread <= 0
         broken = crossed | (spread % SUBTICKS_PER_TICK != 0)

@@ -66,8 +66,8 @@ def estimate_eta(counts: AlternationCounts) -> float:
     return counts.n_continuations / (2.0 * counts.n_alternations)
 
 
-def recover_efficient_prices(changes, eta_hat: float, tick_value: float):
-    """Efficient-price proxy at change times.
+def recover_efficient_prices(prices, directions, eta_hat: float, tick_value: float) -> np.ndarray:
+    """Efficient-price proxy at the price changes.
 
     Each traded price is pulled back toward the barrier it crossed:
     X = P - sign(move) * (1/2 - eta_hat) * tick. With the true ratio this
@@ -75,19 +75,13 @@ def recover_efficient_prices(changes, eta_hat: float, tick_value: float):
     ``eta_hat >= 0``, so days estimating no continuations or a ratio above
     one still get a variance estimate.
 
-    ``changes`` is a tape or a ``(times, prices, directions)`` tuple of
-    arrays over the price changes. Returns (times, values) arrays.
+    ``prices`` and ``directions`` are a tape's ``change_prices`` and ``change_directions``.
     """
     if not eta_hat >= 0.0:
         raise ParameterError(f"eta_hat must be >= 0, got {eta_hat!r}")
     if tick_value <= 0:
         raise ParameterError("tick_value must be > 0")
-    if isinstance(changes, TradeTape):
-        t, p, d = changes.change_times, changes.change_prices, changes.change_directions
-    else:
-        t, p, d = (np.asarray(a) for a in changes)
-    xhat = p - d * (0.5 - eta_hat) * tick_value
-    return t, xhat
+    return np.asarray(prices) - np.asarray(directions) * (0.5 - eta_hat) * tick_value
 
 
 def estimate_integrated_variance(xhat) -> float:
@@ -233,9 +227,9 @@ def build_daily_record(tape: TradeTape, date: str = "") -> DailyRecord:
     Raises InsufficientDataError for days with fewer than two price changes.
     Errors are raised unchanged: a caller that reports them names the asset and day.
     """
-    counts = count_alternations(tape.change_directions)
-    eta_hat = estimate_eta(counts)
-    _, xhat = recover_efficient_prices(tape, eta_hat, tape.asset.tick_value)
+    directions = tape.change_directions
+    eta_hat = estimate_eta(count_alternations(directions))
+    xhat = recover_efficient_prices(tape.change_prices, directions, eta_hat, tape.asset.tick_value)
     variance = estimate_integrated_variance(xhat)
     avg_spread, frac_one_tick = spread_stats(tape)
     return DailyRecord(

@@ -89,11 +89,9 @@ def write_csv(path: Union[str, Path, None], header: Sequence, rows: Iterable[Seq
 
 @dataclass(frozen=True)
 class SyntheticAsset:
-    """Parameters for one simulated asset in synthetic mode."""
+    """One simulated asset of synthetic mode: its asset (id, tick and zone ratio) and how to simulate it."""
 
-    asset_id: str
-    tick_text: str
-    eta: float
+    asset: AssetSpec
     sigma: float
     days: int = 20
     x0: float = 100.0
@@ -101,13 +99,18 @@ class SyntheticAsset:
     sigma_jitter: float = 0.1
 
     def __post_init__(self):
+        key = f"synthetic.{self.asset.asset_id}"
         if self.days < 1:
-            raise ParameterError(f"{self.asset_id}: days must be >= 1")
-        if not self.sigma > 0:
-            raise ParameterError(f"{self.asset_id}: sigma must be > 0")
+            raise ParameterError(f"{key}.days must be >= 1, got {self.days!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError(f"{key}.sigma must be finite and > 0, got {self.sigma!r}")
+        if not math.isfinite(self.x0):
+            raise ParameterError(f"{key}.x0 must be finite, got {self.x0!r}")
         if not 0.0 <= self.sigma_jitter < 1.0:
-            raise ParameterError(f"{self.asset_id}: sigma_jitter must lie in [0, 1)")
-        object.__setattr__(self, "fills", read_fills(self.fills, f"synthetic.{self.asset_id}.fills"))
+            raise ParameterError(f"{key}.sigma_jitter must lie in [0, 1), got {self.sigma_jitter!r}")
+        object.__setattr__(self, "fills", read_fills(self.fills, f"{key}.fills"))
+        if not (self.fills == "auto" or 0 <= self.fills < math.inf):
+            raise ParameterError(f"{key}.fills must be 'auto' or finite and >= 0, got {self.fills!r}")
 
 
 def read_fills(value: Union[str, float], source: str) -> Union[str, float]:
@@ -145,6 +148,12 @@ class PipelineConfig:
             raise ParameterError(f"beta must lie in (0, 2), got {self.beta!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for aid, syn in self.synthetic.items():
+            try:  # the last day must be a date, as each day's file is named by it
+                self.start_date + timedelta(days=syn.days - 1)
+            except OverflowError:
+                raise ParameterError(f"start_date {self.start_date} with synthetic.{aid}.days = {syn.days} "
+                                     "runs past the last date, 9999-12-31") from None
 
 
 def _parse_bool(value: str) -> bool:
@@ -223,8 +232,11 @@ def parse_config_text(text: str, overrides: Optional[Mapping[str, str]] = None) 
         if missing:
             raise ParameterError(f"synthetic.{aid}: missing {', '.join(sorted(missing))}")
         values = _read_values(params, _SYN_VALUES, f"synthetic.{aid}.")
-        fills = params.get("fills", "auto")
-        synthetic[aid] = SyntheticAsset(asset_id=aid, tick_text=params["tick_value"], fills=fills, **values)
+        try:
+            asset = AssetSpec(aid, params["tick_value"], eta=values.pop("eta"))
+        except ParameterError as exc:
+            raise ParameterError(f"synthetic.{aid}: {exc}") from None
+        synthetic[aid] = SyntheticAsset(asset, fills=params.get("fills", "auto"), **values)
     return PipelineConfig(
         mode=raw.get("mode", "ingest" if "input_dir" in raw else "synthetic"),
         out=Path(raw["out"]),
@@ -277,14 +289,7 @@ def simulate_to_csv(
 def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
     """Simulate every configured asset-day and write it as a trade CSV; returns each asset with its files."""
     inputs: List[Tuple[AssetSpec, List[Path]]] = []
-    for ai, aid in enumerate(sorted(config.synthetic)):
-        syn = config.synthetic[aid]
-        try:  # the last day must be a date, as each day's file is named by it
-            config.start_date + timedelta(days=syn.days - 1)
-        except OverflowError:
-            raise ParameterError(f"start_date {config.start_date} with synthetic.{aid}.days = {syn.days} "
-                                 "runs past the last date, 9999-12-31") from None
-        asset = AssetSpec(aid, syn.tick_text, eta=syn.eta)
+    for ai, (aid, syn) in enumerate(sorted(config.synthetic.items())):
         jitter_rng = np.random.default_rng([config.seed, 0x5117E5, ai])
         asset_dir = config.out / "trades" / aid
         with writing(asset_dir, "make directory"):
@@ -295,8 +300,8 @@ def _synthesize(config: PipelineConfig) -> List[Tuple[AssetSpec, List[Path]]]:
             day_seed = int(np.random.SeedSequence([config.seed, ai, di]).generate_state(1)[0])
             day = config.start_date + timedelta(days=di)
             paths.append(asset_dir / f"{day.isoformat()}.csv")
-            simulate_to_csv(asset, sigma_day, syn.x0, syn.fills, day_seed, config.session, day, paths[-1])
-        inputs.append((asset, paths))
+            simulate_to_csv(syn.asset, sigma_day, syn.x0, syn.fills, day_seed, config.session, day, paths[-1])
+        inputs.append((syn.asset, paths))
     return inputs
 
 

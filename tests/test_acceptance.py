@@ -104,7 +104,7 @@ def test_criterion_3_estimator_consistency(capsys, sim_days):
     for eta, (tape, truth) in sim_days.days.items():
         min_changes = min(min_changes, tape.n_changes)
         eta_hat = estimate_eta(count_alternations(tape.change_directions))
-        _, xhat = recover_efficient_prices(tape, eta_hat, SIM_TICK)
+        xhat = recover_efficient_prices(tape.change_prices, tape.change_directions, eta_hat, SIM_TICK)
         var_hat = estimate_integrated_variance(xhat)
         worst_eta = max(worst_eta, abs(eta_hat - eta))
         worst_var = max(worst_var, abs(var_hat / truth.integrated_variance - 1.0))

@@ -104,35 +104,33 @@ class TestEstimateEta:
 
 class TestRecoverEfficientPrices:
     def test_single_up_move(self):
-        t, x = recover_efficient_prices((np.array([3.0]), np.array([101.0]), np.array([1])), 0.25, 1.0)
-        assert t[0] == 3.0
+        x = recover_efficient_prices(np.array([101.0]), np.array([1]), 0.25, 1.0)
         assert x[0] == pytest.approx(100.75)
 
     def test_half_ratio_is_identity(self):
         p = np.array([100.0, 100.5, 100.0])
         d = np.array([1, 1, -1])
-        _, x = recover_efficient_prices((np.zeros(3), p, d), 0.5, 0.5)
+        x = recover_efficient_prices(p, d, 0.5, 0.5)
         assert np.array_equal(x, p)
 
     def test_ratio_bounds(self):
         # the formula holds for any eta_hat >= 0; only negatives are rejected
-        args = (np.array([0.0]), np.array([100.0]), np.array([1]))
-        assert recover_efficient_prices(args, 0.0, 1.0)[1][0] == pytest.approx(99.5)
-        assert recover_efficient_prices(args, 1.2, 1.0)[1][0] == pytest.approx(100.7)
+        args = (np.array([100.0]), np.array([1]))
+        assert recover_efficient_prices(*args, 0.0, 1.0)[0] == pytest.approx(99.5)
+        assert recover_efficient_prices(*args, 1.2, 1.0)[0] == pytest.approx(100.7)
         for bad in (-0.1, float("nan")):
             with pytest.raises(ParameterError):
-                recover_efficient_prices(args, bad, 1.0)
+                recover_efficient_prices(*args, bad, 1.0)
 
     def test_tick_value_positive(self):
-        args = (np.array([0.0]), np.array([100.0]), np.array([1]))
         with pytest.raises(ParameterError):
-            recover_efficient_prices(args, 0.25, 0.0)
+            recover_efficient_prices(np.array([100.0]), np.array([1]), 0.25, 0.0)
 
     def test_true_ratio_lands_on_barriers(self, sim_days):
         # with the true ratio the proxy reproduces the crossing levels exactly
         for eta, (tape, truth) in sim_days.days.items():
             ch = truth.price_changes
-            _, xhat = recover_efficient_prices((ch.times, ch.new_prices, ch.directions), eta, 0.01)
+            xhat = recover_efficient_prices(ch.new_prices, ch.directions, eta, 0.01)
             assert np.allclose(xhat, ch.efficient_prices, rtol=0, atol=1e-9)
 
 
@@ -399,7 +397,7 @@ class TestBuildDailyRecord:
         rec = build_daily_record(tape, date="2026-03-02")
         counts = count_alternations(tape.change_directions)
         eta_hat = estimate_eta(counts)
-        _, xhat = recover_efficient_prices(tape, eta_hat, 0.01)
+        xhat = recover_efficient_prices(tape.change_prices, tape.change_directions, eta_hat, 0.01)
         assert rec.date == "2026-03-02"
         assert rec.eta_hat == eta_hat
         assert rec.alpha == 0.01

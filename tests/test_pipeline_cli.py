@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tickzone.cli import build_parser
 from tickzone.cli import main as cli_main
+from tickzone.domain import AssetSpec
 from tickzone.errors import IngestError, ParameterError, TickzoneError
 from tickzone.estimators import DailyRecord
 from tickzone.pipeline import (
@@ -112,7 +113,7 @@ class TestParseConfig:
         assert cfg.pool and not cfg.keep_flagged
         assert cfg.start_date.isoformat() == "2009-06-01"
         syn = cfg.synthetic["A"]
-        assert (syn.tick_text, syn.eta, syn.sigma) == ("0.01", 0.25, 0.003)
+        assert (syn.asset.asset_id, syn.asset.grid.tick_text, syn.asset.eta, syn.sigma) == ("A", "0.01", 0.25, 0.003)
         assert (syn.days, syn.x0, syn.fills, syn.sigma_jitter) == (20, 100.0, "auto", 0.1)
 
     def test_mode_inferred_from_input_dir(self):
@@ -214,14 +215,14 @@ def test_config_text_gives_a_config_or_a_tickzone_error(values):
 
 class TestConfigValidation:
     def test_synthetic_asset_bounds(self):
-        ok = dict(asset_id="A", tick_text="0.01", eta=0.25, sigma=0.01)
-        with pytest.raises(ParameterError):
+        ok = dict(asset=AssetSpec("A", "0.01", eta=0.25), sigma=0.01)
+        with pytest.raises(ParameterError, match=r"^synthetic\.A\.days must be >= 1, got 0$"):
             SyntheticAsset(**ok, days=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^synthetic\.A\.sigma must be finite and > 0, got 0\.0$"):
             SyntheticAsset(**{**ok, "sigma": 0.0})
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^synthetic\.A\.sigma_jitter must lie in \[0, 1\), got 1\.0$"):
             SyntheticAsset(**ok, sigma_jitter=1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^synthetic\.A\.fills must be 'auto' or a number, got 'sometimes'$"):
             SyntheticAsset(**ok, fills="sometimes")
 
     def test_pipeline_config_bounds(self):
@@ -803,6 +804,22 @@ class TestCli:
             stamps = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
             assert stamps and open_ms <= min(stamps) and max(stamps) <= open_ms + 5 * 60_000, path.name
 
+    def test_records_without_a_fit_leave_the_adjusted_cloud_empty(self, tmp_path, capsys):
+        # two days are too few to fit the asset or the pool, so every adjusted point is dropped
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"out = {out}\nseed = 1\nsession = 08:00-08:30\nsynthetic.A.tick_value = 0.01\n"
+            "synthetic.A.eta = 0.25\nsynthetic.A.sigma = 0.003\nsynthetic.A.days = 2\n"
+        )
+        assert cli_main(["pipeline", "--config", str(cfg)]) == 0
+        assert (out / "cloud_adjusted.csv").read_text() == "x,y,ref\n"
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in err] == [
+            "regression A", "regression ALL", "cloud_adjusted", "optimal_ticks A v1 beta1", "optimal_ticks A v1 beta0.5"
+        ]
+        assert err[2] == "skipped: cloud_adjusted: no fit for 2 record(s)"
+
     def test_tick_of_34_digits_survives_the_round_trip(self, tmp_path, capsys):
         tick = "0.1000000000000000055511151231257827"  # the float 0.1 is this tick to 34 digits
         day = tmp_path / "d.csv"
@@ -871,9 +888,10 @@ def _synth(key, value):
                      id="synthetic.A.fills = abc"),
         pytest.param(["pipeline"], _synth("x0", "nan"), "x0", id="synthetic.A.x0 = nan"),
         pytest.param(["pipeline"], _synth("sigma", "nan"), "sigma", id="synthetic.A.sigma = nan"),
-        pytest.param(["pipeline"], _synth("sigma", "inf"), "volatility", id="synthetic.A.sigma = inf"),
-        pytest.param(["pipeline"], _synth("fills", "nan"), "trade_intensity",
-                     id="synthetic.A.fills = nan"),
+        pytest.param(["pipeline"], _synth("sigma", "inf"), "error: synthetic.A.sigma must be finite and > 0, got inf",
+                     id="synthetic.A.sigma = inf"),
+        pytest.param(["pipeline"], _synth("fills", "nan"),
+                     "error: synthetic.A.fills must be 'auto' or finite and >= 0, got nan", id="synthetic.A.fills = nan"),
         # a tick whose float, or whose millionth, is 0 or infinite; 1e99999999 is refused before 10**99999999 is made
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--tick-value", "1e-400"], None, "tick value 1e-400 is out of range",
                      id="simulate --tick-value 1e-400"),
@@ -1016,6 +1034,37 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert named in err and err.count("\n") == 1
+
+
+# the whole config is checked before A's valid days are simulated, so a bad value of B writes nothing
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        pytest.param("days", "40", "start_date 9999-12-20 with synthetic.B.days = 40 runs past the last date, 9999-12-31",
+                     id="synthetic.B.days = 40"),
+        pytest.param("eta", "2", "synthetic.B: eta must lie in (0, 1], got 2.0", id="synthetic.B.eta = 2"),
+        pytest.param("tick_value", "abc", "synthetic.B: tick value 'abc' is not a decimal number",
+                     id="synthetic.B.tick_value = abc"),
+        pytest.param("x0", "nan", "synthetic.B.x0 must be finite, got nan", id="synthetic.B.x0 = nan"),
+        pytest.param("sigma", "inf", "synthetic.B.sigma must be finite and > 0, got inf", id="synthetic.B.sigma = inf"),
+        pytest.param("fills", "-3", "synthetic.B.fills must be 'auto' or finite and >= 0, got -3.0",
+                     id="synthetic.B.fills = -3"),
+    ],
+)
+def test_a_bad_second_asset_stops_the_run_before_any_day(key, value, error, tmp_path, capsys):
+    keys = {"session": "08:00-08:10", "synthetic.A.days": "2"}
+    for aid in "AB":
+        keys.update({f"synthetic.{aid}.tick_value": "0.01", f"synthetic.{aid}.eta": "0.25",
+                     f"synthetic.{aid}.sigma": "0.002"})
+    if key == "days":  # A's two days end on 9999-12-21
+        keys["start_date"] = "9999-12-20"
+    keys[f"synthetic.B.{key}"] = value
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {"out": out, **keys}.items()))
+    assert cli_main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("x0", ["-1e10", "-1E-3", "-5.", "-1.5e+2"])

@@ -1,7 +1,9 @@
-"""The README's Python examples import only names the package exports."""
+"""The README's Python examples import only names the package exports, and its config section names every key."""
 import ast
 import re
 from pathlib import Path
+
+from tickzone.pipeline import _SYN_KEYS, _TOP_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +22,9 @@ def test_every_name_the_readme_takes_from_tickzone_imports():
     assert len(names) >= 9
     for node in imports:
         exec(ast.unparse(node), {})
+
+
+def test_pipeline_config_section_names_every_key():
+    section = README.read_text().split("\n## Pipeline config\n", 1)[1].split("\n## ", 1)[0]
+    unnamed = [key for key in sorted(_TOP_KEYS | _SYN_KEYS) if not re.search(rf"`{key}`|\b{key} =", section)]
+    assert unnamed == []
