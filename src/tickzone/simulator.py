@@ -17,27 +17,12 @@ is a standard Brownian motion, so each change is its exit from an interval:
 Exit times and sides are exact: walks on symmetric intervals. The sides
 alone steer the walks of a batch, all along one orbit; each step's time is
 its interval's squared half-width times a unit exit time. The unit exit
-times of a day's first exit and of its batch of later ones come from one
-inversion of the theta-series distribution. Business time maps back to
-clock time through the piecewise-linear integrated variance, so a
+times of a day's first exit and of its batch of later ones are drawn in one
+call of Devroye's alternating-series sampler ("On exact simulation algorithms
+for some distributions related to Jacobi theta functions", Statist. Probab.
+Lett. 79, 2009), which needs elementary functions only. Business time maps
+back to clock time through the piecewise-linear integrated variance, so a
 zero-volatility stretch gets no changes.
-
-The inversion sums 4 terms of the long-time series and 3 of the short-time
-one. Each series is used on its own side of t = 1/2, where the first term
-left out is below 1e-21 of the partial sum: under half an ulp, so neither it
-nor any later term could change a double. The short-time series needs erfc
-only at arguments of 1 and above, which Cody's rational approximations give
-in numpy. Each side starts from a closed form close enough for one step,
-with S(1/2) = P(T > 1/2) between them:
-
-- For u < S(1/2), x = exp(-pi^2 t / 8) solves x - x^9/3 + x^25/5 - x^49/7 =
-  pi u / 4 = c, by products alone. Its series reversion in y = c^8 to y^4
-  starts within 1.9e-9 relative at t = 1/2 (the next term, 13846/135 y^5),
-  less beyond. A Newton step leaves at most 12 x^8 < 0.09 of its square: 3e-19.
-- Otherwise z = 1/sqrt(2t) solves erfc z - erfc 3z + erfc 5z = q/2 = (1 - u)/2.
-  AS 70's root of erfc z = q/2, moved by the leading terms of erfc 3z, starts
-  within 4.7e-7 relative, worst near z = 1. A Halley step cubes the error and
-  scales it by about 0.16: to 2e-20. The step is taken on t to second order.
 """
 from __future__ import annotations
 
@@ -113,208 +98,114 @@ def _variance_clock(starts: np.ndarray, vols: np.ndarray, horizon: float) -> tup
     return times, variance
 
 
-def _theta_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd numbers 2k+1 and signs (-1)^k of the first ``n`` theta-series terms."""
-    k = np.arange(n)
-    return 2.0 * k + 1.0, (-1.0) ** k
+# Devroye's cut between the two forms of the exit-time density, and the masses of the
+# proposal envelope on each side of it: the density's first long-time term beyond the
+# cut, and Marsaglia's normal-tail envelope of its first short-time term below it.
+_CUT = 0.64
+_RIGHT = 4.0 / math.pi * math.exp(-math.pi**2 * _CUT / 8.0)
+_LEFT = 4.0 * math.sqrt(_CUT / (2.0 * math.pi)) * math.exp(-0.5 / _CUT)
 
 
-# Terms each series keeps. On its own side of t = 1/2 the first term left out
-# is below 1e-21 of the partial sum (x^81 / 9 of x, and erfc(7z) of erfc(z)
-# for z >= 1), so it and every later one round away.
-_LONG_TERMS = _theta_terms(4)
-_SHORT_TERMS = _theta_terms(3)
+def _below_series(y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether y < 1 - 3 q^2 + 5 q^6 - 7 q^12 + ... = sum_n (-1)^n (2n+1) q^(n(n+1)), for 0 <= q < 0.05.
 
-
-def _series(weights: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_k weights[k] * terms[k], one elementwise product and sum per term.
-
-    Each element is rounded the same wherever it sits in the array; a BLAS
-    product may round an element by its place.
+    The terms fall, so the partial sums close in on the sum from alternate
+    sides. The first that passes y decides: an odd one, a lower bound, that
+    y lies below; an even one, an upper bound, that it does not. The first
+    two decide all but about 6 in 10,000 of the sampler's proposals. Once the
+    terms round to nothing the partial sums stand still, and the next one decides.
     """
-    out = weights[0] * terms[0]
-    for w, term in zip(weights[1:], terms[1:]):
-        out += w * term
-    return out
+    partial = 1.0 - 3.0 * q * q
+    below = y < partial
+    todo = np.flatnonzero(~below & (y < 1.0))
+    partial, n = partial[todo], 1
+    while len(todo):
+        n += 1
+        term = (2 * n + 1) * q[todo] ** (n * (n + 1))
+        if n % 2:
+            partial -= term
+            done = y[todo] < partial
+            below[todo[done]] = True
+        else:
+            partial += term
+            done = y[todo] >= partial
+        todo, partial = todo[~done], partial[~done]
+    return below
 
 
-def _theta_powers(x: np.ndarray, n: int) -> list:
-    """x^((2k+1)^2) for k < ``n`` by products alone: each is the one before times x^(8k)."""
-    x8 = np.square(np.square(x * x))
-    out, step = [x], x8
-    for _ in range(n - 1):
-        out.append(out[-1] * step)
-        step = step * x8
-    return out
+def _unit_exit_times(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` exit times of a standard Brownian motion from (-1, 1), exactly, by Devroye's alternating series.
 
-
-def _horner(coefs: Sequence[float], x: np.ndarray) -> np.ndarray:
-    """coefs[0] x^n + coefs[1] x^(n-1) + ... + coefs[n] by Horner's rule."""
-    out = coefs[0] * x
-    out += coefs[1]
-    for c in coefs[2:]:
-        out *= x
-        out += c
-    return out
-
-
-# W. J. Cody, "Rational Chebyshev approximations for the error function",
-# Math. Comp. 23 (1969) 631-637, as in his CALERF: erfc(z) = exp(-z^2) P(z) / Q(z)
-# on [0.46875, 4], and exp(-z^2) (1/sqrt(pi) - w R(w) / S(w)) / z with w = 1/z^2 above.
-_CODY_P = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
-           6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
-           1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
-_CODY_Q = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_CODY_R = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
-_CODY_S = (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
-_INV_SQRT_PI = 5.6418958354775628695e-1
-
-
-def _erfcx(z: np.ndarray) -> np.ndarray:
-    """exp(z^2) erfc(z) for z >= 0.46875, elementwise: the rational part of Cody's erfc."""
-    flat = z.ravel()
-    out = np.empty_like(flat)
-    near = flat <= 4.0
-    i = np.flatnonzero(near)
-    y = flat[i]
-    out[i] = _horner(_CODY_P, y) / _horner(_CODY_Q, y)
-    i = np.flatnonzero(~near)
-    y = flat[i]
-    w = 1.0 / (y * y)
-    out[i] = (_INV_SQRT_PI - w * _horner(_CODY_R, w) / _horner(_CODY_S, w)) / y
-    return out.reshape(z.shape)
-
-
-def _exp_minus_square(z: np.ndarray) -> np.ndarray:
-    """exp(-z^2) as Cody takes it: exp(-s^2) exp(-(z - s)(z + s)) with s = z cut to sixteenths.
-
-    s^2 is exact, so the rounding of z^2 never enters an exponent as large as z^2;
-    times :func:`_erfcx` this is erfc(z) to within 1e-15 relative.
+    The density of the exit time T is sum_n (-1)^n a_n(t), where a_n / a_0 =
+    (2n+1) q^(n(n+1)) on both sides of the cut, with q = exp(-pi^2 t / 2)
+    beyond it and exp(-2 / t) below it; q < 0.044 on both. Beyond the cut, a_0
+    is in proportion to the density of 0.64 + 8 E / pi^2 for an exponential E.
+    Below it, t = 1 / Z^2 for a normal Z past 1.25, which Marsaglia's tail
+    method draws as Z^2 = 1.5625 + 2 E, kept with probability 1.25 / Z. A side
+    is chosen with odds R : L, the envelope's masses ``_RIGHT`` and ``_LEFT``,
+    and a proposal is kept when its uniform y, stretched by Z / 1.25 below the
+    cut, lies below the series, with q = q_cut exp(-4 E) on both sides: with
+    probability 1 / (R + L) = 0.86. A batch of need (R + L) + 4 sqrt(need) + 1
+    proposals keeps what is still needed plus about nine standard deviations,
+    so one batch nearly always does; the first ``n`` kept, in order, are the
+    draws.
     """
-    s = np.trunc(z * 16.0) / 16.0
-    return np.exp(-s * s) * np.exp(-(z - s) * (z + s))
+    kept = np.empty(0)
+    while len(kept) < n:
+        need = n - len(kept)
+        m = int(need * (_RIGHT + _LEFT) + 4.0 * math.sqrt(need)) + 1
+        right = rng.random(m) * (_RIGHT + _LEFT) < _RIGHT
+        e = rng.standard_exponential(m)
+        grow = np.where(right, 1.0, 1.0 + (2.0 * _CUT) * e)  # (Z / 1.25)^2 below the cut
+        y = rng.random(m) * np.sqrt(grow)
+        q = np.exp(-4.0 * e) * np.where(right, math.exp(-math.pi**2 * _CUT / 2.0), math.exp(-2.0 / _CUT))
+        t = np.where(right, _CUT + (8.0 / math.pi**2) * e, _CUT / grow)
+        kept = np.concatenate([kept, t[_below_series(y, q)][:need]])
+    return kept
 
 
-# R. E. Odeh and J. O. Evans, algorithm AS 70, Applied Statistics 23 (1974) 96-97:
-# with v = sqrt(-2 log p), v + P(v) / Q(v) is the normal upper-tail quantile of p
-# to within 1.5e-8 for 1e-20 < p <= 1/2.
-_AS70_P = (-0.453642210148e-4, -0.204231210245e-1, -0.342242088547, -1.0, -0.322232431088)
-_AS70_Q = (0.38560700634e-2, 0.103537752850, 0.531103462366, 0.588581570495, 0.993484626060e-1)
-
-
-def _normal_upper_quantile(p: np.ndarray) -> np.ndarray:
-    v = np.sqrt(-2.0 * np.log(p))
-    return v + _horner(_AS70_P, v) / _horner(_AS70_Q, v)
-
-
-_X_AT_HALF = math.exp(-math.pi**2 / 16.0)
-_SURVIVAL_AT_HALF = float(4.0 / math.pi * sum(s / o * _X_AT_HALF ** (o * o) for o, s in zip(*_LONG_TERMS)))
-
-
-def _long_exit_times(u: np.ndarray) -> np.ndarray:
-    """Unit exit times for survival probabilities ``u`` below S(1/2): one Newton step in x."""
-    odd, sign = _LONG_TERMS
-    c = (math.pi / 4.0) * u
-    y = np.square(np.square(c * c))  # the series reversion of x - x^9/3 + ... = c in y = c^8, to y^4
-    x = c + c * y * _horner((2669.0 / 135.0, 62.0 / 15.0, 1.0, 1.0 / 3.0), y)
-    powers = _theta_powers(x, len(odd))
-    # c < x < 2c, so x - c is exact and the residual rounds once
-    residual = (x - c) + _series(sign[1:] / odd[1:], powers[1:])
-    # the slope times x is sum_k sign_k odd_k x^(odd_k^2)
-    x -= x * residual / _series(sign * odd, powers)
-    return (-8.0 / math.pi**2) * np.log(x)
-
-
-def _halley_step(z: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Halley's step at ``z`` toward the root of log(erfc z - erfc 3z + erfc 5z - ...) = log(half)."""
-    odd, sign = _SHORT_TERMS
-    gauss = _theta_powers(_exp_minus_square(z), len(odd))  # exp(-z^2), exp(-9 z^2), ...
-    cdf = _series(sign, [g * e for g, e in zip(gauss, _erfcx(odd[:, None] * z))])
-    # the residual, which rounds once in cdf / half, and the first two derivatives of log cdf in z
-    value = np.log(cdf / half)
-    slope = (-2.0 * _INV_SQRT_PI) * _series(sign * odd, gauss) / cdf
-    curve = (4.0 * _INV_SQRT_PI) * z * _series(sign * odd**3, gauss) / cdf - slope * slope
-    return 2.0 * value * slope / (2.0 * slope * slope - value * curve)
-
-
-def _short_exit_times(q: np.ndarray) -> np.ndarray:
-    """Unit exit times for P(T <= t) = ``q`` above 1 - S(1/2): one Halley step in z."""
-    # AS 70 at P(N > sqrt(2) z) = q / 4 gives the root of erfc z = q / 2 for a standard normal N; the
-    # omitted erfc 3z = exp(-9 z^2) (1 - 1 / (18 z^2) + ...) / (3 z sqrt(pi)) moves that root so
-    z = math.sqrt(0.5) * _normal_upper_quantile(0.25 * q)
-    z -= np.exp(-8.0 * z * z) / (6.0 * z) * (1.0 - 1.0 / (18.0 * z * z))
-    s = _halley_step(z, 0.5 * q) / z
-    # the step moves t = 1 / (2 z^2) to t / (1 - s)^2 = t (1 + 2s + 3s^2), up to 4 s^3 < 1e-18 of t;
-    # taken on t, it is not held to the values of 1 / (2 z^2) at doubles z, up to 4 ulps of t apart
-    t = 0.5 / (z * z)
-    return t + t * (s * (2.0 + 3.0 * s))
-
-
-def _unit_exit_times(u: np.ndarray) -> np.ndarray:
-    """Exit times of a standard Brownian motion from (-1, 1) with survival probabilities ``u``.
-
-    ``u`` must lie in the open interval (0, 1). A side of t = 1/2 with no draws is not solved.
-    """
-    t = np.empty_like(u)
-    long, short = np.flatnonzero(u < _SURVIVAL_AT_HALF), np.flatnonzero(u >= _SURVIVAL_AT_HALF)
-    if len(long):
-        t[long] = _long_exit_times(u[long])
-    if len(short):
-        t[short] = _short_exit_times(1.0 - u[short])
-    return t
-
-
-def _interval_walk(
-    lo: float, hi: float, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, list, list, list]:
+def _interval_walk(lo: float, hi: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, list, list]:
     """Sides of ``n`` exits of a standard Brownian motion from (-lo, hi), and what timing them needs.
 
-    Returns (exited_at_hi, walks, scales, survivals): per round, the live walks,
-    their one c^2 and their survival draws. From x the motion first leaves the
-    largest interval centred on x inside (-lo, hi) after c^2 T, with c its
-    half-width and T a unit exit time, on either side with equal odds and
-    independently of T. All walks start at 0 and one side is a boundary (both at
-    a tie), so the live walks share one orbit x. In Python floats it rounds as
-    numpy does, so the draws and every double are those of walks held one by one.
+    Returns (exited_at_hi, walks, scales): per round, the live walks and their
+    one c^2. From x the motion first leaves the largest interval centred on x
+    inside (-lo, hi) after c^2 T, with c its half-width and T a unit exit
+    time, on either side with equal odds and independently of T. All walks
+    start at 0 and one side is a boundary (both at a tie), so the live walks
+    share one orbit x. In Python floats it rounds as numpy does, so the draws
+    and every double are those of walks held one by one.
     """
     x = 0.0
     at_hi = np.zeros(n, dtype=bool)
     live = np.arange(n)
-    walks, scales, survivals = [], [], []
+    walks, scales = [], []
     while len(live):
         to_lo, to_hi = x + lo, hi - x
         c = min(to_lo, to_hi)
-        draws = rng.random((2, len(live)))
         walks.append(live)
         scales.append(c * c)
-        survivals.append(draws[0])
-        up = draws[1] < 0.5
+        up = rng.random(len(live)) < 0.5
         if to_hi <= to_lo:  # the walks that go up finish at hi, and at a tie the others at lo
             at_hi[live[up]] = True
             live, x = (live[~up] if to_hi < to_lo else live[:0]), x - c
         else:
             live, x = live[up], x + c
-    return at_hi, walks, scales, survivals
+    return at_hi, walks, scales
 
 
-def _walk_times(runs: Sequence[tuple]) -> np.ndarray:
+def _walk_times(runs: Sequence[tuple], rng: np.random.Generator) -> np.ndarray:
     """Exit times of the walks of each of ``runs`` of :func:`_interval_walk`, one run after another.
 
-    The unit exit times of all rounds of all runs are inverted in one solve and
-    added to each walk in round order.
+    The unit exit times of all rounds of all runs are drawn from ``rng`` in one
+    call and added to each walk in round order.
     """
-    walks, scales, survivals, n = [], [], [], 0
-    for at_hi, run_walks, run_scales, run_survivals in runs:
+    walks, scales, n = [], [], 0
+    for at_hi, run_walks, run_scales in runs:
         walks += [n + w for w in run_walks]
         scales += run_scales
-        survivals += run_survivals
         n += len(at_hi)
-    # the shift moves a draw of 0 into the open interval and leaves draws near 1 as they are
-    steps = np.repeat(scales, [len(w) for w in walks]) * _unit_exit_times(np.concatenate(survivals) + 2.0**-55)
+    sizes = [len(w) for w in walks]
+    steps = np.repeat(scales, sizes) * _unit_exit_times(sum(sizes), rng)
     # bincount adds the steps in the order given, so each walk's in round order
     return np.bincount(np.concatenate(walks), weights=steps, minlength=n)
 
@@ -327,9 +218,9 @@ def _change_sequence(
     ``start`` is the latent price's offset from the opening grid point in
     ticks, and business time is measured in squared ticks up to ``budget``.
     Each round walks a batch of later exits sized to cover what is left of
-    the budget, and one solve times it; the first round also walks the day's
-    first exit, which is exit 0 of its running sum. Only a batch that falls
-    short is followed by another round.
+    the budget, and one call of the sampler times it; the first round also
+    walks the day's first exit, which is exit 0 of its running sum. Only a
+    batch that falls short is followed by another round.
     """
     # later exits from (-2 eta, 1) have mean 2 eta and squared coefficient of
     # variation (1 + 4 eta^2) / (6 eta)
@@ -342,7 +233,7 @@ def _change_sequence(
         # deviations, so that one batch nearly always covers the day
         need = (budget - end) / mean
         runs.append(_interval_walk(2.0 * eta, 1.0, int(need + 4.0 * cv * math.sqrt(need)) + 1, rng))
-        elapsed.append(end + np.cumsum(_walk_times(runs)))
+        elapsed.append(end + np.cumsum(_walk_times(runs, rng)))
         turns.append(np.where(np.concatenate([at_hi for at_hi, *_ in runs]), 1, -1))
         end, runs = float(elapsed[-1][-1]), []
     times = np.concatenate(elapsed)
@@ -407,8 +298,8 @@ def equilibrium_fill_rate(asset: AssetSpec, sigma: float, horizon: float) -> flo
     return max(0.0, target - changes)
 
 
-# Most trades one day may expect. A change costs about 285 B of peak memory,
-# so a day stays under about 3 GB; the largest reference day has 118,530 trades.
+# Most trades one day may expect. A change costs about 185 B of peak memory and a
+# fill 100 B, so a day stays under about 2 GB; the largest reference day has 118,530 trades.
 _MAX_TRADES = 10**7
 
 
@@ -428,10 +319,10 @@ def simulate_day(
     vendor file, the first row never counts as a change and the tape opens at
     its price; the model-true changes are in ``TrueParams.price_changes``.
     The changes come from :func:`_change_sequence` in business time, with one
-    exit-time solve for the day, and map back to clock time through the
-    spec's ``knots``. A day that expects more than ``_MAX_TRADES`` trades, or
-    that opens so far from 0 that its prices could leave the sub-tick range,
-    is a ParameterError.
+    call of the exit-time sampler for the day, and map back to clock time
+    through the spec's ``knots``. A day that expects more than ``_MAX_TRADES``
+    trades, or that opens so far from 0 that its prices could leave the
+    sub-tick range, is a ParameterError.
     """
     eta = asset.require_eta()
     alpha = asset.tick_value

@@ -9,6 +9,7 @@ reproducible bit for bit.
 import math
 import os
 import time
+import warnings
 from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
@@ -27,6 +28,17 @@ from tickzone import (
 )
 from tickzone.simulator import _interval_walk
 
+
+# When a property fails, Hypothesis imports this module to suggest a patch. With
+# some libcst versions that import warns of a deprecation inside libcst, which
+# pyproject.toml makes an error that stops the whole session. Imported here
+# first, with deprecation warnings ignored, the failure stays one failed test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # In CI, property tests draw the same examples on every run, so a failure there
 # reproduces locally with CI=1; without CI set, Hypothesis keeps its defaults.

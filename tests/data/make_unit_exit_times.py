@@ -1,12 +1,16 @@
-"""Write unit_exit_times.csv: reference roots of the unit exit-time distribution.
+"""Write unit_exit_times.csv: reference points of the unit exit-time distribution.
+
+The simulator's exit-time sampler is tested against this table: the
+empirical distribution of its draws must lie within a Kolmogorov-Smirnov
+bound of it.
 
 Each row is a survival probability u (a double, written exactly by repr) and
 the t with P(T > t) = u for the exit time T of a standard Brownian motion from
 (-1, 1), to 40 significant digits. The roots are solved with mpmath at 60
 digits on both theta series, each summed until its terms fall below 1e-70,
-and the two series must agree at the root. The u values span 2^-55 to 1 - 2^-53, the draws the
-simulator can make, on both sides of S(1/2). Run once from the repository
-root with mpmath installed:
+and the two series must agree at the root. The u values span 2^-55 to
+1 - 2^-53, on both sides of S(1/2). Run once from the repository root with
+mpmath installed:
 
     python tests/data/make_unit_exit_times.py
 """

@@ -459,9 +459,14 @@ class TestRunPipelineSynthetic:
     @pytest.mark.parametrize("extra, keep_flagged, cause", [
         # every simulated day's eta_hat comes out above the flag's 0.55
         ("synthetic.X.eta = 0.9\nsynthetic.X.sigma = 0.004\nsession = 08:00-08:20\n", "false", "every day flagged"),
-        # at eta 0.01 a continuation is rare, and each day that has a record counts none: eta_hat 0
-        ("synthetic.X.eta = 0.01\nsynthetic.X.sigma = 0.0003\nsession = 08:00-08:02\n", "true",
-         "mean zone ratio is zero"),
+        # a continuation needs a rise or fall of a whole tick; a day's variance is at most
+        # b = (1.1 * 8e-5 / 0.01)^2 * 120 = 0.0093 squared ticks, so by the reflection principle
+        # that has chance at most 4 P(N > 1 / (2 sqrt(b))) = 4 P(N > 5.19) = 4.2e-7 a day, 1.7e-6
+        # over the four; a start 0.499 tick up puts the first barrier 0.0011 tick away, and the
+        # price then turns between barriers 2 eta = 2e-4 tick apart; each exit takes 2 eta squared
+        # ticks on average, so it turns about b / (2 eta), some 40 times, a day: records with eta_hat 0
+        ("synthetic.X.eta = 0.0001\nsynthetic.X.sigma = 0.00008\nsynthetic.X.x0 = 100.00499\n"
+         "synthetic.X.fills = 0\nsession = 08:00-08:02\n", "true", "mean zone ratio is zero"),
     ])
     def test_asset_without_a_zone_ratio_has_no_tick_row(self, extra, keep_flagged, cause, tmp_path):
         text = f"out = {tmp_path / 'x'}\nseed = 3\nsynthetic.X.tick_value = 0.01\nsynthetic.X.days = 4\n" + extra
@@ -823,7 +828,9 @@ class TestCli:
     def test_tick_of_34_digits_survives_the_round_trip(self, tmp_path, capsys):
         tick = "0.1000000000000000055511151231257827"  # the float 0.1 is this tick to 34 digits
         day = tmp_path / "d.csv"
-        assert cli_main(_SIMULATE + ["--sigma", "0.003", "--tick-value", tick, "--out", str(day)]) == 0
+        # at sigma 0.03 the 10-minute day expects sigma^2 t / (2 eta tick^2) = 108 changes, and a
+        # record needs 2
+        assert cli_main(_SIMULATE + ["--sigma", "0.03", "--tick-value", tick, "--out", str(day)]) == 0
         assert cli_main(["estimate", str(day), "--tick-value", tick, "--session", "08:00-08:10"]) == 0
         cfg = tmp_path / "cfg.txt"
         lines = [f"out = {tmp_path / 'run'}", "session = 08:00-09:00", f"synthetic.A.tick_value = {tick}",

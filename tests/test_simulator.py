@@ -2,7 +2,6 @@
 import math
 import re
 import tracemalloc
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -74,160 +73,100 @@ class TestEfficientPath:
 
 # ------------------------------------------------------------- exit sampler
 
-def _theta_survival(t: float) -> float:
-    """P(T > t) for the exit time of a standard Brownian motion from (-1, 1), 200 terms."""
-    return 4.0 / math.pi * sum(
-        (-1) ** k / (2 * k + 1) * math.exp(-((2 * k + 1) ** 2) * math.pi**2 * t / 8.0)
-        for k in range(200)
-    )
-
-
-def _per_round_interval_exits(lo, hi, n, rng):
-    """The walk with one unit-exit-time solve per round: the oracle of the one-solve walk."""
+def _held_one_by_one(lo, hi, n, rng):
+    """Sides of ``n`` walks from 0 to the edge of (-lo, hi), each held on its own, and per round
+    its live walks and their c^2 each: the sides' oracle of the shared-orbit walk."""
     x = np.zeros(n)
-    times = np.zeros(n)
     at_hi = np.zeros(n, dtype=bool)
     live = np.arange(n)
+    rounds = []
     while len(live):
         xl = x[live]
         c = np.minimum(xl + lo, hi - xl)
-        draws = rng.random((2, len(live)))
-        times[live] += c * c * _unit_exit_times(draws[0] + 2.0**-55)
-        up = draws[1] < 0.5
+        rounds.append((live, c * c))
+        up = rng.random(len(live)) < 0.5
         hit_hi = up & (hi - xl <= c)
         done = hit_hi | (~up & (xl + lo <= c))
         at_hi[live[done]] = hit_hi[done]
         x[live] = np.where(up, xl + c, xl - c)
         live = live[~done]
-    return times, at_hi
+    return at_hi, rounds
 
 
-def _reference_roots():
-    """(u, t) from data/unit_exit_times.csv: P(T > t) = u, with t to 40 digits."""
+def _timed_round_by_round(walks, rng):
+    """Exit times of the walks of :func:`_held_one_by_one` runs, one run after another: all unit
+    exit times in one draw, c^2 T added to each walk round by round."""
+    rounds, n = [], 0
+    for at_hi, run in walks:
+        rounds += [(n + live, c2) for live, c2 in run]
+        n += len(at_hi)
+    unit = _unit_exit_times(sum(len(live) for live, _ in rounds), rng)
+    times, k = np.zeros(n), 0
+    for live, c2 in rounds:
+        times[live] += c2 * unit[k:k + len(live)]
+        k += len(live)
+    return times
+
+
+def _per_round_interval_exits(lo, hi, n, rng):
+    """Exit times and sides of walks held one by one: the oracle of the shared-orbit walk."""
+    walk = _held_one_by_one(lo, hi, n, rng)
+    return _timed_round_by_round([walk], rng), walk[0]
+
+
+def _reference_points():
+    """(u, t) from data/unit_exit_times.csv, where P(T > t) = u: the t to 40 digits, read as doubles."""
     lines = (Path(__file__).parent / "data" / "unit_exit_times.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines if not line.startswith("#")]
-    return np.array([float(u) for u, _ in rows]), [Decimal(t) for _, t in rows]
+    return np.array([[float(u), float(t)] for u, t in rows]).T
 
 
-def _newton_long_tail(t):
-    """log P(T > t) and its derivative in t, from four long-time terms."""
-    odd, sign = simulator._theta_terms(4)
-    e = np.exp(-(odd[:, None] ** 2 * t) * (math.pi**2 / 8.0))
-    survival = (4.0 / math.pi) * simulator._series(sign / odd, e)
-    return np.log(survival), -(math.pi / 2.0) * simulator._series(sign * odd, e) / survival
+def _series_sum(q):
+    """1 - 3 q^2 + 5 q^6 - 7 q^12 + ..., 200 terms, summed exactly and rounded once."""
+    return math.fsum((-1) ** n * (2 * n + 1) * q ** (n * (n + 1)) for n in range(200))
 
 
-def _newton_short_tail(t):
-    """log P(T <= t) and its derivative in t, from three short-time terms."""
-    odd, sign = simulator._theta_terms(3)
-    z = odd[:, None] * (1.0 / np.sqrt(2.0 * t))
-    gauss = simulator._exp_minus_square(z)
-    cdf = 2.0 * simulator._series(sign, gauss * simulator._erfcx(z))
-    return np.log(cdf), 2.0 * simulator._series(sign * odd, gauss) / np.sqrt(2.0 * math.pi * t**3) / cdf
-
-
-def _newton(tail, t, target):
-    """Newton's method on tail(t) = target, each root stopping at its first step under 1e-13 of t."""
-    todo = np.arange(len(t))
-    for _ in range(100):
-        now = t[todo]
-        value, slope = tail(now)
-        step = (value - target[todo]) / slope
-        now -= step
-        t[todo] = now
-        todo = todo[np.abs(step) > 1e-13 * now]
-        if not len(todo):
-            break
-    return t
-
-
-def _newton_unit_exit_times(u):
-    """The exit-time solver that the fixed-step one replaced, kept as its oracle."""
-    t = np.empty_like(u)
-    long = u < simulator._SURVIVAL_AT_HALF
-    if long.any():
-        s = u[long]
-        t[long] = _newton(_newton_long_tail, (8.0 / math.pi**2) * np.log(4.0 / (math.pi * s)), np.log(s))
-    if not long.all():
-        q = 1.0 - u[~long]
-        t[~long] = _newton(_newton_short_tail, simulator._normal_upper_quantile(q / 4.0) ** -2.0, np.log(q))
-    return t
+_NEAR_CUT = (float(np.nextafter(0.64, 0.0)), 0.64, float(np.nextafter(0.64, 1.0)))
 
 
 class TestExactExits:
-    def test_unit_exit_time_inverts_the_theta_series(self):
-        u = np.concatenate(
-            [np.logspace(-12, -1, 23), np.linspace(0.15, 0.85, 15), 1.0 - np.logspace(-1, -12, 23)]
-        )
-        t = _unit_exit_times(u)
-        assert np.all(np.diff(t) < 0)
-        for ui, ti in zip(u, t):
-            assert abs(_theta_survival(float(ti)) - ui) <= 1e-13 + 1e-12 * ui
+    def test_draws_follow_the_40_digit_table(self):
+        # the distance over the table's points is at most Kolmogorov's over all t, and for draws
+        # of the true law sqrt(n) times that exceeds 1.95 with probability under 0.001
+        u, at = _reference_points()
+        n = 1_000_000
+        t = np.sort(_unit_exit_times(n, np.random.default_rng(2009)))
+        cdf = np.searchsorted(t, at, side="right") / n
+        assert len(t) == n and t[0] > 0.0
+        assert math.sqrt(n) * np.max(np.abs(cdf - (1.0 - u))) <= 1.95
 
-    @pytest.mark.parametrize("lo, hi, bound", [(1.0, 6.5, 4.2e-15), (6.5, 26.5, 6e-14)])
-    def test_erfc_against_math(self, lo, hi, bound):
-        # the bounds are what scipy.special.erfc measures on the same grids
-        z = np.linspace(lo, hi, 200_001)
-        want = np.array([math.erfc(v) for v in z])
-        got = simulator._exp_minus_square(z) * simulator._erfcx(z)
-        assert np.max(np.abs(got / want - 1.0)) <= bound
+    @pytest.mark.parametrize("n", [0, 1, 7, 5_000])
+    def test_draws_exactly_as_many_as_asked(self, n):
+        assert len(_unit_exit_times(n, np.random.default_rng(n))) == n
 
-    def test_trimmed_series_round_like_one_more_term(self, monkeypatch):
-        # the terms each series leaves out round away: a fifth polynomial term and a fourth
-        # erfc term leave every root bit for bit
-        u = np.random.default_rng(13).random(100_000) + 2.0**-55
-        t = _unit_exit_times(u)
-        assert 0.2 < np.mean(t > 0.5) < 0.8
-        monkeypatch.setattr(simulator, "_LONG_TERMS", simulator._theta_terms(5))
-        monkeypatch.setattr(simulator, "_SHORT_TERMS", simulator._theta_terms(4))
-        assert np.array_equal(_unit_exit_times(u), t)
-
-    # each solver's bounds are what it measures on this table, rounded up: the fixed-step one
-    # 2.44124 and 0.52403, and Newton's method on the log tails, the solver before it, 3.99133 and 0.81484
-    @pytest.mark.parametrize("solve, max_ulps, mean_ulps", [
-        (_unit_exit_times, 2.4413, 0.5241), (_newton_unit_exit_times, 3.9914, 0.8149)], ids=["fixed-step", "newton"])
-    def test_ulp_error_against_a_40_digit_table(self, solve, max_ulps, mean_ulps):
-        u, want = _reference_roots()
-        assert u[0] == 2.0**-55 and u[-1] == 1.0 - 2.0**-53
-        long = u < simulator._SURVIVAL_AT_HALF
-        assert long.sum() > 200 and (~long).sum() > 200
-        got = solve(u)
-        ulps = [float(abs(Decimal(float(g)) - w) / Decimal(math.ulp(float(w)))) for g, w in zip(got, want)]
-        assert max(ulps) <= max_ulps and np.mean(ulps) <= mean_ulps
-
-    def test_each_start_is_close_enough_for_one_step(self, monkeypatch):
-        # from 2e-9 relative in x, one Newton step leaves at most 0.09 (2e-9)^2; from 5e-7 relative
-        # in z, one Halley step leaves about 0.16 (5e-7)^3: both far under an ulp (the table's
-        # starts measure 1.86e-9 and 4.12e-7)
-        u, want = _reference_roots()
-        t = np.array([float(w) for w in want])
-        long = u < simulator._SURVIVAL_AT_HALF
-        starts = {}
-
-        def first_argument(name):
-            step = getattr(simulator, name)
-
-            def recorded(x, *rest):
-                starts.setdefault(name, x.copy())
-                return step(x, *rest)
-            return recorded
-
-        # the long side takes its powers of x once, at the start; the short side takes one step, from the start
-        for name in ("_theta_powers", "_halley_step"):
-            monkeypatch.setattr(simulator, name, first_argument(name))
-        simulator._long_exit_times(u[long])
-        simulator._short_exit_times(1.0 - u[~long])
-        x_start, z_start = starts["_theta_powers"], starts["_halley_step"]
-        assert np.max(np.abs(x_start / np.exp(-(math.pi**2 / 8.0) * t[long]) - 1.0)) <= 2e-9
-        assert np.max(np.abs(z_start * np.sqrt(2.0 * t[~long]) - 1.0)) <= 5e-7
+    # t at the cut of 0.64, one ulp either side of it, and in both tails, out to where q underflows to 0
+    @pytest.mark.parametrize("side, t", [("long", t) for t in _NEAR_CUT + (20.0, 300.0)]
+                             + [("short", t) for t in _NEAR_CUT + (0.05, 1e-3)])
+    def test_alternating_series_decides_like_its_sum(self, side, t):
+        q = math.exp(-math.pi**2 * t / 2.0) if side == "long" else math.exp(-2.0 / t)
+        total = _series_sum(q)
+        # y around the sum: 3 ulps off, beyond what the partial sums' roundings move, and at the
+        # first partial sums, which leave it undecided
+        up, down = total, total
+        for _ in range(3):
+            up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
+        y = np.array([0.0, 0.5, 1.0 - 3.0 * q * q, (1.0 - 3.0 * q * q + total) / 2.0, down, up,
+                      total - 1e-9, total + 1e-9, np.nextafter(1.0, 0.0), 1.0, 1.5])
+        assert np.array_equal(simulator._below_series(y, np.full(len(y), q)), y < total)
 
     @pytest.mark.parametrize("lo, hi", [(0.2, 1.0), (0.5, 1.0), (0.37, 0.91)])
     def test_exit_moments_and_sides(self, lo, hi):
         # closed forms for an exit from (-lo, hi): E tau = lo hi,
         # Var tau = lo hi (lo^2 + hi^2) / 3, P(exit at hi) = lo / (lo + hi)
         n = 200_000
-        walk = _interval_walk(lo, hi, n, np.random.default_rng(11))
-        tau, at_hi = _walk_times([walk]), walk[0]
+        rng = np.random.default_rng(11)
+        walk = _interval_walk(lo, hi, n, rng)
+        tau, at_hi = _walk_times([walk], rng), walk[0]
         mean, var = lo * hi, lo * hi * (lo**2 + hi**2) / 3.0
         assert abs(tau.mean() - mean) <= 5.0 * math.sqrt(var / n)
         fourth = float(np.mean((tau - tau.mean()) ** 4))
@@ -275,14 +214,14 @@ class TestExactExits:
          (0.2, 1.0, 3_000, 2), (0.8, 1.0, 257, 5), (1.05, 0.45, 100, 6), (0.75, 0.75, 1, 7),
          (0.75, 0.75, 300, 8), (0.375, 1.125, 1, 9), (0.375, 1.125, 300, 10)],
     )
-    def test_one_solve_matches_one_solve_per_round(self, lo, hi, n, seed):
+    def test_shared_orbit_matches_walks_held_one_by_one_at_the_edges(self, lo, hi, n, seed):
         # off-centre (lo, hi) pairs are first-exit bands around a start off the grid point; at
         # (0.75, 0.75) the first interval spans the band, so both sides are boundaries, and from
         # (0.375, 1.125) the walks that go on stand at 0.375, 0.75 from both sides in floats
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
         walk = _interval_walk(lo, hi, n, got_rng)
-        assert np.array_equal(_walk_times([walk]), want[0])
+        assert np.array_equal(_walk_times([walk], got_rng), want[0])
         assert np.array_equal(walk[0], want[1])
         # both drew the same numbers, so the next batch of a day starts from the same state
         assert got_rng.random() == want_rng.random()
@@ -301,45 +240,43 @@ class TestExactExits:
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
         walk = _interval_walk(lo, hi, n, got_rng)
-        assert np.array_equal(_walk_times([walk]), want[0]) and np.array_equal(walk[0], want[1])
+        assert np.array_equal(_walk_times([walk], got_rng), want[0]) and np.array_equal(walk[0], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize(
-        "start, eta, budget, seed, top_ups",
+        "start, eta, budget, seed, halvings",
         [(0.0, 0.25, 0.0, 0, 0), (0.37, 0.25, 0.01, 1, 0), (-0.49, 0.1, 50.0, 2, 0), (0.2, 0.4, 300.0, 3, 0),
-         (0.5, 0.05, 1000.0, 4, 0), (-0.3, 1.0, 20.0, 5, 0), (0.3, 0.25, 10.0, 163, 1)],
+         (0.5, 0.05, 1000.0, 4, 0), (-0.3, 1.0, 20.0, 5, 0), (0.3, 0.25, 10.0, 6, 3)],
     )
-    def test_day_matches_walks_timed_one_round_at_a_time(self, monkeypatch, start, eta, budget, seed, top_ups):
-        # the first exit, then the batch sized from the whole budget, then any top-up, from one generator
+    def test_day_matches_walks_timed_one_round_at_a_time(self, monkeypatch, start, eta, budget, seed, halvings):
+        # the sides of the first exit and of the batch sized from the whole budget, then their unit
+        # exit times, then any top-up's sides and times, from one generator; batches halved three
+        # times cover about a third of a budget of 20 mean exits, so a top-up follows
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean, cv = 2.0 * eta, math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
-        size = lambda left: int(left / mean + 4.0 * cv * math.sqrt(left / mean)) + 1
-        first, first_up = _per_round_interval_exits(0.5 + eta + start, 0.5 + eta - start, 1, want_rng)
-        gaps, continued = _per_round_interval_exits(2.0 * eta, 1.0, size(budget), want_rng)
-        times, ups = np.cumsum(np.concatenate([first, gaps])), [first_up, continued]
+        size = lambda left: max(1, (int(left / mean + 4.0 * cv * math.sqrt(left / mean)) + 1) >> halvings)
+        first = _held_one_by_one(0.5 + eta + start, 0.5 + eta - start, 1, want_rng)
+        batch = _held_one_by_one(2.0 * eta, 1.0, size(budget), want_rng)
+        times, ups = np.cumsum(_timed_round_by_round([first, batch], want_rng)), [first[0], batch[0]]
         while times[-1] < budget:
-            gaps, continued = _per_round_interval_exits(2.0 * eta, 1.0, size(budget - times[-1]), want_rng)
-            times, ups = np.concatenate([times, times[-1] + np.cumsum(gaps)]), ups + [continued]
+            batch = _held_one_by_one(2.0 * eta, 1.0, size(budget - times[-1]), want_rng)
+            times = np.concatenate([times, times[-1] + np.cumsum(_timed_round_by_round([batch], want_rng))])
+            ups.append(batch[0])
         n = np.searchsorted(times, budget)
         calls = []
-        monkeypatch.setattr(simulator, "_walk_times", lambda runs: calls.append(runs) or _walk_times(runs))
+        monkeypatch.setattr(simulator, "_walk_times", lambda runs, rng: calls.append(runs) or _walk_times(runs, rng))
+        monkeypatch.setattr(simulator, "_interval_walk",
+                            lambda lo, hi, n, rng: _interval_walk(lo, hi, max(1, n >> halvings), rng))
         got_times, got_directions = simulator._change_sequence(start, eta, budget, got_rng)
         # the first timing covers the first exit and the first batch; every later one is a top-up
-        assert len(calls) - 1 == top_ups == len(ups) - 2
+        assert len(calls) - 1 == len(ups) - 2
+        assert (len(ups) > 2) == (halvings > 0)
         assert np.array_equal(got_times, times[:n])
         assert np.array_equal(got_directions, np.cumprod(np.where(np.concatenate(ups), 1, -1)[:n]))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_unit_exit_times_of_a_concatenation(self):
-        # a root must not depend on the batch it is solved in, nor on its place in it
-        rng = np.random.default_rng(12)
-        for sizes in ([1, 1], [1, 2, 3, 4, 5], [1000, 1, 37], [4096, 513, 2, 2049, 7]):
-            parts = [rng.random(k) + 2.0**-55 for k in sizes]
-            whole = _unit_exit_times(np.concatenate(parts))
-            assert np.array_equal(whole, np.concatenate([_unit_exit_times(u) for u in parts]))
-
-    def test_one_unit_exit_solve_per_day(self, monkeypatch):
-        calls = {"walks": 0, "solves": 0, "timings": 0}
+    def test_one_unit_exit_draw_per_day(self, monkeypatch):
+        calls = {"walks": 0, "draws": 0, "timings": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -348,36 +285,13 @@ class TestExactExits:
             return wrapper
 
         monkeypatch.setattr(simulator, "_interval_walk", counted("walks", simulator._interval_walk))
-        monkeypatch.setattr(simulator, "_unit_exit_times", counted("solves", simulator._unit_exit_times))
+        monkeypatch.setattr(simulator, "_unit_exit_times", counted("draws", simulator._unit_exit_times))
         monkeypatch.setattr(simulator, "_walk_times", counted("timings", simulator._walk_times))
         spec = EfficientPathSpec(x0=100.0037, volatility=0.01, horizon=3600.0)
         simulate_day(spec, AssetSpec("A", 0.01, eta=0.25), TapeConfig(seed=2))
         # the first exit and one batch of later ones, timed together; each further timing is a top-up
         top_ups = calls.pop("timings") - 1
-        assert (calls, top_ups) == ({"walks": 2, "solves": 1}, 0)
-
-    @pytest.mark.parametrize("u, solves", [([0.3], 1), ([0.9], 1), ([0.3, 0.9], 2)])
-    def test_empty_branch_is_not_solved(self, monkeypatch, u, solves):
-        calls = []
-        for side in ("long", "short"):
-            solve = getattr(simulator, f"_{side}_exit_times")
-            monkeypatch.setattr(simulator, f"_{side}_exit_times",
-                                lambda x, side=side, solve=solve: calls.append(side) or solve(x))
-        _unit_exit_times(np.array(u))
-        assert len(calls) == solves
-        assert calls == ["long" if v < simulator._SURVIVAL_AT_HALF else "short" for v in u]
-
-    @pytest.mark.parametrize("eta", [0.10, 0.25, 0.40])
-    def test_tapes_match_the_newton_solver(self, monkeypatch, eta):
-        # business times differ from Newton's roots by an ulp or so; whole-millisecond tapes do not
-        spec = EfficientPathSpec(x0=100.0037, volatility=[(0.0, 0.01), (3600.0, 0.005)], horizon=7200.0)
-        asset, cfg = AssetSpec("A", 0.01, eta=eta), TapeConfig(trade_intensity=0.5, seed=5)
-        got, truth = simulate_day(spec, asset, cfg)
-        monkeypatch.setattr(simulator, "_unit_exit_times", _newton_unit_exit_times)
-        want, _ = simulate_day(spec, asset, cfg)
-        assert truth.n_price_changes > 5000
-        for name in ("times", "price_q", "bid_q", "ask_q"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (calls, top_ups) == ({"walks": 2, "draws": 1}, 0)
 
     def test_memory_grows_with_changes_not_time(self):
         # 1 h at sigma 0.03 is about 65k changes
@@ -427,10 +341,15 @@ class TestApplyUncertaintyZones:
             assert t[-1] <= 80000.0 + 1e-9
 
     def test_deterministic_in_rng_seed(self):
-        a, b, c = (_interval_walk(0.5, 1.0, 1000, np.random.default_rng(seed)) for seed in (9, 9, 10))
-        assert np.array_equal(_walk_times([a]), _walk_times([b]))
-        assert np.array_equal(a[0], b[0])
-        assert not np.array_equal(_walk_times([a]), _walk_times([c]))
+        def walk(seed):
+            rng = np.random.default_rng(seed)
+            run = _interval_walk(0.5, 1.0, 1000, rng)
+            return run[0], _walk_times([run], rng)
+
+        (a, ta), (b, tb), (_, tc) = walk(9), walk(9), walk(10)
+        assert np.array_equal(ta, tb)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(ta, tc)
 
 
 # ------------------------------------------------------------- tape assembly
