@@ -76,6 +76,8 @@ class AssetSpec:
     def __post_init__(self):
         if not self.asset_id:
             raise ParameterError("asset_id must be non-empty")
+        if self.asset_id == "ALL":
+            raise ParameterError("asset id 'ALL' names the pooled fit")
         if not isinstance(self.grid, TickGrid):
             object.__setattr__(self, "grid", TickGrid(self.grid))
         if self.eta is not None and not (0.0 < self.eta <= 1.0):

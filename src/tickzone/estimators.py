@@ -198,6 +198,8 @@ class DailyRecord:
     frac_one_tick: float
 
     def __post_init__(self):
+        if self.asset_id == "ALL":
+            raise ParameterError("asset id 'ALL' names the pooled fit")
         for name in ("eta_hat", "alpha", "sigma_hat", "avg_spread", "frac_one_tick"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -144,6 +144,13 @@ class PipelineConfig:
             raise ParameterError("ingest mode needs input_dir")
         if self.mode == "synthetic" and not self.synthetic:
             raise ParameterError("synthetic mode needs at least one synthetic.<ID>.* block")
+        # a key that only the other mode reads is refused, not ignored
+        if self.mode == "ingest" and self.synthetic:
+            raise ParameterError(f"synthetic.{min(self.synthetic)}.* needs mode = synthetic")
+        if self.mode == "synthetic" and self.input_dir is not None:
+            raise ParameterError("input_dir needs mode = ingest")
+        if self.mode == "synthetic" and self.tick_values:
+            raise ParameterError(f"tick_value.{min(self.tick_values)} needs mode = ingest")
         if self.beta is not None and not 0.0 < self.beta < 2.0:
             raise ParameterError(f"beta must lie in (0, 2), got {self.beta!r}")
         if self.seed < 0:
@@ -496,7 +503,7 @@ def run_pipeline(config: PipelineConfig, skipped: Optional[List[str]] = None) ->
     write_regression_csv(fits, outputs["regression"])
     emit_cloud_csv(records, outputs["cloud_raw"])
 
-    pooled = fits.get("ALL") if config.pool else None
+    pooled = fits.get("ALL")
     dropped = emit_cloud_csv(records, outputs["cloud_adjusted"], lambda r: pooled or fits.get(r.asset_id))
     if dropped:
         skipped.append(f"cloud_adjusted: no fit for {dropped} record(s)")

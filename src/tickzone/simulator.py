@@ -16,12 +16,12 @@ is a standard Brownian motion, so each change is its exit from an interval:
 
 Exit times and sides are exact: walks on symmetric intervals. The sides
 alone steer the walks of a batch, all along one orbit; each step's time is
-its interval's squared half-width times a unit exit time. The unit exit
-times of a day's first exit and of its batch of later ones are drawn in one
-call of Devroye's alternating-series sampler ("On exact simulation algorithms
-for some distributions related to Jacobi theta functions", Statist. Probab.
-Lett. 79, 2009), which needs elementary functions only. Business time maps
-back to clock time through the piecewise-linear integrated variance, so a
+its interval's squared half-width times a unit exit time. Each batch of
+walks draws the unit exit times of all its rounds in one call of Devroye's
+alternating-series sampler ("On exact simulation algorithms for some
+distributions related to Jacobi theta functions", Statist. Probab. Lett. 79,
+2009), which needs elementary functions only. Business time maps back to
+clock time through the piecewise-linear integrated variance, so a
 zero-volatility stretch gets no changes.
 """
 from __future__ import annotations
@@ -164,16 +164,16 @@ def _unit_exit_times(n: int, rng: np.random.Generator) -> np.ndarray:
     return kept
 
 
-def _interval_walk(lo: float, hi: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, list, list]:
-    """Sides of ``n`` exits of a standard Brownian motion from (-lo, hi), and what timing them needs.
+def _interval_exits(lo: float, hi: float, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sides and times of ``n`` exits of a standard Brownian motion from (-lo, hi): (exited_at_hi, times).
 
-    Returns (exited_at_hi, walks, scales): per round, the live walks and their
-    one c^2. From x the motion first leaves the largest interval centred on x
-    inside (-lo, hi) after c^2 T, with c its half-width and T a unit exit
-    time, on either side with equal odds and independently of T. All walks
-    start at 0 and one side is a boundary (both at a tie), so the live walks
-    share one orbit x. In Python floats it rounds as numpy does, so the draws
-    and every double are those of walks held one by one.
+    From x the motion first leaves the largest interval centred on x inside
+    (-lo, hi) after c^2 T, with c its half-width and T a unit exit time, on
+    either side with equal odds and independently of T. All walks start at 0
+    and one side is a boundary (both at a tie), so the live walks share one
+    orbit x. In Python floats it rounds as numpy does, so the draws and every
+    double are those of walks held one by one. The sides of every round are
+    drawn first, then the unit exit times of all rounds in one call.
     """
     x = 0.0
     at_hi = np.zeros(n, dtype=bool)
@@ -190,24 +190,10 @@ def _interval_walk(lo: float, hi: float, n: int, rng: np.random.Generator) -> tu
             live, x = (live[~up] if to_hi < to_lo else live[:0]), x - c
         else:
             live, x = live[up], x + c
-    return at_hi, walks, scales
-
-
-def _walk_times(runs: Sequence[tuple], rng: np.random.Generator) -> np.ndarray:
-    """Exit times of the walks of each of ``runs`` of :func:`_interval_walk`, one run after another.
-
-    The unit exit times of all rounds of all runs are drawn from ``rng`` in one
-    call and added to each walk in round order.
-    """
-    walks, scales, n = [], [], 0
-    for at_hi, run_walks, run_scales in runs:
-        walks += [n + w for w in run_walks]
-        scales += run_scales
-        n += len(at_hi)
     sizes = [len(w) for w in walks]
     steps = np.repeat(scales, sizes) * _unit_exit_times(sum(sizes), rng)
     # bincount adds the steps in the order given, so each walk's in round order
-    return np.bincount(np.concatenate(walks), weights=steps, minlength=n)
+    return at_hi, np.bincount(np.concatenate(walks), weights=steps, minlength=n)
 
 
 def _change_sequence(
@@ -217,28 +203,26 @@ def _change_sequence(
 
     ``start`` is the latent price's offset from the opening grid point in
     ticks, and business time is measured in squared ticks up to ``budget``.
-    Each round walks a batch of later exits sized to cover what is left of
-    the budget, and one call of the sampler times it; the first round also
-    walks the day's first exit, which is exit 0 of its running sum. Only a
-    batch that falls short is followed by another round.
+    The day's first exit comes first; then each batch of later exits is sized
+    to cover what is left of the budget, and only a batch that falls short is
+    followed by another.
     """
     # later exits from (-2 eta, 1) have mean 2 eta and squared coefficient of
     # variation (1 + 4 eta^2) / (6 eta)
     mean = 2.0 * eta
     cv = math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
-    runs = [_interval_walk(0.5 + eta + start, 0.5 + eta - start, 1, rng)]
-    elapsed, turns, end = [], [], 0.0
-    while not elapsed or end < budget:
+    at_hi, first = _interval_exits(0.5 + eta + start, 0.5 + eta - start, 1, rng)
+    ups, elapsed = [at_hi], [first]
+    while elapsed[-1][-1] < budget:
         # the expected number of exits that cover what is left plus four standard
         # deviations, so that one batch nearly always covers the day
-        need = (budget - end) / mean
-        runs.append(_interval_walk(2.0 * eta, 1.0, int(need + 4.0 * cv * math.sqrt(need)) + 1, rng))
-        elapsed.append(end + np.cumsum(_walk_times(runs, rng)))
-        turns.append(np.where(np.concatenate([at_hi for at_hi, *_ in runs]), 1, -1))
-        end, runs = float(elapsed[-1][-1]), []
+        need = (budget - elapsed[-1][-1]) / mean
+        at_hi, steps = _interval_exits(2.0 * eta, 1.0, int(need + 4.0 * cv * math.sqrt(need)) + 1, rng)
+        ups.append(at_hi)
+        elapsed.append(elapsed[-1][-1] + np.cumsum(steps))
     times = np.concatenate(elapsed)
     n = int(np.searchsorted(times, budget))
-    return times[:n], np.cumprod(np.concatenate(turns)[:n]).astype(np.int8)
+    return times[:n], np.cumprod(np.where(np.concatenate(ups), 1, -1)[:n]).astype(np.int8)
 
 
 class PriceChangeSeries(NamedTuple):
@@ -310,19 +294,19 @@ def simulate_day(
 ) -> tuple[TradeTape, TrueParams]:
     """Simulate one asset-day end to end, deterministically in ``cfg.seed``.
 
-    The seed is split into independent streams for the price changes and
-    the Poisson fill trades. The day opens at the grid point nearest to the
-    path start (exact halves round down), which lies strictly inside the band.
-    Every print sits on a one-tick quote: a change at the ask if it moved the
-    price up and at the bid if down, a fill at the prevailing price on the
-    side the next change takes out. Times are whole milliseconds. As in a
-    vendor file, the first row never counts as a change and the tape opens at
-    its price; the model-true changes are in ``TrueParams.price_changes``.
-    The changes come from :func:`_change_sequence` in business time, with one
-    call of the exit-time sampler for the day, and map back to clock time
-    through the spec's ``knots``. A day that expects more than ``_MAX_TRADES``
-    trades, or that opens so far from 0 that its prices could leave the
-    sub-tick range, is a ParameterError.
+    One generator seeded with ``cfg.seed`` draws the price changes and then
+    the Poisson fill trades, so the changes do not depend on the fill rate.
+    The day opens at the grid point nearest to the path start (exact halves
+    round down), which lies strictly inside the band. Every print sits on a
+    one-tick quote: a change at the ask if it moved the price up and at the
+    bid if down, a fill at the prevailing price on the side the next change
+    takes out. Times are whole milliseconds. As in a vendor file, the first
+    row never counts as a change and the tape opens at its price; the
+    model-true changes are in ``TrueParams.price_changes``. The changes come
+    from :func:`_change_sequence` in business time and map back to clock time
+    through the spec's ``knots``. A day that expects more than
+    ``_MAX_TRADES`` trades, or that opens so far from 0 that its prices could
+    leave the sub-tick range, is a ParameterError.
     """
     eta = asset.require_eta()
     alpha = asset.tick_value
@@ -339,15 +323,15 @@ def simulate_day(
     k0 = asset.grid.nearest_tick_index(path_spec.x0) if math.isfinite(path_spec.x0 / alpha) else math.inf
     if abs(k0) + _MAX_TRADES > _MAX_SUBTICKS // SUBTICKS_PER_TICK:
         raise ParameterError(f"x0 {path_spec.x0!r} lies too many ticks of {alpha!r} from 0 for the sub-tick range")
-    change_rng, fill_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    business, directions = _change_sequence(path_spec.x0 / alpha - k0, eta, float(knot_b[-1]), change_rng)
+    rng = np.random.default_rng(cfg.seed)
+    business, directions = _change_sequence(path_spec.x0 / alpha - k0, eta, float(knot_b[-1]), rng)
     # invert the business clock; a change never falls in a zero-volatility piece
     piece = np.searchsorted(knot_b, business, side="right") - 1
     rate = np.diff(knot_b) / np.diff(knot_t)
     times = knot_t[piece] + (business - knot_b[piece]) / rate[piece]
     ticks = k0 + np.cumsum(directions, dtype=np.int64)
 
-    fill_times = np.sort(fill_rng.random(fill_rng.poisson(cfg.trade_intensity * horizon))) * horizon
+    fill_times = np.sort(rng.random(rng.poisson(cfg.trade_intensity * horizon))) * horizon
     # a fill repeats the last changed price before it, on the side the next change takes out
     fill_ticks = np.concatenate(([k0], ticks))[np.searchsorted(times, fill_times, side="right")]
     next_moves = np.append(directions, -directions[-1] if len(directions) else 1)

@@ -26,7 +26,7 @@ from tickzone import (
     TrueParams,
     simulate_day,
 )
-from tickzone.simulator import _interval_walk
+from tickzone.simulator import _interval_exits
 
 
 # When a property fails, Hypothesis imports this module to suggest a patch. With
@@ -71,7 +71,7 @@ def first_passage_frequencies(eta: float, n_trials: int, seed: int = 0) -> Tuple
         raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
-    continued = _interval_walk(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))[0]
+    continued = _interval_exits(2.0 * eta, 1.0, n_trials, np.random.default_rng(seed))[0]
     n_up = int(np.count_nonzero(continued))
     return (n_trials - n_up) / n_trials, n_up / n_trials
 

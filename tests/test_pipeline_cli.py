@@ -863,7 +863,7 @@ def _synth(key, value):
 
 # (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file,
 # "{crossed}" the same file with the quotes of its line 3 swapped, "{records}" a daily records file
-# with a nan cell and "{tmp}" an empty directory
+# with a nan cell, "{records_all}" one whose asset is ALL and "{tmp}" an empty directory
 @pytest.mark.parametrize(
     "args, config, named",
     [
@@ -885,6 +885,22 @@ def _synth(key, value):
                      id="simulate --sigma -0.001"),
         pytest.param(["regress", "--records", "{records}"], None, "records.csv:2: avg_spread must be finite, got nan",
                      id="regress avg_spread nan"),
+        # ALL names the pooled fit, so no asset may take it
+        pytest.param(["regress", "--records", "{records_all}"], None,
+                     "records_all.csv:2: asset id 'ALL' names the pooled fit", id="regress asset ALL"),
+        pytest.param(["estimate", "{csv}", "--tick-value", "0.01", "--asset-id", "ALL"], None,
+                     "asset id 'ALL' names the pooled fit", id="estimate --asset-id ALL"),
+        pytest.param(["pipeline"], {k.replace(".A.", ".ALL."): v for k, v in _SYNTH_KEYS.items()},
+                     "error: synthetic.ALL: asset id 'ALL' names the pooled fit", id="synthetic.ALL.*"),
+        # a key that only the other mode reads is refused before anything is written
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "mode": "ingest", "input_dir": "{inputs}"},
+                     "error: synthetic.A.* needs mode = synthetic", id="mode = ingest with synthetic.A.*"),
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "input_dir": "{inputs}"},
+                     "error: synthetic.A.* needs mode = synthetic", id="input_dir with synthetic.A.*"),
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "mode": "synthetic", "input_dir": "{inputs}"},
+                     "error: input_dir needs mode = ingest", id="mode = synthetic with input_dir"),
+        pytest.param(["pipeline"], {**_SYNTH_KEYS, "tick_value.A": "0.01"},
+                     "error: tick_value.A needs mode = ingest", id="synthetic mode with tick_value.A"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "inf"], None, "x0", id="simulate --x0 inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--x0", "-inf"], None, "x0", id="simulate --x0 -inf"),
         pytest.param(_SIMULATE + ["--sigma", "0.003", "--fills", "nan"], None, "trade_intensity",
@@ -991,10 +1007,11 @@ def _synth(key, value):
                      id="signature --out nodir/s.csv"),
         pytest.param(["pipeline", "--out", "{csv}/sub"], _SYNTH_KEYS, "sim.csv/sub: cannot make directory: Not a directory",
                      id="pipeline --out under a file"),
-        # a simulated day is written only if ingest can read it back, and only if it is a date at all
+        # a simulated day is written only if ingest can read it back, and only if it is a date at all;
+        # the stamp, in ms, is the day's first print, so it moves whenever the simulator's draws do
         pytest.param(["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", "0001-01-01", "--timezone",
                       "America/New_York", "--session", "00:00-00:10"], None,
-                     "sim.csv: timestamp -62135579037810 out of range", id="simulate --day 0001-01-01"),
+                     "sim.csv: timestamp -62135579037886 out of range", id="simulate --day 0001-01-01"),
         # the clock skips 02:00-03:00 that day, so the session has no time to simulate
         pytest.param(["simulate", "--eta", "0.25", "--sigma", "0.002", "--day", "2009-03-29", "--timezone",
                       "Europe/Berlin", "--session", "02:15-02:45"], None,
@@ -1023,13 +1040,15 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     (inputs / "A" / "day.csv").write_bytes(sim_csv.read_bytes())
     records = tmp_path / "records.csv"
     records.write_text(",".join(DAILY_CSV_HEADER[:8]) + "\n2009-06-01,A,0.2,0.01,0.003,500,nan,90\n")
+    records_all = tmp_path / "records_all.csv"
+    records_all.write_text(",".join(DAILY_CSV_HEADER[:8]) + "\n2009-06-01,ALL,0.2,0.01,0.003,500,0.01,90\n")
     rows = sim_csv.read_text().splitlines()
     fields = rows[2].split(",")
     fields[3], fields[4] = fields[4], fields[3]
     crossed = tmp_path / "crossed.csv"
     crossed.write_text("\n".join(rows[:2] + [",".join(fields)] + rows[3:]) + "\n")
     args = [a.replace("{csv}", str(sim_csv)).replace("{crossed}", str(crossed)).replace("{records}", str(records))
-            .replace("{tmp}", str(tmp_path)) for a in args]
+            .replace("{records_all}", str(records_all)).replace("{tmp}", str(tmp_path)) for a in args]
     if args[0] == "simulate" and "--out" not in args:
         args += ["--out", str(tmp_path / "sim.csv")]
     if config is not None:
@@ -1041,6 +1060,8 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert named in err and err.count("\n") == 1
+    if "needs mode" in named:
+        assert not (tmp_path / "run").exists()
 
 
 # the whole config is checked before A's valid days are simulated, so a bad value of B writes nothing

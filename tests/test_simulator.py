@@ -20,7 +20,7 @@ from tickzone import (
     simulate_day,
 )
 from tickzone import simulator
-from tickzone.simulator import _interval_walk, _unit_exit_times, _walk_times
+from tickzone.simulator import _interval_exits, _unit_exit_times
 
 
 # ------------------------------------------------------------ latent price
@@ -93,15 +93,12 @@ def _held_one_by_one(lo, hi, n, rng):
     return at_hi, rounds
 
 
-def _timed_round_by_round(walks, rng):
-    """Exit times of the walks of :func:`_held_one_by_one` runs, one run after another: all unit
-    exit times in one draw, c^2 T added to each walk round by round."""
-    rounds, n = [], 0
-    for at_hi, run in walks:
-        rounds += [(n + live, c2) for live, c2 in run]
-        n += len(at_hi)
+def _timed_round_by_round(walk, rng):
+    """Exit times of the walks of :func:`_held_one_by_one`: all unit exit times in one draw,
+    c^2 T added to each walk round by round."""
+    at_hi, rounds = walk
     unit = _unit_exit_times(sum(len(live) for live, _ in rounds), rng)
-    times, k = np.zeros(n), 0
+    times, k = np.zeros(len(at_hi)), 0
     for live, c2 in rounds:
         times[live] += c2 * unit[k:k + len(live)]
         k += len(live)
@@ -109,9 +106,9 @@ def _timed_round_by_round(walks, rng):
 
 
 def _per_round_interval_exits(lo, hi, n, rng):
-    """Exit times and sides of walks held one by one: the oracle of the shared-orbit walk."""
+    """Sides and exit times of walks held one by one: the oracle of :func:`_interval_exits`."""
     walk = _held_one_by_one(lo, hi, n, rng)
-    return _timed_round_by_round([walk], rng), walk[0]
+    return walk[0], _timed_round_by_round(walk, rng)
 
 
 def _reference_points():
@@ -164,9 +161,7 @@ class TestExactExits:
         # closed forms for an exit from (-lo, hi): E tau = lo hi,
         # Var tau = lo hi (lo^2 + hi^2) / 3, P(exit at hi) = lo / (lo + hi)
         n = 200_000
-        rng = np.random.default_rng(11)
-        walk = _interval_walk(lo, hi, n, rng)
-        tau, at_hi = _walk_times([walk], rng), walk[0]
+        at_hi, tau = _interval_exits(lo, hi, n, np.random.default_rng(11))
         mean, var = lo * hi, lo * hi * (lo**2 + hi**2) / 3.0
         assert abs(tau.mean() - mean) <= 5.0 * math.sqrt(var / n)
         fourth = float(np.mean((tau - tau.mean()) ** 4))
@@ -220,9 +215,9 @@ class TestExactExits:
         # (0.375, 1.125) the walks that go on stand at 0.375, 0.75 from both sides in floats
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
-        walk = _interval_walk(lo, hi, n, got_rng)
-        assert np.array_equal(_walk_times([walk], got_rng), want[0])
-        assert np.array_equal(walk[0], want[1])
+        got = _interval_exits(lo, hi, n, got_rng)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
         # both drew the same numbers, so the next batch of a day starts from the same state
         assert got_rng.random() == want_rng.random()
 
@@ -239,8 +234,8 @@ class TestExactExits:
         lo, hi = (0.5 + eta + s, 0.5 + eta - s) if first else (2.0 * eta, 1.0)
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = _per_round_interval_exits(lo, hi, n, want_rng)
-        walk = _interval_walk(lo, hi, n, got_rng)
-        assert np.array_equal(_walk_times([walk], got_rng), want[0]) and np.array_equal(walk[0], want[1])
+        got = _interval_exits(lo, hi, n, got_rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -249,34 +244,33 @@ class TestExactExits:
          (0.5, 0.05, 1000.0, 4, 0), (-0.3, 1.0, 20.0, 5, 0), (0.3, 0.25, 10.0, 6, 3)],
     )
     def test_day_matches_walks_timed_one_round_at_a_time(self, monkeypatch, start, eta, budget, seed, halvings):
-        # the sides of the first exit and of the batch sized from the whole budget, then their unit
-        # exit times, then any top-up's sides and times, from one generator; batches halved three
-        # times cover about a third of a budget of 20 mean exits, so a top-up follows
+        # the first exit's sides and then its time, then while the budget is not passed each
+        # batch's sides and then its times, sized from what is left, from one generator; batches
+        # halved three times cover about a third of a budget of 20 mean exits, so a top-up follows
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean, cv = 2.0 * eta, math.sqrt((1.0 + 4.0 * eta**2) / (6.0 * eta))
         size = lambda left: max(1, (int(left / mean + 4.0 * cv * math.sqrt(left / mean)) + 1) >> halvings)
-        first = _held_one_by_one(0.5 + eta + start, 0.5 + eta - start, 1, want_rng)
-        batch = _held_one_by_one(2.0 * eta, 1.0, size(budget), want_rng)
-        times, ups = np.cumsum(_timed_round_by_round([first, batch], want_rng)), [first[0], batch[0]]
+        at_hi, times = _per_round_interval_exits(0.5 + eta + start, 0.5 + eta - start, 1, want_rng)
+        ups = [at_hi]
         while times[-1] < budget:
-            batch = _held_one_by_one(2.0 * eta, 1.0, size(budget - times[-1]), want_rng)
-            times = np.concatenate([times, times[-1] + np.cumsum(_timed_round_by_round([batch], want_rng))])
-            ups.append(batch[0])
+            at_hi, steps = _per_round_interval_exits(2.0 * eta, 1.0, size(budget - times[-1]), want_rng)
+            times = np.concatenate([times, times[-1] + np.cumsum(steps)])
+            ups.append(at_hi)
         n = np.searchsorted(times, budget)
         calls = []
-        monkeypatch.setattr(simulator, "_walk_times", lambda runs, rng: calls.append(runs) or _walk_times(runs, rng))
-        monkeypatch.setattr(simulator, "_interval_walk",
-                            lambda lo, hi, n, rng: _interval_walk(lo, hi, max(1, n >> halvings), rng))
+        monkeypatch.setattr(simulator, "_interval_exits",
+                            lambda lo, hi, n, rng: calls.append(n) or _interval_exits(lo, hi, max(1, n >> halvings), rng))
         got_times, got_directions = simulator._change_sequence(start, eta, budget, got_rng)
-        # the first timing covers the first exit and the first batch; every later one is a top-up
-        assert len(calls) - 1 == len(ups) - 2
+        # one walk call for the first exit and one for each batch; a budget that the first exit
+        # passes (0 and 0.01 here) walks no batch, and only halved batches need a top-up
+        assert len(calls) == len(ups)
         assert (len(ups) > 2) == (halvings > 0)
         assert np.array_equal(got_times, times[:n])
         assert np.array_equal(got_directions, np.cumprod(np.where(np.concatenate(ups), 1, -1)[:n]))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_one_unit_exit_draw_per_day(self, monkeypatch):
-        calls = {"walks": 0, "draws": 0, "timings": 0}
+    def test_one_unit_exit_draw_per_batch_of_walks(self, monkeypatch):
+        calls = {"walks": 0, "draws": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -284,14 +278,12 @@ class TestExactExits:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(simulator, "_interval_walk", counted("walks", simulator._interval_walk))
+        monkeypatch.setattr(simulator, "_interval_exits", counted("walks", simulator._interval_exits))
         monkeypatch.setattr(simulator, "_unit_exit_times", counted("draws", simulator._unit_exit_times))
-        monkeypatch.setattr(simulator, "_walk_times", counted("timings", simulator._walk_times))
         spec = EfficientPathSpec(x0=100.0037, volatility=0.01, horizon=3600.0)
         simulate_day(spec, AssetSpec("A", 0.01, eta=0.25), TapeConfig(seed=2))
-        # the first exit and one batch of later ones, timed together; each further timing is a top-up
-        top_ups = calls.pop("timings") - 1
-        assert (calls, top_ups) == ({"walks": 2, "draws": 1}, 0)
+        # the first exit and one batch of later ones, each timed by its own draw; no top-up
+        assert calls == {"walks": 2, "draws": 2}
 
     def test_memory_grows_with_changes_not_time(self):
         # 1 h at sigma 0.03 is about 65k changes
@@ -342,9 +334,7 @@ class TestApplyUncertaintyZones:
 
     def test_deterministic_in_rng_seed(self):
         def walk(seed):
-            rng = np.random.default_rng(seed)
-            run = _interval_walk(0.5, 1.0, 1000, rng)
-            return run[0], _walk_times([run], rng)
+            return _interval_exits(0.5, 1.0, 1000, np.random.default_rng(seed))
 
         (a, ta), (b, tb), (_, tc) = walk(9), walk(9), walk(10)
         assert np.array_equal(ta, tb)
@@ -379,8 +369,10 @@ class TestGenerateTape:
 
     def test_fills_print_at_prevailing_price(self):
         tape, changes = _day(sigma=0.3, fills=1.0, seed=3)
-        # a fill repeats the price, so the tape moves only where the series does
-        assert len(tape) > len(changes.times) > 2 and tape.opening_price == 100.0
+        # a fill repeats the price, so the tape moves only where the series does; the tape opens at
+        # its first print, a fill at 100 or the day's first change, one tick away
+        assert len(tape) > len(changes.times) > 2 and tape.opening_price_q == tape.price_q[0]
+        assert abs(tape.opening_price - 100.0) <= 1.0
         assert np.array_equal(tape.change_prices, changes.new_prices)
         assert np.allclose(tape.change_times, changes.times, atol=0.002)
 
@@ -439,6 +431,15 @@ class TestSimulateDay:
         assert ta.integrated_variance == tb.integrated_variance
         c, _ = simulate_day(spec, asset, TapeConfig(trade_intensity=1.0, seed=22))
         assert not np.array_equal(a.times, c.times)
+
+    def test_changes_do_not_depend_on_the_fill_rate(self):
+        # one generator draws the day's changes before its fills
+        asset = AssetSpec("A", 0.01, eta=0.25)
+        spec = EfficientPathSpec(x0=100.0, volatility=0.003, horizon=600.0)
+        quiet, busy = (simulate_day(spec, asset, TapeConfig(trade_intensity=rate, seed=21))[1].price_changes
+                       for rate in (0.0, 5.0))
+        assert len(quiet.times) > 10
+        assert all(np.array_equal(a, b) for a, b in zip(quiet, busy))
 
     def test_default_opening_price_rounds_half_down(self):
         asset = AssetSpec("A", 1.0, eta=0.5)
