@@ -151,6 +151,8 @@ class PipelineConfig:
             raise ParameterError("input_dir needs mode = ingest")
         if self.mode == "synthetic" and self.tick_values:
             raise ParameterError(f"tick_value.{min(self.tick_values)} needs mode = ingest")
+        if "ALL" in self.tick_values:
+            raise ParameterError("tick_value.ALL: asset id 'ALL' names the pooled fit")
         if self.beta is not None and not 0.0 < self.beta < 2.0:
             raise ParameterError(f"beta must lie in (0, 2), got {self.beta!r}")
         if self.seed < 0:

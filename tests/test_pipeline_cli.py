@@ -863,7 +863,8 @@ def _synth(key, value):
 
 # (command line, config keys for `pipeline`, text the error must name); "{csv}" is a trade file,
 # "{crossed}" the same file with the quotes of its line 3 swapped, "{records}" a daily records file
-# with a nan cell, "{records_all}" one whose asset is ALL and "{tmp}" an empty directory
+# with a nan cell, "{records_all}" one whose asset is ALL, "{inputs}" a directory of assets A and ALL with one
+# trade file each, and "{tmp}" an empty directory
 @pytest.mark.parametrize(
     "args, config, named",
     [
@@ -892,6 +893,8 @@ def _synth(key, value):
                      "asset id 'ALL' names the pooled fit", id="estimate --asset-id ALL"),
         pytest.param(["pipeline"], {k.replace(".A.", ".ALL."): v for k, v in _SYNTH_KEYS.items()},
                      "error: synthetic.ALL: asset id 'ALL' names the pooled fit", id="synthetic.ALL.*"),
+        pytest.param(["pipeline"], {"input_dir": "{inputs}", "tick_value.ALL": "0.01"},
+                     "error: tick_value.ALL: asset id 'ALL' names the pooled fit", id="tick_value.ALL"),
         # a key that only the other mode reads is refused before anything is written
         pytest.param(["pipeline"], {**_SYNTH_KEYS, "mode": "ingest", "input_dir": "{inputs}"},
                      "error: synthetic.A.* needs mode = synthetic", id="mode = ingest with synthetic.A.*"),
@@ -1036,8 +1039,9 @@ def _synth(key, value):
 )
 def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path, capsys):
     inputs = tmp_path / "inputs"
-    (inputs / "A").mkdir(parents=True)
-    (inputs / "A" / "day.csv").write_bytes(sim_csv.read_bytes())
+    for aid in ("A", "ALL"):
+        (inputs / aid).mkdir(parents=True)
+        (inputs / aid / "day.csv").write_bytes(sim_csv.read_bytes())
     records = tmp_path / "records.csv"
     records.write_text(",".join(DAILY_CSV_HEADER[:8]) + "\n2009-06-01,A,0.2,0.01,0.003,500,nan,90\n")
     records_all = tmp_path / "records_all.csv"
@@ -1060,7 +1064,7 @@ def test_bad_value_ends_in_one_error_line(args, config, named, sim_csv, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert named in err and err.count("\n") == 1
-    if "needs mode" in named:
+    if "needs mode" in named or "tick_value.ALL" in named:  # refused as the config is read
         assert not (tmp_path / "run").exists()
 
 

@@ -609,14 +609,7 @@ class TestWriteRoundTrip:
         tape.bid_q[2] = NO_QUOTE
         out = tmp_path / "w.csv"
         write_tape_csv(tape, out, day, session)
-        expect = io.StringIO()
-        writer = csv.writer(expect)
-        writer.writerow(["timestamp_ms", "price", "size", "bid", "ask"])
-        for i in range(len(tape)):
-            quotes = ["" if q == NO_QUOTE else tape.grid.text(q) for q in (tape.bid_q[i], tape.ask_q[i])]
-            ts = session.open_epoch_ms(day) + int(round(float(tape.times[i]) * 1000.0))
-            writer.writerow([ts, tape.grid.text(tape.price_q[i]), 1] + quotes)
-        assert out.read_bytes() == expect.getvalue().encode()
+        assert out.read_bytes() == _row_by_row(tape, day, session)
 
     def test_missing_quotes_round_trip_blank(self, tmp_path):
         a = _asset()
@@ -646,6 +639,22 @@ class TestWriteRoundTrip:
         assert "101.5625" in body and "109.375" in body
         got = ingest_trades([out], a, FULL_DAY, [])[0].tape
         assert np.array_equal(got.price_q, tape.price_q)
+
+    def test_a_write_takes_at_most_eight_times_its_file(self, tmp_path):
+        # the prices and times of test_a_file_takes_at_most_five_times_its_size, quoted on every other row
+        n = 46_000
+        price_q = (8_000 + np.cumsum(np.random.default_rng(0).integers(-1, 2, n))) * _SUB
+        bid_q = np.where(np.arange(n) % 2 == 0, price_q - _SUB, NO_QUOTE)
+        tape = TradeTape(_asset(), 1.8 * np.arange(n), price_q, bid_q, np.where(bid_q == NO_QUOTE, NO_QUOTE, price_q),
+                         session_length=86_400.0, opening_price_q=int(price_q[0]))
+        out = tmp_path / "day.csv"
+        tracemalloc.start()
+        try:
+            write_tape_csv(tape, out, date(2009, 6, 1), FULL_DAY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * out.stat().st_size
 
 
 # ------------------------------------------------------------------ properties
@@ -708,6 +717,107 @@ def test_write_then_ingest_gives_the_same_tape(case):
         assert np.array_equal(getattr(tape, col), getattr(got, col)), col
     assert (got.opening_price_q, got.session_length) == (tape.opening_price_q, tape.session_length)
     assert _record_or_error(got) == _record_or_error(tape)
+
+
+def _row_by_row(tape, day, session):
+    """The bytes of ``tape``'s trade file, written by ``csv.writer`` one row at a time."""
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(["timestamp_ms", "price", "size", "bid", "ask"])
+    for i in range(len(tape)):
+        quotes = ["" if q == NO_QUOTE else tape.grid.text(q) for q in (tape.bid_q[i], tape.ask_q[i])]
+        ts = session.open_epoch_ms(day) + int(round(float(tape.times[i]) * 1000.0))
+        writer.writerow([ts, tape.grid.text(tape.price_q[i]), 1] + quotes)
+    return expect.getvalue().encode()
+
+
+def _tape_in_ticks(tick, ms, prices, bids, asks, session_length=86_400.0):
+    """A tape on ``tick`` printing ``ms`` after the open, its prices and quotes counted in ticks; a quote of None
+    is absent."""
+    def q(x):
+        return NO_QUOTE if x is None else round(x * _SUB)
+
+    return TradeTape(
+        AssetSpec("WRT", tick), np.asarray(ms, dtype=float) / 1000.0, [q(p) for p in prices],
+        [q(b) for b in bids], [q(a) for a in asks], session_length, q(prices[0] if prices else 0),
+    )
+
+
+_BERLIN_NIGHT = SessionFilter.from_text("00:00-04:00", tz="Europe/Berlin")
+_WRITE_SESSIONS = (FULL_DAY, _BERLIN_NIGHT, SessionFilter.from_text("08:00-09:00", tz="Australia/Lord_Howe"))
+
+
+@st.composite
+def _written_tapes(draw):
+    """A tape on any day from 0001-01-03 to 9999-12-20, often near the epoch, with its session and day."""
+    tick = draw(st.sampled_from(_TICKS))
+    session = draw(st.sampled_from(_WRITE_SESSIONS))
+    day = draw(st.one_of(st.dates(date(1, 1, 3), date(9999, 12, 20)), st.dates(date(1969, 12, 18), date(1970, 1, 14))))
+    span_ms = round(session.elapsed_seconds(day) * 1000)
+    n = draw(st.integers(0, 30))
+    ms = sorted(draw(st.lists(st.integers(0, span_ms), min_size=n, max_size=n)))
+    steps = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    prices = (draw(st.integers(-10**9, 10**9)) + np.cumsum(steps, dtype=np.int64)).tolist()
+    bids, asks = [], []
+    for p in prices:
+        sides = draw(st.sampled_from(("", "b", "a", "ba")))
+        bid = p - draw(st.sampled_from((0, 0.25, 0.5, 1, 2)))
+        bids.append(bid if "b" in sides else None)
+        asks.append(bid + draw(st.integers(1, 3)) if "a" in sides else None)
+    return _tape_in_ticks(tick, ms, prices, bids, asks, span_ms / 1000.0), session, day
+
+
+def _examples(cases):
+    """Each of ``cases`` as an explicit example of a test's ``case``."""
+    def add(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return add
+
+
+_JUN1 = date(2009, 6, 1)
+_WRITE_EDGES = [
+    # negative prices on every tick, with quotes between ticks
+    *((_tape_in_ticks(t, [0, 5, 5, 9], [-2, -1, -1, 0], [-2.5, None, -1.25, -1], [-1.5, -0.5, None, 0]), FULL_DAY, _JUN1)
+      for t in _TICKS),
+    (_tape_in_ticks("0.01", [0, 1], [7, 8], [None, None], [None, None]), FULL_DAY, _JUN1),  # no quotes
+    (_tape_in_ticks("0.5", [3], [201], [200], [201]), FULL_DAY, _JUN1),  # one row
+    (_tape_in_ticks("0.5", [], [], [], []), FULL_DAY, _JUN1),  # no rows
+    # negative 14-digit stamps, and a day whose open in Berlin lies before the first stamp ingest reads
+    (_tape_in_ticks("0.25", [0, 86_399_999], [4, 5], [3, None], [5, 6]), FULL_DAY, date(1, 1, 3)),
+    (_tape_in_ticks("0.25", [0, 1], [4, 5], [3, None], [5, 6], 14_400.0), _BERLIN_NIGHT, date(1, 1, 3)),
+    # stamps under 10**9 in magnitude, whose texts have fewer digits, stamp 0 among them
+    *((_tape_in_ticks("1", [0, 7, 43_200_000, 86_400_000], [-1, 0, 0, 1], [-2, None, -1, 0], [-1, 1, 0, None]),
+       FULL_DAY, d) for d in (date(1969, 12, 25), date(1970, 1, 1), date(1970, 1, 10))),
+    # stamps either side of -10**9 and of 10**9
+    (_tape_in_ticks("1", [36_799_999, 36_800_000, 36_800_001], [1, 1, 1], [0] * 3, [2] * 3), FULL_DAY, date(1969, 12, 20)),
+    (_tape_in_ticks("1", [49_599_999, 49_600_000, 49_600_001], [1, 1, 1], [0] * 3, [2] * 3), FULL_DAY, date(1970, 1, 12)),
+    (_tape_in_ticks("7.8125", [0, 86_400_000], [128_000, 127_999], [127_999, None], [128_000, 128_000]),
+     FULL_DAY, date(9999, 12, 20)),
+    # the clock goes back an hour inside the session, which lasts five
+    (_tape_in_ticks("0.01", [0, 3_600_000, 9_000_000, 18_000_000], [-330, -331, -331, -330], [None, -332, -331.5, None],
+                    [None, -331, -330.5, -329], 18_000.0), _BERLIN_NIGHT, date(2009, 10, 25)),
+]
+
+
+@given(case=_written_tapes())
+@_examples(_WRITE_EDGES)
+@settings(max_examples=100, deadline=None)
+def test_write_gives_the_bytes_of_a_csv_writer_row_by_row(case):
+    tape, session, day = case
+    stamps = [session.open_epoch_ms(day) + round(t * 1000.0) for t in tape.times.tolist()]
+    outside = [s for s in stamps if s not in _STAMP_RANGE]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.csv"
+        if outside:
+            with pytest.raises(ParameterError) as refused:
+                write_tape_csv(tape, path, day, session)
+            assert str(refused.value) == f"{path}: timestamp {outside[0]} out of range" and not path.exists()
+        else:
+            write_tape_csv(tape, path, day, session)
+            assert path.read_bytes() == _row_by_row(tape, day, session)
 
 
 @st.composite
